@@ -51,6 +51,13 @@ for scheme in 802.11 psm psm-none odpm rcast; do
         > /dev/null
 done
 
+echo "==> example smoke: ledger-derived per-packet and energy views (release)"
+# Both examples read their views from the event ledger (ObsReport's
+# per-packet histories and energy_by_interval); running them, not just
+# compiling them, keeps those views exercised end to end.
+cargo run -q --release --offline --example packet_forensics > /dev/null
+cargo run -q --release --offline --example drain_curves > /dev/null
+
 echo "==> bench smoke: tracked perf suite + regression check (release)"
 # The checked-in BENCH_rcast.json is regenerated deliberately with
 # `rcast bench --out BENCH_rcast.json`, never overwritten here.

@@ -57,15 +57,10 @@ pub struct SimConfig {
     /// Optional finite battery per node, joules — enables the
     /// network-lifetime metric.
     pub battery_capacity_j: Option<f64>,
-    /// Optional per-node cumulative-energy sampling period; when set,
-    /// the report carries an energy [`rcast_metrics::TimeSeries`].
-    pub energy_sampling: Option<SimDuration>,
-    /// When `true`, journal every data packet's lifecycle into the
-    /// report's [`crate::PacketTrace`] (costs memory on long runs).
-    pub trace: bool,
     /// When `true`, record the cross-layer event ledger into the
     /// report's [`rcast_obs::ObsReport`]: MAC interval phases, routing
     /// packet lifecycle, fault markers, and per-interval energy spans.
+    /// It is the source of every per-packet and energy-trajectory view.
     /// Storage is fully pre-sized (costs memory on long runs).
     pub obs: bool,
     /// Fault injection (crashes, blackouts, corruption bursts); the
@@ -101,8 +96,6 @@ impl SimConfig {
             odpm: OdpmConfig::default(),
             factors: OverhearFactors::default(),
             battery_capacity_j: None,
-            energy_sampling: None,
-            trace: false,
             obs: false,
             faults: FaultsConfig::default(),
         }
@@ -147,11 +140,6 @@ impl SimConfig {
         if let Some(cap) = self.battery_capacity_j {
             if !(cap.is_finite() && cap > 0.0) {
                 return Err(format!("invalid battery capacity {cap}"));
-            }
-        }
-        if let Some(p) = self.energy_sampling {
-            if p.is_zero() {
-                return Err("energy sampling period must be positive".into());
             }
         }
         self.mac.validate().map_err(|e| format!("mac: {e}"))?;

@@ -46,7 +46,6 @@ mod routing;
 mod scenario;
 mod scheme;
 mod sim;
-mod trace;
 
 pub use config::SimConfig;
 pub use faults::{FaultCounters, FaultEvent, FaultPlan, FaultsConfig};
@@ -59,7 +58,6 @@ pub use routing::{
 };
 pub use rcast_mobility::Area;
 pub use scenario::{parse_scenario, write_scenario};
-pub use trace::{PacketId, PacketTrace, TraceEvent, TraceRecord};
 pub use rcast_obs::{
     render_jsonl, Event as ObsEvent, EventKind as ObsEventKind, Ledger, LedgerParams, ObsReport,
     PacketClass, TraceFilter, SERIES_COLUMNS,

@@ -4,14 +4,13 @@ use rcast_aodv::AodvCounters;
 use rcast_dsr::DsrCounters;
 use rcast_engine::{SimDuration, SimTime};
 use rcast_mac::MacCounters;
-use rcast_metrics::{DeliveryTracker, EnergyReport, RoleNumbers, TimeSeries};
+use rcast_metrics::{DeliveryTracker, EnergyReport, RoleNumbers};
 use rcast_obs::ObsReport;
 
 use crate::config::SimConfig;
 use crate::faults::FaultCounters;
 use crate::scheme::Scheme;
 use crate::sim::run_seeds_parallel;
-use crate::trace::PacketTrace;
 
 /// The scalar metric columns of [`SimReport::figure_metrics`], in
 /// order — the stable column names sweep artifacts and CSV headers use.
@@ -50,12 +49,8 @@ pub struct SimReport {
     pub faults: FaultCounters,
     /// First battery depletion, if batteries were finite and one died.
     pub first_depletion: Option<SimTime>,
-    /// Per-node cumulative energy over time, when
-    /// `SimConfig::energy_sampling` was set.
-    pub energy_series: Option<TimeSeries>,
-    /// The packet journal, when `SimConfig::trace` was set.
-    pub trace: Option<PacketTrace>,
-    /// The cross-layer event ledger, when `SimConfig::obs` was set.
+    /// The cross-layer event ledger, when `SimConfig::obs` was set:
+    /// per-packet histories and the energy trajectory derive from it.
     pub obs: Option<ObsReport>,
 }
 
@@ -244,8 +239,6 @@ mod tests {
             aodv: AodvCounters::default(),
             faults: FaultCounters::default(),
             first_depletion: None,
-            energy_series: None,
-            trace: None,
             obs: None,
         }
     }

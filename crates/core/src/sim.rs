@@ -44,14 +44,13 @@ use rcast_mac::{
 use rcast_mobility::{MobilityField, NeighborIndex, NeighborTable, Snapshot};
 use rcast_obs::{EventKind as ObsKind, Ledger, LedgerParams, PacketClass};
 use rcast_radio::{EnergyModel, Phy, PowerState};
-use rcast_metrics::{DeliveryTracker, EnergyReport, RoleNumbers, TimeSeries};
+use rcast_metrics::{DeliveryTracker, EnergyReport, RoleNumbers};
 use rcast_traffic::{Arrival, FlowSchedule};
 
 use crate::config::SimConfig;
 use crate::faults::{FaultCounters, FaultPlan};
 use crate::odpm::OdpmState;
 use crate::routing::{NetPacket, PacketArena, PacketHandle, PacketKind, RouteAction, RouterNode};
-use crate::trace::{PacketTrace, TraceEvent};
 use crate::overhearing::RcastDecider;
 use crate::report::SimReport;
 use crate::scheme::Scheme;
@@ -141,6 +140,25 @@ impl MacObserver for LedgerMacObserver<'_> {
     }
 }
 
+/// The per-packet hop budget (ledger `Forwarded` events) that, with
+/// each packet's origination and its delivery or drop, sizes the
+/// ledger's packet lane: `nodes - 1`, the longest loop-free path.
+///
+/// Under DSR it bounds every packet. A source route is loop-free
+/// (`SourceRoute::new` rejects a repeated node), and a salvage splices
+/// the prefix the packet has travelled onto a cached tail and keeps the
+/// result only if it is still loop-free, so a packet's whole path is one
+/// loop-free route; a packet back in its source's send buffer has made
+/// no hop. AODV's sequence numbers keep its next-hop graph loop-free at
+/// each instant, but a packet that outlives a route change may revisit
+/// a node, so under AODV the figure bounds the run's average, not each
+/// packet. The lane is shared by all packets, so a breach needs the
+/// average packet to make `nodes - 1` hops; it would be counted in
+/// `Ledger::dropped`, not grown.
+fn max_data_hops(cfg: &SimConfig) -> u64 {
+    u64::from(cfg.nodes.saturating_sub(1))
+}
+
 /// Maps the routing layer's packet kind onto the ledger's mirror enum.
 fn class_of(kind: PacketKind) -> PacketClass {
     match kind {
@@ -174,8 +192,6 @@ struct Scratch {
     flat_committed: Vec<SimDuration>,
     /// `ps_awake` substitute for the non-PSM path: all `false`.
     flat_ps: Vec<bool>,
-    /// Per-node cumulative-joules buffer for the energy time series.
-    energy_sample: Vec<f64>,
 }
 
 /// Struct-of-arrays per-node hot state: the crash/power lane, the
@@ -312,8 +328,6 @@ pub struct Simulation {
     roles: RoleNumbers,
     schedule: FlowSchedule,
     first_depletion: Option<SimTime>,
-    energy_series: Option<TimeSeries>,
-    trace: Option<PacketTrace>,
     obs: Option<Ledger>,
     faults: FaultPlan,
     /// `false` for a clean run: every fault hook short-circuits and the
@@ -395,15 +409,15 @@ impl Simulation {
             roles: RoleNumbers::new(n),
             schedule,
             first_depletion: None,
-            energy_series: cfg
-                .energy_sampling
-                .map(|p| TimeSeries::new(n, p)),
-            trace: cfg.trace.then(PacketTrace::new),
             obs: cfg.obs.then(|| {
                 Ledger::new(LedgerParams {
                     nodes: cfg.nodes,
                     intervals: cfg.beacon_intervals(),
                     beacon_nanos: cfg.mac.beacon_interval.as_nanos(),
+                    // Bounded from the configuration alone, like the other
+                    // lanes, so every seed allocates the same buffer.
+                    packet_events: cfg.traffic.max_packets_before(horizon)
+                        * (2 + max_data_hops(&cfg)),
                 })
             }),
             faults,
@@ -604,16 +618,6 @@ impl Simulation {
                 break;
             }
             self.tracker.record_originated();
-            if let Some(trace) = &mut self.trace {
-                trace.record(
-                    a.at,
-                    (a.flow, a.seq),
-                    TraceEvent::Originated {
-                        src: a.src,
-                        dst: a.dst,
-                    },
-                );
-            }
             if let Some(l) = obs.as_mut() {
                 l.record_event(
                     a.at,
@@ -630,9 +634,6 @@ impl Simulation {
                 // packet is lost at birth.
                 self.tracker.record_fault_drop();
                 self.fault_counters.packets_lost_to_faults += 1;
-                if let Some(trace) = &mut self.trace {
-                    trace.record(a.at, (a.flow, a.seq), TraceEvent::Dropped);
-                }
                 if let Some(l) = obs.as_mut() {
                     l.record_event(
                         a.at,
@@ -681,21 +682,6 @@ impl Simulation {
             self.account_energy(t, &scratch.flat_ps, &scratch.flat_committed, &mut obs);
         }
 
-        // 6. Optional energy time series.
-        if let Some(series) = &mut self.energy_series {
-            let due = match series.times().last() {
-                None => true,
-                Some(&last) => (t + bi) - last >= series.period(),
-            };
-            if due {
-                scratch.energy_sample.clear();
-                scratch
-                    .energy_sample
-                    .extend((0..n).map(|i| self.lanes.total_joules(i)));
-                series.push(t + bi, &scratch.energy_sample);
-            }
-        }
-
         if let Some(l) = obs.as_mut() {
             l.end_interval();
         }
@@ -704,23 +690,6 @@ impl Simulation {
         self.scratch = scratch;
         self.k += 1;
         true
-    }
-
-    /// Closes the run (end-of-run energy sample) and reports. Pairs
-    /// with [`step_interval`](Self::step_interval); calling it before
-    /// the final interval reports the simulation as of the intervals
-    /// executed so far.
-    pub fn finish(mut self) -> SimReport {
-        let end = SimTime::ZERO + self.cfg.mac.beacon_interval * self.k;
-        if let Some(series) = &mut self.energy_series {
-            if series.times().last() != Some(&end) {
-                let sample: Vec<f64> = (0..self.lanes.len())
-                    .map(|i| self.lanes.total_joules(i))
-                    .collect();
-                series.push(end, &sample);
-            }
-        }
-        self.into_report()
     }
 
     /// Applies the fault plan at the interval boundary `t`: resolves
@@ -767,9 +736,6 @@ impl Simulation {
                     }
                     self.tracker.record_fault_drop();
                     self.fault_counters.packets_lost_to_faults += 1;
-                    if let (Some(trace), Some(pid)) = (&mut self.trace, h.data_id()) {
-                        trace.record(t, pid, TraceEvent::Dropped);
-                    }
                     if let (Some(l), Some((flow, seq))) = (obs.as_mut(), h.data_id()) {
                         l.record_event(t, id, ObsKind::PacketDropped { flow, seq });
                     }
@@ -777,9 +743,6 @@ impl Simulation {
                 for pid in self.routers[i].reboot(t) {
                     self.tracker.record_fault_drop();
                     self.fault_counters.packets_lost_to_faults += 1;
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(t, pid, TraceEvent::Dropped);
-                    }
                     if let Some(l) = obs.as_mut() {
                         let (flow, seq) = pid;
                         l.record_event(t, id, ObsKind::PacketDropped { flow, seq });
@@ -902,13 +865,6 @@ impl Simulation {
                 RouteAction::Delivered(info) => {
                     self.tracker.record_delivered(info.generated_at, at);
                     self.tracker.record_hops(info.hops);
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(
-                            at,
-                            (info.flow, info.seq),
-                            TraceEvent::Delivered { at_node: node },
-                        );
-                    }
                     if let Some(l) = obs.as_mut() {
                         l.record_event(
                             at,
@@ -922,9 +878,6 @@ impl Simulation {
                 }
                 RouteAction::Dropped(info) => {
                     self.tracker.record_dropped();
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(at, (info.flow, info.seq), TraceEvent::Dropped);
-                    }
                     if let Some(l) = obs.as_mut() {
                         l.record_event(
                             at,
@@ -1008,9 +961,6 @@ impl Simulation {
             let h = frame.payload;
             if !h.is_control() {
                 self.tracker.record_dropped();
-                if let (Some(trace), Some(id)) = (&mut self.trace, h.data_id()) {
-                    trace.record(at, id, TraceEvent::Dropped);
-                }
                 if let (Some(l), Some((flow, seq))) = (obs.as_mut(), h.data_id()) {
                     l.record_event(at, from, ObsKind::PacketDropped { flow, seq });
                 }
@@ -1089,18 +1039,6 @@ impl Simulation {
             }
         } else {
             self.tracker.record_data_transmission();
-            if let (Some(trace), Some(id), Some(to)) =
-                (&mut self.trace, h.data_id(), d.receiver)
-            {
-                trace.record(
-                    d.at,
-                    id,
-                    TraceEvent::Hop {
-                        from: d.sender,
-                        to,
-                    },
-                );
-            }
             if let (Some(l), Some((flow, seq)), Some(to)) =
                 (obs.as_mut(), h.data_id(), d.receiver)
             {
@@ -1222,7 +1160,11 @@ impl Simulation {
         });
     }
 
-    fn into_report(self) -> SimReport {
+    /// Closes the run and reports. Pairs with
+    /// [`step_interval`](Self::step_interval); calling it before the
+    /// final interval reports the simulation as of the intervals
+    /// executed so far.
+    pub fn finish(self) -> SimReport {
         let mut dsr_total = DsrCounters::default();
         let mut aodv_total = AodvCounters::default();
         for node in &self.routers {
@@ -1270,8 +1212,6 @@ impl Simulation {
             aodv: aodv_total,
             faults: self.fault_counters,
             first_depletion: self.first_depletion,
-            energy_series: self.energy_series,
-            trace: self.trace,
             obs: self.obs.map(Ledger::into_report),
         }
     }
@@ -1572,18 +1512,19 @@ mod tests {
     }
 
     #[test]
-    fn packet_trace_is_consistent_with_the_tracker() {
+    fn ledger_packet_views_are_consistent_with_the_tracker() {
         let mut cfg = SimConfig::smoke(Scheme::Rcast, 3);
-        cfg.trace = true;
+        cfg.obs = true;
         let r = run_sim(cfg).expect("valid config");
-        let trace = r.trace.as_ref().expect("tracing enabled");
-        let latencies = trace.delivery_latencies();
+        let obs = r.obs.as_ref().expect("ledger enabled");
+        assert_eq!(obs.dropped(), 0);
+        let latencies = obs.delivery_latencies();
         assert_eq!(
             latencies.len() as u64,
             r.delivery.delivered(),
             "one latency per delivered packet"
         );
-        // Trace-derived mean delay matches the tracker's.
+        // Ledger-derived mean delay matches the tracker's.
         let mean = latencies
             .iter()
             .map(|(_, d)| d.as_secs_f64())
@@ -1591,16 +1532,16 @@ mod tests {
             / latencies.len() as f64;
         assert!(
             (mean - r.delivery.mean_delay().as_secs_f64()).abs() < 1e-9,
-            "trace mean {mean} vs tracker {}",
+            "ledger mean {mean} vs tracker {}",
             r.delivery.mean_delay()
         );
         // Every delivered packet shows at least one on-air hop.
-        assert!(trace
+        assert!(obs
             .delivered_hop_counts()
             .iter()
             .all(|&(_, hops)| hops >= 1));
         // Accounting closes: originated = delivered + dropped + in-flight.
-        let unresolved = trace.unresolved().len() as u64;
+        let unresolved = obs.unresolved().len() as u64;
         assert_eq!(
             r.delivery.originated(),
             r.delivery.delivered() + r.delivery.dropped() + unresolved,
@@ -1666,20 +1607,26 @@ mod tests {
     }
 
     #[test]
-    fn energy_series_samples_cumulative_consumption() {
+    fn energy_by_interval_tracks_cumulative_consumption() {
         let mut cfg = SimConfig::smoke(Scheme::Rcast, 2);
-        cfg.energy_sampling = Some(rcast_engine::SimDuration::from_secs(10));
-        let r = run_sim(cfg).expect("valid config");
-        let series = r.energy_series.expect("sampling enabled");
-        assert!(series.samples() >= 11, "120 s / 10 s: {}", series.samples());
+        cfg.obs = true;
+        let r = run_sim(cfg.clone()).expect("valid config");
+        let series = r.obs.as_ref().expect("ledger enabled").energy_by_interval(cfg.energy);
+        assert_eq!(series.rows(), 480, "120 s / 250 ms");
         // Cumulative energy is nondecreasing and ends at the report total.
-        let totals = series.totals();
+        let totals: Vec<f64> = (0..series.rows())
+            .map(|k| series.row(k).iter().sum())
+            .collect();
         assert!(totals.windows(2).all(|w| w[1] >= w[0]));
         let last = *totals.last().unwrap();
         assert!((last - r.energy.total_joules()).abs() < 1e-6);
-        // Mean slope is the network's average power draw: between the
+        for (a, b) in series.row(479).iter().zip(r.energy.per_node_joules()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        // Mean slope from the end of the first interval to the end of
+        // the run is the network's average power draw: between the
         // all-sleep floor and the all-awake ceiling.
-        let watts = series.mean_total_slope();
+        let watts = (last - totals[0]) / (120.0 - 0.25);
         assert!(watts > 50.0 * 0.045 && watts < 50.0 * 1.15, "{watts} W");
     }
 

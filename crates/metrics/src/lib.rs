@@ -34,4 +34,4 @@ pub use energy::EnergyReport;
 pub use role::RoleNumbers;
 pub use stats::{mean, population_variance, RunningStats};
 pub use table::{fmt_f64, TextTable};
-pub use timeseries::{IntervalSeries, TimeSeries};
+pub use timeseries::IntervalSeries;

@@ -175,14 +175,24 @@ impl EventKind {
         }
     }
 
+    /// The `(flow, seq)` data packet this event belongs to. `Some`
+    /// exactly for the packet-lifecycle events (originated, forwarded,
+    /// delivered, dropped).
+    pub const fn packet(self) -> Option<(u32, u64)> {
+        match self {
+            EventKind::Originated { flow, seq, .. }
+            | EventKind::Forwarded { flow, seq, .. }
+            | EventKind::PacketDelivered { flow, seq }
+            | EventKind::PacketDropped { flow, seq } => Some((flow, seq)),
+            _ => None,
+        }
+    }
+
     /// The flow id this event belongs to, for `--filter flow=`.
     pub const fn flow(self) -> Option<u32> {
-        match self {
-            EventKind::Originated { flow, .. }
-            | EventKind::Forwarded { flow, .. }
-            | EventKind::PacketDelivered { flow, .. }
-            | EventKind::PacketDropped { flow, .. } => Some(flow),
-            _ => None,
+        match self.packet() {
+            Some((flow, _)) => Some(flow),
+            None => None,
         }
     }
 }

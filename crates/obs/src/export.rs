@@ -152,19 +152,25 @@ pub fn render_jsonl(
 ) -> String {
     let beacon = SimDuration::from_nanos(report.beacon_nanos());
     let in_range = |k: u64| interval_range.is_none_or(|(lo, hi)| k >= lo && k < hi);
-    let mut body = String::new();
-    let mut n_events = 0u64;
-    for e in report.events() {
-        if !in_range(e.at.interval_index(beacon)) {
-            continue;
-        }
-        if let Some(f) = filter {
-            if !f.matches(e) {
-                continue;
-            }
-        }
-        n_events += 1;
-        push_event_line(&mut body, e, beacon);
+    let selected = report
+        .events()
+        .iter()
+        .filter(|e| in_range(e.at.interval_index(beacon)) && filter.is_none_or(|f| f.matches(e)));
+    // The header carries the event count, so count before rendering:
+    // the lines then go straight into the one output buffer.
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{{\"schema\":\"rcast-trace/v1\",\"scheme\":\"{scheme}\",\"seed\":{seed},\
+\"nodes\":{},\"intervals\":{},\"beacon_ns\":{},\"events\":{},\"dropped\":{}}}",
+        report.nodes(),
+        report.intervals(),
+        report.beacon_nanos(),
+        selected.clone().count(),
+        report.dropped()
+    );
+    for e in selected {
+        push_event_line(&mut out, e, beacon);
     }
     if filter.is_none_or(TraceFilter::matches_series) {
         let series = report.series();
@@ -174,23 +180,12 @@ pub fn render_jsonl(
             }
             let row = series.row(k);
             let _ = writeln!(
-                body,
+                out,
                 "{{\"kind\":\"interval\",\"k\":{k},\"awake_ns\":{},\"overheard\":{},\"airtime_ns\":{}}}",
                 row[0] as u64, row[1] as u64, row[2] as u64
             );
         }
     }
-    let mut out = String::with_capacity(body.len() + 160);
-    let _ = writeln!(
-        out,
-        "{{\"schema\":\"rcast-trace/v1\",\"scheme\":\"{scheme}\",\"seed\":{seed},\
-\"nodes\":{},\"intervals\":{},\"beacon_ns\":{},\"events\":{n_events},\"dropped\":{}}}",
-        report.nodes(),
-        report.intervals(),
-        report.beacon_nanos(),
-        report.dropped()
-    );
-    out.push_str(&body);
     out
 }
 
@@ -206,6 +201,7 @@ mod tests {
             nodes: 4,
             intervals: 2,
             beacon_nanos: 250_000_000,
+            packet_events: 2,
         });
         for k in 0..2u64 {
             let t = SimTime::from_millis(250 * k);

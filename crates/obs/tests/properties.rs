@@ -11,6 +11,8 @@ use rcast_obs::{Event, EventKind, Ledger, LedgerParams, ObsReport, PacketClass};
 use rcast_testkit::{prop_assert, prop_assert_eq, Check, Gen};
 
 const BEACON_NS: u64 = 250_000_000;
+/// Most in-interval events one interleaving records per interval.
+const MAX_EVENTS: u64 = 40;
 
 /// Draws one ordinary event kind, spanning MAC, routing and fault
 /// markers so the ordering property sees every record path.
@@ -41,21 +43,25 @@ fn arbitrary_kind(g: &mut Gen, nodes: u32) -> EventKind {
     }
 }
 
-/// Runs one random interleaving and returns the report plus the count
-/// of *attempted* ordinary events and of spans.
-fn run_interleaving(g: &mut Gen) -> (ObsReport, u64, u64, LedgerParams) {
+/// Runs one random interleaving and returns the report plus the counts
+/// of *attempted* events (packet events included), of spans and of
+/// packet events.
+fn run_interleaving(g: &mut Gen) -> (ObsReport, u64, u64, u64, LedgerParams) {
+    let intervals = g.u64_range(1, 2 + g.size() as u64 / 8);
     let params = LedgerParams {
         nodes: g.u32_range(2, 9),
-        intervals: g.u64_range(1, 2 + g.size() as u64 / 8),
+        intervals,
         beacon_nanos: BEACON_NS,
+        // At most 40 events an interval, so packet events never breach.
+        packet_events: MAX_EVENTS * intervals,
     };
     let mut ledger = Ledger::new(params);
-    let (mut attempted, mut spans) = (0u64, 0u64);
+    let (mut attempted, mut spans, mut packets) = (0u64, 0u64, 0u64);
     for k in 0..params.intervals {
         let start = SimTime::from_nanos(k * BEACON_NS);
         // Faults and packet events land at arbitrary in-interval
         // offsets, in arbitrary node order.
-        let n_events = g.len(0, 40);
+        let n_events = g.len(0, MAX_EVENTS as usize);
         for _ in 0..n_events {
             let at = start + SimDuration::from_nanos(g.u64_range(0, BEACON_NS));
             let node = if g.u32_range(0, 8) == 0 {
@@ -72,6 +78,7 @@ fn run_interleaving(g: &mut Gen) -> (ObsReport, u64, u64, LedgerParams) {
             };
             ledger.record_event(at, node, kind);
             attempted += 1;
+            packets += u64::from(kind.packet().is_some());
         }
         // Spans mirror the simulator: recorded at the interval start,
         // after the interval's events, at most two per node.
@@ -104,13 +111,13 @@ fn run_interleaving(g: &mut Gen) -> (ObsReport, u64, u64, LedgerParams) {
         }
         ledger.end_interval();
     }
-    (ledger.into_report(), attempted, spans, params)
+    (ledger.into_report(), attempted, spans, packets, params)
 }
 
 #[test]
 fn ledger_order_is_a_strict_total_order_consistent_with_sim_time() {
     Check::new("ledger_total_order").cases(96).run(|g: &mut Gen| {
-        let (report, _, _, params) = run_interleaving(g);
+        let (report, _, _, _, params) = run_interleaving(g);
         prop_assert_eq!(report.intervals(), params.intervals);
         let events = report.events();
         for w in events.windows(2) {
@@ -135,11 +142,11 @@ fn ledger_order_is_a_strict_total_order_consistent_with_sim_time() {
 }
 
 #[test]
-fn overflow_is_counted_exactly_and_spans_always_land() {
+fn overflow_is_counted_exactly_and_spans_and_packets_always_land() {
     Check::new("ledger_overflow_accounting")
         .cases(96)
         .run(|g: &mut Gen| {
-            let (report, attempted, spans, _) = run_interleaving(g);
+            let (report, attempted, spans, packets, _) = run_interleaving(g);
             let stored = report.events().len() as u64;
             prop_assert_eq!(
                 stored + report.dropped(),
@@ -152,6 +159,12 @@ fn overflow_is_counted_exactly_and_spans_always_land() {
                 .filter(|e| matches!(e.kind, EventKind::Span { .. }))
                 .count() as u64;
             prop_assert_eq!(stored_spans, spans, "the span lane never drops");
+            let stored_packets = report
+                .events()
+                .iter()
+                .filter(|e| e.kind.packet().is_some())
+                .count() as u64;
+            prop_assert_eq!(stored_packets, packets, "the packet lane never drops");
             Ok(())
         });
 }

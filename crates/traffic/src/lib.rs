@@ -106,6 +106,13 @@ impl TrafficConfig {
         SimDuration::from_secs_f64(1.0 / self.rate_pps)
     }
 
+    /// The most packets a flow set drawn from this configuration can
+    /// generate within `[0, horizon)`, whatever its start offsets: each
+    /// flow's count if it started at time zero.
+    pub fn max_packets_before(&self, horizon: SimTime) -> u64 {
+        u64::from(self.flows) * ((horizon - SimTime::ZERO) / self.interval() + 1)
+    }
+
     /// Draws a reproducible flow set over `n_nodes` nodes.
     ///
     /// Source/destination pairs are uniform without self-loops. Distinct
@@ -308,6 +315,13 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, expected);
+        let bound = TrafficConfig {
+            flows: 7,
+            rate_pps: 1.0,
+            ..TrafficConfig::default()
+        }
+        .max_packets_before(horizon);
+        assert!(count <= bound && bound == 7 * 101, "{count} of {bound}");
         // 7 flows × 1 pps × ~(100 − stagger) s each.
         assert!((7 * 85..=7 * 100).contains(&count), "{count}");
     }

@@ -7,11 +7,12 @@
 //! The paper's Figure 5 shows end-of-run energy; operators usually want
 //! the trajectory — how fast each scheme drains the network and when
 //! the hungriest node would cross a battery limit. This example enables
-//! `SimConfig::energy_sampling`, prints an ASCII drain chart of the
-//! network total, and reports the average power draw per scheme.
+//! `SimConfig::obs`, replays the ledger's energy spans into a
+//! per-interval trajectory, prints an ASCII drain chart of the network
+//! total, and reports the average power draw per scheme.
 
 use randomcast::metrics::fmt_f64;
-use randomcast::{run_sim, Scheme, SimConfig, SimDuration};
+use randomcast::{run_sim, Scheme, SimConfig};
 
 fn main() -> Result<(), String> {
     println!("Energy drain trajectories: 50 nodes, 10 flows, 120 s\n");
@@ -19,26 +20,37 @@ fn main() -> Result<(), String> {
     let mut curves = Vec::new();
     for scheme in [Scheme::Dot11, Scheme::Odpm, Scheme::Rcast] {
         let mut cfg = SimConfig::smoke(scheme, 5);
-        cfg.energy_sampling = Some(SimDuration::from_secs(5));
-        let report = run_sim(cfg)?;
-        let series = report.energy_series.clone().expect("sampling enabled");
+        cfg.obs = true;
+        let report = run_sim(cfg.clone())?;
+        let series = report
+            .obs
+            .as_ref()
+            .expect("ledger enabled")
+            .energy_by_interval(cfg.energy);
+        // Network total at the end of every interval.
+        let totals: Vec<f64> = (0..series.rows())
+            .map(|k| series.row(k).iter().sum())
+            .collect();
         println!(
             "{:>7}: average network draw {} W ({} J total)",
             scheme.label(),
-            fmt_f64(series.mean_total_slope(), 1),
+            fmt_f64(report.energy.total_joules() / cfg.duration.as_secs_f64(), 1),
             fmt_f64(report.energy.total_joules(), 0),
         );
-        curves.push((scheme, series));
+        curves.push((scheme, totals));
     }
 
-    // ASCII chart: network total vs time, one row per scheme sample.
+    // ASCII chart: network total vs time, one row every 20 s.
+    let interval_s = SimConfig::smoke(Scheme::Rcast, 5)
+        .mac
+        .beacon_interval
+        .as_secs_f64();
+    let step = (20.0 / interval_s).round() as usize;
     println!("\nnetwork energy consumed (each █ ≈ 150 J):");
-    let times = curves[0].1.times().to_vec();
-    for (i, t) in times.iter().enumerate().step_by(4) {
-        print!("{:>5.0} s |", t.as_secs_f64());
-        for (scheme, series) in &curves {
-            let total = series.totals()[i];
-            let bars = (total / 150.0).round() as usize;
+    for k in (step - 1..curves[0].1.len()).step_by(step) {
+        print!("{:>5.0} s |", (k + 1) as f64 * interval_s);
+        for (scheme, totals) in &curves {
+            let bars = (totals[k] / 150.0).round() as usize;
             print!(
                 " {:>6} {:<46}",
                 scheme.label(),

@@ -1,39 +1,40 @@
-//! Scenario: debugging one packet's journey with the trace journal.
+//! Scenario: debugging one packet's journey with the event ledger.
 //!
 //! ```sh
 //! cargo run --release --example packet_forensics
 //! ```
 //!
-//! Enables `SimConfig::trace` and uses the journal to answer the
-//! questions an operator asks when a flow misbehaves: which packets
-//! died, where the survivors went hop by hop, and how the per-flow
-//! latency distribution looks — detail the aggregate report cannot give.
+//! Enables `SimConfig::obs` and uses the ledger's per-packet views to
+//! answer the questions an operator asks when a flow misbehaves: which
+//! packets died, where the survivors went hop by hop, and how the
+//! per-flow latency distribution looks — detail the aggregate report
+//! cannot give.
 
 use randomcast::{run_sim, Scheme, SimConfig};
 
 fn main() -> Result<(), String> {
     let mut cfg = SimConfig::smoke(Scheme::Rcast, 12);
-    cfg.trace = true;
+    cfg.obs = true;
     let report = run_sim(cfg)?;
-    let trace = report.trace.as_ref().expect("tracing enabled");
+    let obs = report.obs.as_ref().expect("ledger enabled");
 
     println!(
-        "run: {} packets originated, {} delivered, {} dropped, {} journal records\n",
+        "run: {} packets originated, {} delivered, {} dropped, {} ledger events\n",
         report.delivery.originated(),
         report.delivery.delivered(),
         report.delivery.dropped(),
-        trace.len(),
+        obs.events().len(),
     );
 
     // Slowest delivery, dissected hop by hop.
-    let mut latencies = trace.delivery_latencies();
+    let mut latencies = obs.delivery_latencies();
     latencies.sort_by_key(|&(_, d)| d);
     if let Some(&(worst, latency)) = latencies.last() {
         println!(
             "slowest packet: flow {} seq {} took {latency}",
             worst.0, worst.1
         );
-        print!("{}", trace.render_packet(worst));
+        print!("{}", obs.render_packet(worst));
     }
 
     // Per-flow latency spread.
@@ -48,7 +49,7 @@ fn main() -> Result<(), String> {
     }
 
     // Anything unaccounted for at the end of the run?
-    let unresolved = trace.unresolved();
+    let unresolved = obs.unresolved();
     println!(
         "\npackets still queued/in flight at the end of the run: {}",
         unresolved.len()

@@ -115,9 +115,8 @@ pub mod sweep {
 
 pub use rcast_core::{
     parse_scenario, run_seeds, run_seeds_parallel, run_sim, run_sim_with_width, write_scenario,
-    AggregateReport,
-    FaultCounters, FaultEvent, FaultPlan, FaultsConfig, OdpmConfig, OverhearFactors, PacketTrace,
-    RcastDecider, RoutingKind, Scheme, SimConfig, SimReport, Simulation, TraceEvent,
+    AggregateReport, FaultCounters, FaultEvent, FaultPlan, FaultsConfig, OdpmConfig,
+    OverhearFactors, RcastDecider, RoutingKind, Scheme, SimConfig, SimReport, Simulation,
 };
 pub use rcast_engine::{NodeId, SimDuration, SimTime};
 pub use rcast_obs::{render_jsonl, ObsReport, TraceFilter};

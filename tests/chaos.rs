@@ -11,15 +11,15 @@
 //!   a higher rate a strict superset of identically-timed crashes);
 //! * **determinism** — fault-injected runs are byte-identical at any
 //!   `--threads` width;
-//! * **trace integrity** — every delivered packet's hop chain is
-//!   contiguous from source to destination and runs through alive
-//!   nodes only;
+//! * **ledger integrity** — every delivered packet's hop chain in the
+//!   event ledger is contiguous from source to destination and runs
+//!   through alive nodes only;
 //! * **clean-path equivalence** — a plan that schedules nothing inside
 //!   the run leaves the report byte-identical to the no-faults path.
 
 use randomcast::{
-    run_seeds, run_seeds_parallel, run_sim, FaultEvent, FaultPlan, FaultsConfig, NodeId, Scheme,
-    SimConfig, SimDuration, SimReport, TraceEvent,
+    obs::EventKind, run_seeds, run_seeds_parallel, run_sim, FaultEvent, FaultPlan, FaultsConfig,
+    NodeId, Scheme, SimConfig, SimDuration, SimReport,
 };
 
 fn chaos_config(scheme: Scheme, seed: u64, faults: FaultsConfig) -> SimConfig {
@@ -216,33 +216,35 @@ fn fault_injected_runs_are_identical_at_any_thread_width() {
 fn delivered_packets_hop_through_alive_nodes_in_contiguous_chains() {
     for scheme in [Scheme::Rcast, Scheme::Dot11] {
         let mut cfg = chaos_config(scheme, 11, crash_faults(0.5));
-        cfg.trace = true;
+        cfg.obs = true;
         let plan = FaultPlan::build(&cfg);
         let r = run_sim(cfg).expect("valid chaos config");
         assert!(r.faults.crashes > 0, "{scheme}: want an actually-faulty run");
-        let trace = r.trace.as_ref().expect("tracing enabled");
+        let obs = r.obs.as_ref().expect("ledger enabled");
 
-        let delivered: Vec<_> = trace
-            .records()
-            .iter()
-            .filter(|rec| matches!(rec.event, TraceEvent::Delivered { .. }))
-            .map(|rec| rec.packet)
+        let delivered: Vec<_> = obs
+            .packet_histories()
+            .into_iter()
+            .filter(|(_, h)| {
+                h.iter()
+                    .any(|e| matches!(e.kind, EventKind::PacketDelivered { .. }))
+            })
             .collect();
         assert!(!delivered.is_empty(), "{scheme}: nothing delivered");
-        for packet in delivered {
-            let history = trace.packet_history(packet);
-            let TraceEvent::Originated { src, dst } = history[0].event else {
+        for (packet, history) in delivered {
+            let EventKind::Originated { dst, .. } = history[0].kind else {
                 panic!("{scheme}: {packet:?} does not start with Originated");
             };
-            let mut at = src;
+            let mut at = history[0].node;
             let mut done = false;
             for rec in &history[1..] {
                 assert!(!done, "{scheme}: {packet:?} has events after delivery");
-                match rec.event {
-                    TraceEvent::Originated { .. } => {
+                match rec.kind {
+                    EventKind::Originated { .. } => {
                         panic!("{scheme}: {packet:?} originated twice")
                     }
-                    TraceEvent::Hop { from, to } => {
+                    EventKind::Forwarded { to, .. } => {
+                        let from = rec.node;
                         assert_eq!(from, at, "{scheme}: {packet:?} hop chain broke");
                         assert!(
                             !plan.is_down(from, rec.at) && !plan.is_down(to, rec.at),
@@ -251,14 +253,12 @@ fn delivered_packets_hop_through_alive_nodes_in_contiguous_chains() {
                         );
                         at = to;
                     }
-                    TraceEvent::Delivered { at_node } => {
-                        assert_eq!(at_node, dst, "{scheme}: {packet:?} delivered elsewhere");
+                    EventKind::PacketDelivered { .. } => {
+                        assert_eq!(rec.node, dst, "{scheme}: {packet:?} delivered elsewhere");
                         assert_eq!(at, dst, "{scheme}: {packet:?} delivered without reaching dst");
                         done = true;
                     }
-                    TraceEvent::Dropped => {
-                        panic!("{scheme}: {packet:?} both delivered and dropped")
-                    }
+                    _ => panic!("{scheme}: {packet:?} both delivered and dropped"),
                 }
             }
             assert!(done, "{scheme}: {packet:?} never delivered despite Delivered record");

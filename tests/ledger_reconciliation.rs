@@ -8,6 +8,10 @@
 //! interval)` span in the ledger, in the same per-node accumulation
 //! order — any missed, duplicated or reordered accumulation changes
 //! the f64 operation sequence and fails the `to_bits` comparison.
+//!
+//! The packet audit is the same idea for the data plane: even when a
+//! loaded run overflows the per-interval event budget, the ledger
+//! holds every packet-lifecycle event the `DeliveryTracker` counts.
 
 use randomcast::{run_sim, FaultsConfig, Scheme, SimConfig, SimDuration};
 
@@ -59,6 +63,12 @@ fn assert_reconciles(cfg: SimConfig, label: &str) {
     let total: f64 = replayed.iter().sum();
     let reported_total: f64 = reported.iter().sum();
     assert_eq!(total.to_bits(), reported_total.to_bits(), "{label}: total");
+    // The trajectory's last row is the same replay.
+    let series = obs.energy_by_interval(energy_model);
+    assert_eq!(series.rows(), 240, "{label}: one row per interval");
+    for (i, (r, e)) in series.row(239).iter().zip(reported).enumerate() {
+        assert_eq!(r.to_bits(), e.to_bits(), "{label}: node {i} trajectory end");
+    }
 }
 
 #[test]
@@ -106,4 +116,84 @@ fn faulted_ledger_carries_crash_markers_and_off_spans() {
         )),
         "downtime must appear as Off spans"
     );
+}
+
+/// A loaded network whose ordinary events overflow the ledger's
+/// per-interval budget: Rcast, 150 nodes on 1800 × 360 m, 30 flows at
+/// 1 pkt/s, nodes always moving.
+fn loaded(faults: bool) -> SimConfig {
+    let mut cfg = SimConfig::paper(Scheme::Rcast, 3, 1.0, 0.0);
+    cfg.nodes = 150;
+    cfg.area = randomcast::mobility::Area::new(1800.0, 360.0);
+    cfg.traffic.flows = 30;
+    cfg.duration = SimDuration::from_secs(20);
+    cfg.obs = true;
+    if faults {
+        cfg.faults = faulted(Scheme::Rcast).faults;
+    }
+    cfg
+}
+
+/// Packet-lifecycle events ride a reserved lane, so an overflowing
+/// interval budget costs MAC events only: the ledger's packet counts
+/// equal the `DeliveryTracker`'s and every delivered packet's history
+/// is one contiguous hop chain from source to destination.
+#[test]
+fn packet_events_survive_an_overflowing_interval_budget() {
+    use randomcast::obs::EventKind;
+
+    for faults in [false, true] {
+        let report = run_sim(loaded(faults)).expect("valid config");
+        let obs = report.obs.as_ref().expect("obs was requested");
+        let d = &report.delivery;
+        assert!(obs.dropped() > 0, "faults={faults}: the budget must overflow");
+        if faults {
+            assert!(d.fault_drops() > 0, "faults must destroy packets");
+        }
+        let count = |pick: fn(&EventKind) -> bool| {
+            obs.events().iter().filter(|e| pick(&e.kind)).count() as u64
+        };
+        let originated = count(|k| matches!(k, EventKind::Originated { .. }));
+        let forwarded = count(|k| matches!(k, EventKind::Forwarded { .. }));
+        let delivered = count(|k| matches!(k, EventKind::PacketDelivered { .. }));
+        let dropped = count(|k| matches!(k, EventKind::PacketDropped { .. }));
+        assert_eq!(
+            (originated, forwarded, delivered, dropped),
+            (d.originated(), d.data_transmissions(), d.delivered(), d.dropped()),
+            "faults={faults}: ledger vs tracker (originated, forwarded, delivered, dropped)"
+        );
+
+        let mut chains = 0u64;
+        for (packet, history) in obs.packet_histories() {
+            // The lane is sized for DSR's loop-free paths: `nodes - 1`
+            // hops per packet at most.
+            let hops = history
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::Forwarded { .. }))
+                .count();
+            assert!(hops < 150, "faults={faults}: {packet:?} made {hops} hops");
+            let Some(end) = history
+                .iter()
+                .position(|e| matches!(e.kind, EventKind::PacketDelivered { .. }))
+            else {
+                continue;
+            };
+            let EventKind::Originated { dst, .. } = history[0].kind else {
+                panic!("faults={faults}: {packet:?} does not start with Originated");
+            };
+            let mut at = history[0].node;
+            for e in &history[1..end] {
+                let EventKind::Forwarded { to, .. } = e.kind else {
+                    panic!("faults={faults}: {packet:?} has {:?} before delivery", e.kind);
+                };
+                assert_eq!(e.node, at, "faults={faults}: {packet:?} hop chain broke");
+                at = to;
+            }
+            assert_eq!(end, history.len() - 1, "faults={faults}: {packet:?} after delivery");
+            assert_eq!(history[end].node, dst, "faults={faults}: {packet:?} delivered elsewhere");
+            assert_eq!(at, dst, "faults={faults}: {packet:?} delivered without reaching dst");
+            chains += 1;
+        }
+        assert_eq!(chains, d.delivered(), "faults={faults}: one chain per delivery");
+    }
 }

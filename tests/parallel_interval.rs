@@ -5,11 +5,11 @@
 //! prepass/post-pass and the neighbor-churn scan across worker threads
 //! *within one run*. The contract is strict: the sharded run must be
 //! **byte-identical** to the serial width-1 run — same `SimReport`
-//! (every float bit), same packet trace, same observability ledger,
-//! same replayed energy — at every width, for every scheme, with and
-//! without faults. Identity is checked on the `Debug` rendering of the
-//! full report: `f64`'s `Debug` prints the shortest round-tripping
-//! string, so string equality is bit equality.
+//! (every float bit), same observability ledger and so the same
+//! per-packet histories, same replayed energy — at every width, for
+//! every scheme, with and without faults. Identity is checked on the
+//! `Debug` rendering of the full report: `f64`'s `Debug` prints the
+//! shortest round-tripping string, so string equality is bit equality.
 
 use randomcast::{FaultEvent, Scheme, SimConfig, SimDuration, SimReport, Simulation};
 use rcast_testkit::{prop_assert, Check, Gen};
@@ -24,11 +24,10 @@ fn run_at(cfg: &SimConfig, width: usize) -> SimReport {
 }
 
 /// A smoke-sized config exercising the full cross-layer surface:
-/// packet trace and ledger on, optional fault script.
+/// ledger on or off, optional fault script.
 fn config(scheme: Scheme, faults: bool, observed: bool) -> SimConfig {
     let mut cfg = SimConfig::smoke(scheme, 11);
     cfg.duration = SimDuration::from_secs(45);
-    cfg.trace = observed;
     cfg.obs = observed;
     if faults {
         cfg.faults.script.push(FaultEvent::Crash {

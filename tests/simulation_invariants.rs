@@ -2,7 +2,7 @@
 //! (small) configuration and seed, physical conservation laws hold.
 //! On the in-tree `rcast-testkit` harness.
 
-use randomcast::{run_sim, Scheme, SimConfig, SimDuration, TraceEvent};
+use randomcast::{obs::EventKind, run_sim, Scheme, SimConfig, SimDuration};
 use rcast_testkit::{prop_assert, prop_assert_eq, Check, Gen};
 
 fn small_config(
@@ -82,48 +82,49 @@ fn determinism_across_parameters() {
     });
 }
 
-/// Trace conformance: every delivered packet's journal holds exactly
-/// one origination, a contiguous hop chain from source to destination,
-/// and nothing after the delivery record.
+/// Ledger conformance: every delivered packet's history in the event
+/// ledger holds exactly one origination, a contiguous hop chain from
+/// source to destination, and nothing after the delivery record.
 #[test]
 fn delivered_packet_traces_are_contiguous_chains() {
     Check::new("delivered_packet_traces_are_contiguous_chains")
         .cases(10)
         .run(|g| {
             let mut cfg = draw_config(g);
-            cfg.trace = true;
+            cfg.obs = true;
             let report = run_sim(cfg).expect("valid config");
-            let trace = report.trace.as_ref().expect("tracing enabled");
-            let delivered: Vec<_> = trace
-                .records()
-                .iter()
-                .filter(|r| matches!(r.event, TraceEvent::Delivered { .. }))
-                .map(|r| r.packet)
+            let obs = report.obs.as_ref().expect("ledger enabled");
+            let delivered: Vec<_> = obs
+                .packet_histories()
+                .into_iter()
+                .filter(|(_, h)| {
+                    h.iter()
+                        .any(|e| matches!(e.kind, EventKind::PacketDelivered { .. }))
+                })
                 .collect();
             prop_assert_eq!(delivered.len() as u64, report.delivery.delivered());
-            for packet in delivered {
-                let history = trace.packet_history(packet);
-                let TraceEvent::Originated { src, dst } = history[0].event else {
+            for (packet, history) in delivered {
+                let EventKind::Originated { dst, .. } = history[0].kind else {
                     return Err(format!("{packet:?} does not start with Originated"));
                 };
-                let mut at = src;
+                let mut at = history[0].node;
                 let mut done = false;
                 for rec in &history[1..] {
                     prop_assert!(!done, "{packet:?} has events after delivery");
-                    match rec.event {
-                        TraceEvent::Originated { .. } => {
+                    match rec.kind {
+                        EventKind::Originated { .. } => {
                             return Err(format!("{packet:?} originated twice"));
                         }
-                        TraceEvent::Hop { from, to } => {
-                            prop_assert_eq!(from, at, "{packet:?} hop chain broke");
+                        EventKind::Forwarded { to, .. } => {
+                            prop_assert_eq!(rec.node, at, "{packet:?} hop chain broke");
                             at = to;
                         }
-                        TraceEvent::Delivered { at_node } => {
-                            prop_assert_eq!(at_node, dst);
+                        EventKind::PacketDelivered { .. } => {
+                            prop_assert_eq!(rec.node, dst);
                             prop_assert_eq!(at, dst, "{packet:?} delivered without reaching dst");
                             done = true;
                         }
-                        TraceEvent::Dropped => {
+                        _ => {
                             return Err(format!("{packet:?} both delivered and dropped"));
                         }
                     }
