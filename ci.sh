@@ -164,4 +164,18 @@ for ext in json csv; do
     }
 done
 
+echo "==> front-end smoke: rcast compare and the fig5 per-node summary (release)"
+# `rcast compare` builds an inline sweep spec and prints the sweep
+# engine's human summary; `sweep --spec fig5 --smoke` is the path that
+# also prints each cell's sampled per-node energy curve.
+./target/release/rcast compare --nodes 20 --area 800x300 --duration 20 \
+    --flows 4 --rates 0.4 --seeds 1 > /dev/null || {
+    echo "FAIL: rcast compare smoke exited non-zero" >&2
+    exit 1
+}
+./target/release/rcast sweep --spec fig5 --smoke > /dev/null || {
+    echo "FAIL: rcast sweep --spec fig5 --smoke exited non-zero" >&2
+    exit 1
+}
+
 echo "CI gate passed."

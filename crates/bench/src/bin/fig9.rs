@@ -9,8 +9,8 @@
 //! ~300 vs ~500), i.e. randomization counteracts preferential
 //! attachment.
 
-use rcast_bench::{banner, run_point, Scale};
-use rcast_core::Scheme;
+use rcast_bench::{banner, config, run_reports, Scale};
+use rcast_core::{AggregateReport, Scheme};
 use rcast_metrics::{fmt_f64, RunningStats, TextTable};
 
 fn main() {
@@ -27,8 +27,11 @@ fn main() {
             "energy spread (J)".into(),
         ]);
         let mut maxima = Vec::new();
+        let mut aggregates = Vec::new();
         for scheme in Scheme::PAPER_FIGURES {
-            let agg = run_point(scheme, rate, 600.0, scale);
+            let cfg = config(scheme, rate, 600.0, scale);
+            let agg =
+                AggregateReport::from_runs(&run_reports(&cfg, scale), cfg.traffic.packet_bytes);
             let roles = agg.roles.as_f64();
             let stats = RunningStats::from_slice(&roles);
             let mut sorted = roles.clone();
@@ -43,12 +46,15 @@ fn main() {
                 fmt_f64(p90, 0),
                 format!("{}..{}", fmt_f64(e.min(), 0), fmt_f64(e.max(), 0)),
             ]);
+            aggregates.push((scheme, agg));
         }
         println!("{}", table.render());
 
         // Per-node scatter sample for the two PSM-era schemes.
-        for scheme in [Scheme::Odpm, Scheme::Rcast] {
-            let agg = run_point(scheme, rate, 600.0, scale);
+        for (scheme, agg) in aggregates
+            .iter()
+            .filter(|(s, _)| matches!(s, Scheme::Odpm | Scheme::Rcast))
+        {
             let mut pairs: Vec<(f64, f64)> = agg
                 .roles
                 .as_f64()

@@ -1,29 +1,28 @@
-//! Shared harness for the figure/table regeneration binaries.
+//! Shared harness for the experiment binaries, plus the tracked
+//! benchmark suite behind `rcast bench` ([`perf`]) and the allocation
+//! probe ([`alloc_probe`]).
 //!
-//! Every table and figure of the paper's evaluation (Section 4) has a
-//! binary in `src/bin/` that reruns the corresponding experiment and
-//! prints the same rows/series:
+//! The paper's figure grid (Figs. 5–8 and Table 1) is regenerated by
+//! the sweep presets (`rcast sweep --spec fig5` … `fig8`; Table 1 reads
+//! the rate 0.4 and 2.0 cells at pause 600 of the `fig7` artifact). The
+//! binaries in `src/bin/` report what sweep artifacts do not carry:
 //!
-//! | binary | reproduces |
+//! | binary | reports |
 //! |---|---|
-//! | `table1` | Table 1 — qualitative scheme behaviour |
-//! | `fig5`   | Fig. 5 — per-node energy, sorted |
-//! | `fig6`   | Fig. 6 — variance of per-node energy vs rate |
-//! | `fig7`   | Fig. 7 — total energy, PDR, energy-per-bit vs rate |
-//! | `fig8`   | Fig. 8 — average delay & normalized routing overhead |
 //! | `fig9`   | Fig. 9 — role number vs energy scatter |
 //! | `ablation_factors` | Rcast decision factors (Section 3.2 / future work) |
 //! | `ablation_broadcast` | randomized RREQ rebroadcast extension |
 //! | `ablation_cache` | route-cache capacity & timeout sensitivity |
 //! | `ablation_odpm` | ODPM timeout sensitivity |
 //! | `lifetime` | network-lifetime extension (finite batteries) |
+//! | `aodv_comparison` | DSR vs AODV under each power-management scheme |
 //!
-//! All binaries accept `--full` (paper-scale: 1125 s, 10 seeds, dense
-//! rate sweep) and default to a quick mode (375 s, 3 seeds, sparse
-//! sweep) so the whole suite finishes in minutes. Every binary fans its
-//! seeds across cores with [`rcast_core::run_seeds_parallel`]; pass
-//! `--threads N` to pin the worker count (results are byte-identical at
-//! any width — see the determinism contract in `rcast_engine::pool`).
+//! All binaries accept `--full` (paper-scale: 1125 s, 10 seeds) and
+//! default to a quick mode (375 s, 3 seeds) so each finishes in
+//! minutes. Every binary fans its seeds across cores with
+//! [`rcast_core::run_seeds_parallel`]; pass `--threads N` to pin the
+//! worker count (results are byte-identical at any width — see the
+//! determinism contract in `rcast_engine::pool`).
 
 // det: unsafe-ok — deny (not forbid) so alloc_probe can carve out the
 // single GlobalAlloc impl this workspace needs; everything else in the
@@ -31,21 +30,20 @@
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
-use rcast_core::{AggregateReport, Scheme, SimConfig, SimReport};
+use rcast_core::{Scheme, SimConfig, SimReport};
 use rcast_engine::SimDuration;
 
 pub mod alloc_probe;
 pub mod perf;
-pub mod timing;
 
 pub use alloc_probe::AllocProbe;
 
 /// How big an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// 375 simulated seconds, 3 seeds, sparse rate sweep.
+    /// 375 simulated seconds, 3 seeds.
     Quick,
-    /// The paper's testbed: 1125 s, 10 seeds, dense sweep.
+    /// The paper's testbed: 1125 s, 10 seeds.
     Full,
 }
 
@@ -73,20 +71,6 @@ impl Scale {
             Scale::Quick => vec![1, 2, 3],
             Scale::Full => (1..=10).collect(),
         }
-    }
-
-    /// The packet-rate sweep (packets/second per flow).
-    pub fn rates(self) -> Vec<f64> {
-        match self {
-            Scale::Quick => vec![0.2, 0.4, 1.0, 2.0],
-            Scale::Full => vec![0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0],
-        }
-    }
-
-    /// The pause times of the paper's two scenario families:
-    /// mobile (600 s) and static (1125 s).
-    pub fn pauses(self) -> [f64; 2] {
-        [600.0, 1125.0]
     }
 }
 
@@ -133,18 +117,6 @@ pub fn run_reports(cfg: &SimConfig, scale: Scale) -> Vec<SimReport> {
         .expect("valid harness config")
 }
 
-/// Runs one parameter point across the scale's seeds (in parallel) and
-/// aggregates.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid (a bug in the harness).
-pub fn run_point(scheme: Scheme, rate_pps: f64, pause_secs: f64, scale: Scale) -> AggregateReport {
-    let cfg = config(scheme, rate_pps, pause_secs, scale);
-    AggregateReport::from_parallel(&cfg, &scale.seeds(), threads_from_args())
-        .expect("valid harness config")
-}
-
 /// Prints a standard experiment banner.
 pub fn banner(what: &str, scale: Scale) {
     println!("=== {what} ===");
@@ -164,12 +136,12 @@ pub fn banner(what: &str, scale: Scale) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcast_core::AggregateReport;
 
     #[test]
     fn scales_differ_sensibly() {
         assert!(Scale::Quick.duration() < Scale::Full.duration());
         assert!(Scale::Quick.seeds().len() < Scale::Full.seeds().len());
-        assert!(Scale::Quick.rates().len() < Scale::Full.rates().len());
         assert_eq!(Scale::Full.seeds().len(), 10, "the paper averages 10 runs");
     }
 
@@ -186,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn run_point_aggregates_seeds() {
+    fn parallel_seed_reports_aggregate() {
         let cfg = SimConfig::smoke(Scheme::Rcast, 0);
         let reports = rcast_core::run_seeds_parallel(&cfg, [1, 2], 2).unwrap();
         let agg = AggregateReport::from_runs(&reports, cfg.traffic.packet_bytes);

@@ -1,6 +1,6 @@
 //! The tracked simulator-throughput benchmark behind `rcast bench`.
 //!
-//! Unlike the figure binaries (which reproduce the *paper's* numbers),
+//! Unlike the sweep presets (which reproduce the *paper's* numbers),
 //! this suite tracks the *simulator's* own performance so hot-path
 //! regressions show up in review: wall time per simulated second,
 //! beacon intervals per second, and — when the [`alloc_probe`] is the

@@ -183,8 +183,9 @@ impl AggregateReport {
     /// [`run_seeds`](crate::run_seeds) would: parallel execution merges
     /// reports in seed order and each run is a pure function of
     /// `(config, seed)`, so the aggregate is byte-identical to the
-    /// serial path for any thread count. This is the entry point the
-    /// figure/table binaries and the CLI sweep use.
+    /// serial path for any thread count. `tests/paper_shapes.rs` reads
+    /// its figure orderings through this entry point; the figure grid
+    /// itself runs on the sweep engine (`rcast_sweep::run_spec`).
     ///
     /// # Errors
     ///

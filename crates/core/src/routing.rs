@@ -149,11 +149,14 @@ fn from_aodv(a: AodvAction) -> Option<RouteAction> {
         AodvAction::Broadcast { packet } => RouteAction::Broadcast {
             packet: NetPacket::Aodv(packet),
         },
+        // `AodvData::hops` counts relays (each forwarder bumps it), so
+        // the links a delivered packet crossed are one more: the same
+        // unit DSR's `hop_count()` reports.
         AodvAction::Delivered { packet } => RouteAction::Delivered(DataInfo {
             flow: packet.flow,
             seq: packet.seq,
             generated_at: packet.generated_at,
-            hops: packet.hops as usize,
+            hops: packet.hops as usize + 1,
         }),
         AodvAction::Dropped { packet, .. } => RouteAction::Dropped(DataInfo {
             flow: packet.flow,

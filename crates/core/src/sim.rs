@@ -1513,40 +1513,49 @@ mod tests {
 
     #[test]
     fn ledger_packet_views_are_consistent_with_the_tracker() {
-        let mut cfg = SimConfig::smoke(Scheme::Rcast, 3);
-        cfg.obs = true;
-        let r = run_sim(cfg).expect("valid config");
-        let obs = r.obs.as_ref().expect("ledger enabled");
-        assert_eq!(obs.dropped(), 0);
-        let latencies = obs.delivery_latencies();
-        assert_eq!(
-            latencies.len() as u64,
-            r.delivery.delivered(),
-            "one latency per delivered packet"
-        );
-        // Ledger-derived mean delay matches the tracker's.
-        let mean = latencies
-            .iter()
-            .map(|(_, d)| d.as_secs_f64())
-            .sum::<f64>()
-            / latencies.len() as f64;
-        assert!(
-            (mean - r.delivery.mean_delay().as_secs_f64()).abs() < 1e-9,
-            "ledger mean {mean} vs tracker {}",
-            r.delivery.mean_delay()
-        );
-        // Every delivered packet shows at least one on-air hop.
-        assert!(obs
-            .delivered_hop_counts()
-            .iter()
-            .all(|&(_, hops)| hops >= 1));
-        // Accounting closes: originated = delivered + dropped + in-flight.
-        let unresolved = obs.unresolved().len() as u64;
-        assert_eq!(
-            r.delivery.originated(),
-            r.delivery.delivered() + r.delivery.dropped() + unresolved,
-            "origination ledger must balance"
-        );
+        for routing in [
+            crate::routing::RoutingKind::Dsr,
+            crate::routing::RoutingKind::Aodv,
+        ] {
+            let mut cfg = SimConfig::smoke(Scheme::Rcast, 3);
+            cfg.routing = routing;
+            cfg.obs = true;
+            let r = run_sim(cfg).expect("valid config");
+            let obs = r.obs.as_ref().expect("ledger enabled");
+            assert_eq!(obs.dropped(), 0, "{routing}");
+            let latencies = obs.delivery_latencies();
+            assert!(!latencies.is_empty(), "{routing}: something delivered");
+            assert_eq!(
+                latencies.len() as u64,
+                r.delivery.delivered(),
+                "{routing}: one latency per delivered packet"
+            );
+            // Ledger-derived mean delay matches the tracker's.
+            let mean = latencies.iter().map(|(_, d)| d.as_secs_f64()).sum::<f64>()
+                / latencies.len() as f64;
+            assert!(
+                (mean - r.delivery.mean_delay().as_secs_f64()).abs() < 1e-9,
+                "{routing}: ledger mean {mean} vs tracker {}",
+                r.delivery.mean_delay()
+            );
+            // Every delivered packet shows at least one on-air hop, and
+            // the tracker's route length counts the same links.
+            let hops = obs.delivered_hop_counts();
+            assert!(hops.iter().all(|&(_, h)| h >= 1), "{routing}");
+            let on_air = hops.iter().map(|&(_, h)| h as f64).sum::<f64>() / hops.len() as f64;
+            assert!(
+                (on_air - r.delivery.mean_hops()).abs() < 1e-9,
+                "{routing}: ledger mean hops {on_air} vs tracker {}",
+                r.delivery.mean_hops()
+            );
+            // Accounting closes: originated = delivered + dropped + in-flight.
+            let unresolved = obs.unresolved().len() as u64;
+            assert_eq!(
+                r.delivery.originated(),
+                r.delivery.delivered() + r.delivery.dropped() + unresolved,
+                "{routing}: origination ledger must balance"
+            );
+        }
     }
 
     #[test]

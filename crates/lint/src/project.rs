@@ -160,7 +160,7 @@ mod tests {
         let root = classify("crates/engine/src/lib.rs");
         assert!(root.is_crate_root);
 
-        assert_eq!(classify("crates/bench/src/bin/fig5.rs").kind, FileKind::Bin);
+        assert_eq!(classify("crates/bench/src/bin/fig9.rs").kind, FileKind::Bin);
         assert_eq!(classify("crates/mac/tests/properties.rs").kind, FileKind::Test);
         assert_eq!(classify("crates/bench/benches/simulator.rs").kind, FileKind::Bench);
 

@@ -193,7 +193,11 @@ pub fn to_csv(report: &SweepReport) -> String {
 }
 
 /// A human-readable summary table for the terminal: one line per cell
-/// with the headline metrics (mean ± CI95 energy, PDR, delay).
+/// with every [`FIGURE_METRICS`](rcast_core::FIGURE_METRICS) column —
+/// energy (mean ± CI95), per-node energy variance, PDR, delay, routing
+/// overhead and energy per bit. When the spec asked for per-node
+/// curves, each cell line is followed by its sorted curve sampled at
+/// every 10th position plus the last (Fig. 5's shape at a glance).
 pub fn human_summary(report: &SweepReport) -> String {
     let mut s = format!(
         "sweep {}: {} cells x {} seeds = {} runs ({} simulated seconds)\n",
@@ -204,21 +208,33 @@ pub fn human_summary(report: &SweepReport) -> String {
         report.total_sim_seconds,
     );
     s.push_str(&format!(
-        "{:<32} {:>16} {:>12} {:>12}\n",
-        "cell", "energy (J)", "PDR", "delay (ms)"
+        "{:<32} {:>16} {:>10} {:>7} {:>10} {:>9} {:>11}\n",
+        "cell", "energy (J)", "variance", "PDR", "delay (ms)", "overhead", "EPB (J/bit)"
     ));
     for cell in &report.cells {
         let e = cell.metric("energy_j");
-        let p = cell.metric("pdr");
-        let d = cell.metric("delay_s");
         s.push_str(&format!(
-            "{:<32} {:>9.0} ±{:>5.0} {:>11.1}% {:>12.0}\n",
+            "{:<32} {:>9.0} ±{:>5.0} {:>10.0} {:>6.1}% {:>10.0} {:>9.2} {:>11.3e}\n",
             cell.cell.key(),
             e.mean,
             e.half_width95,
-            p.mean * 100.0,
-            d.mean * 1e3,
+            cell.metric("energy_variance").mean,
+            cell.metric("pdr").mean * 100.0,
+            cell.metric("delay_s").mean * 1e3,
+            cell.metric("overhead").mean,
+            cell.metric("epb_j_per_bit").mean,
         ));
+        if let Some(curve) = &cell.per_node_energy_j {
+            s.push_str("    sorted per-node energy (J):");
+            let last = curve.len().saturating_sub(1);
+            for i in (0..curve.len())
+                .step_by(10)
+                .chain((last % 10 != 0).then_some(last))
+            {
+                s.push_str(&format!(" #{i} {:.1}", curve[i]));
+            }
+            s.push('\n');
+        }
     }
     s
 }
@@ -293,8 +309,29 @@ mod tests {
         let report = tiny_report();
         let text = human_summary(&report);
         assert!(text.contains("artifact-test"));
+        for column in [
+            "energy (J)",
+            "variance",
+            "PDR",
+            "delay (ms)",
+            "overhead",
+            "EPB (J/bit)",
+        ] {
+            assert!(text.lines().nth(1).unwrap().contains(column), "{column}");
+        }
         for cell in &report.cells {
             assert!(text.contains(&cell.cell.key()), "{}", cell.cell.key());
+        }
+        // Ten nodes per cell: the curve samples positions 0 and 9.
+        let curves: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("    sorted per-node energy (J): #0 "))
+            .collect();
+        assert_eq!(curves.len(), report.cells.len(), "one curve line per cell");
+        for (line, cell) in curves.iter().zip(&report.cells) {
+            let curve = cell.per_node_energy_j.as_ref().unwrap();
+            assert!(line.ends_with(&format!(" #9 {:.1}", curve[9])), "{line}");
+            assert_eq!(line.matches(" #").count(), 2, "{line}");
         }
     }
 }

@@ -492,8 +492,9 @@ fn parse_scheme_name(s: &str) -> Result<Scheme, String> {
 
 /// A built-in figure preset, or `None` for an unknown name.
 ///
-/// * `fig5` — per-node sorted energy curves (3 schemes × 1 rate ×
-///   1 pause, per-node curves on);
+/// * `fig5` — per-node sorted energy curves for the paper's four panels
+///   (3 schemes × rates {0.4, 2.0} × pauses {600, 1125}, per-node
+///   curves on);
 /// * `fig6`/`fig7`/`fig8` — the shared evaluation grid (3 schemes ×
 ///   4 rates × mobile/static pauses). The three figures plot different
 ///   columns of the same matrix — variance, energy/PDR/EPB, and
@@ -506,6 +507,8 @@ pub fn preset(name: &str) -> Option<SweepSpec> {
     match name {
         "fig5" => {
             let mut spec = SweepSpec::paper_default("fig5");
+            spec.rates = vec![0.4, 2.0];
+            spec.pauses = vec![600.0, 1125.0];
             spec.per_node = true;
             Some(spec)
         }
@@ -580,7 +583,9 @@ mod tests {
     fn fig5_carries_per_node_curves_and_fig7_the_grid() {
         let fig5 = preset("fig5").unwrap();
         assert!(fig5.per_node);
-        assert_eq!(fig5.rates, vec![0.4]);
+        assert_eq!(fig5.rates, vec![0.4, 2.0]);
+        assert_eq!(fig5.pauses, vec![600.0, 1125.0]);
+        assert_eq!(fig5.normalized().unwrap().expand().len(), 12);
         let fig7 = preset("fig7").unwrap();
         assert!(!fig7.per_node);
         assert_eq!(fig7.rates, vec![0.2, 0.4, 1.0, 2.0]);
@@ -676,7 +681,7 @@ mod tests {
         assert_eq!(spec.nodes, vec![20]);
         assert_eq!(spec.rates, vec![0.2, 0.4]);
         assert_eq!(spec.seeds, vec![1, 2]);
-        // 600/1125 of the 60 s run, like the figure binaries' quick mode.
+        // 600/1125 of the 60 s run, like the experiment binaries' quick mode.
         assert!((spec.pauses[0] - 32.0).abs() < 1e-9, "{}", spec.pauses[0]);
         assert!((spec.pauses[1] - 60.0).abs() < 1e-9);
         assert!(spec.normalized().is_ok());

@@ -9,8 +9,8 @@
 use std::process::ExitCode;
 
 use randomcast::cli::{self, Command};
-use randomcast::metrics::{fmt_f64, TextTable};
-use randomcast::{run_sim, AggregateReport};
+use randomcast::metrics::fmt_f64;
+use randomcast::{run_sim, SweepReport, SweepSpec};
 
 /// Count every heap allocation so `rcast bench` can report steady-state
 /// allocations per interval. The probe forwards to the system allocator
@@ -342,15 +342,9 @@ spec file: {e}",
                 }
             };
             let spec = if sweep.smoke { spec.smoke() } else { spec };
-            let threads = sweep
-                .threads
-                .unwrap_or_else(randomcast::engine::pool::available_threads);
-            let report = match randomcast::sweep::run_spec(&spec, threads) {
+            let report = match run_campaign(&spec, sweep.threads) {
                 Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(code) => return code,
             };
             let json = randomcast::sweep::to_json(&report);
             if let Some(dir) = &sweep.out {
@@ -375,45 +369,13 @@ spec file: {e}",
             eprint!("{}", randomcast::sweep::human_summary(&report));
             ExitCode::SUCCESS
         }
-        Ok(Command::Compare(cmp)) => {
-            let threads = cmp
-                .threads
-                .unwrap_or_else(randomcast::engine::pool::available_threads);
-            let mut table = TextTable::new(vec![
-                "scheme".into(),
-                "rate".into(),
-                "energy (J)".into(),
-                "PDR (%)".into(),
-                "delay (ms)".into(),
-                "overhead".into(),
-                "variance".into(),
-            ]);
-            for &scheme in &cmp.schemes {
-                for &rate in &cmp.rates {
-                    let mut cfg = cmp.base.clone();
-                    cfg.scheme = scheme;
-                    cfg.traffic.rate_pps = rate;
-                    let agg = match AggregateReport::from_parallel(&cfg, &cmp.seeds, threads) {
-                        Ok(a) => a,
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    table.add_row(vec![
-                        scheme.label().into(),
-                        format!("{rate}"),
-                        fmt_f64(agg.mean_total_energy_j, 0),
-                        fmt_f64(agg.mean_pdr * 100.0, 1),
-                        fmt_f64(agg.mean_delay_s * 1e3, 0),
-                        fmt_f64(agg.mean_overhead, 2),
-                        fmt_f64(agg.mean_energy_variance, 0),
-                    ]);
-                }
+        Ok(Command::Compare(cmp)) => match run_campaign(&cmp.spec, cmp.threads) {
+            Ok(report) => {
+                print!("{}", randomcast::sweep::human_summary(&report));
+                ExitCode::SUCCESS
             }
-            println!("{}", table.render());
-            ExitCode::SUCCESS
-        }
+            Err(code) => code,
+        },
         Err(e) => {
             eprintln!("error: {e}\n");
             eprint!("{}", cli::USAGE);
@@ -425,4 +387,15 @@ spec file: {e}",
             }
         }
     }
+}
+
+/// Runs a sweep campaign (`rcast sweep` and `rcast compare`) on
+/// `threads` workers, the machine width when `None`. A spec error goes
+/// to stderr and becomes the failing exit code.
+fn run_campaign(spec: &SweepSpec, threads: Option<usize>) -> Result<SweepReport, ExitCode> {
+    let threads = threads.unwrap_or_else(randomcast::engine::pool::available_threads);
+    randomcast::sweep::run_spec(spec, threads).map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }

@@ -1,16 +1,23 @@
 //! Command-line interface plumbing for the `rcast` binary.
 //!
 //! Hand-rolled parsing (no CLI dependency) kept in the library so every
-//! rule is unit-testable. Two subcommands:
+//! rule is unit-testable. The subcommands:
 //!
-//! * `run` — one simulation, human summary or CSV row;
-//! * `compare` — a scheme × rate sweep printed as a table.
+//! * `run` / `scenario` — one simulation, human summary or CSV row;
+//! * `compare` — a scheme × rate grid over the flags' configuration,
+//!   run through the sweep engine and printed as its human summary;
+//! * `sweep` — a preset or spec-file campaign with `rcast-sweep/v1`
+//!   artifacts;
+//! * `trace`, `bench`, `lint`, `export-scenario` — the ledger export,
+//!   the tracked benchmark, the static analyzer and the scenario
+//!   writer.
 
 use std::fmt;
 
 use crate::core::{OverhearFactors, RoutingKind, Scheme, SimConfig};
 use crate::engine::SimDuration;
 use crate::mobility::Area;
+use crate::sweep::{Pairing, SweepSpec};
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,15 +138,12 @@ pub struct RunArgs {
 /// Arguments of `rcast compare`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompareArgs {
-    /// Base configuration (scheme/rate overwritten per cell).
-    pub base: SimConfig,
-    /// Schemes to sweep.
-    pub schemes: Vec<Scheme>,
-    /// Packet rates to sweep.
-    pub rates: Vec<f64>,
-    /// Seeds to average.
-    pub seeds: Vec<u64>,
-    /// Worker threads for the per-cell seed fan-out (`None` = machine
+    /// The normalized campaign: `--schemes` × `--rates` over `--seeds`
+    /// with common seed pairing, on the base configuration the other
+    /// flags build. Pause time, node count and fault plan are
+    /// single-valued axes taken from that base.
+    pub spec: SweepSpec,
+    /// Worker threads for the cell × seed fan-out (`None` = machine
     /// width). Results are identical at any width.
     pub threads: Option<usize>,
 }
@@ -239,7 +243,7 @@ compare-ONLY:
     --schemes <list>  comma list of schemes      [802.11,odpm,rcast]
     --rates <list>    comma list of rates        [0.2,0.4,1.0,2.0]
     --seeds <list>    comma list of seeds        [1,2,3]
-    --threads <n>     worker threads per cell    [machine width]
+    --threads <n>     worker threads across cells x seeds [machine width]
                       (results are identical at any thread count)
 
 bench-ONLY:
@@ -517,16 +521,21 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
             if let Some(e) = extras.first() {
                 return Err(err(format!("unknown option '{e}'")));
             }
-            if schemes.is_empty() || rates.is_empty() || seeds.is_empty() {
-                return Err(err("schemes, rates and seeds must be non-empty"));
-            }
-            Ok(Command::Compare(CompareArgs {
-                base,
+            let spec = SweepSpec {
+                name: "compare".to_string(),
                 schemes,
                 rates,
+                pauses: vec![base.waypoint.pause_secs],
+                nodes: vec![base.nodes],
+                faults: vec![base.faults.clone()],
                 seeds,
-                threads,
-            }))
+                pairing: Pairing::Common,
+                per_node: false,
+                base,
+            }
+            .normalized()
+            .map_err(err)?;
+            Ok(Command::Compare(CompareArgs { spec, threads }))
         }
         other => Err(err(format!(
             "unknown subcommand '{other}' (expected run, compare, scenario, \
@@ -751,11 +760,32 @@ mod tests {
         ))
         .unwrap();
         let Command::Compare(c) = cmd else { panic!() };
-        assert_eq!(c.schemes, vec![Scheme::Dot11, Scheme::Rcast]);
-        assert_eq!(c.rates, vec![0.2, 2.0]);
-        assert_eq!(c.seeds, vec![5, 6]);
-        assert_eq!(c.base.nodes, 30);
+        let spec = &c.spec;
+        assert_eq!(spec.name, "compare");
+        assert_eq!(spec.pairing, Pairing::Common);
+        assert!(!spec.per_node);
+        assert_eq!(spec.schemes, vec![Scheme::Dot11, Scheme::Rcast]);
+        assert_eq!(spec.rates, vec![0.2, 2.0]);
+        assert_eq!(spec.seeds, vec![5, 6]);
+        // Single-valued axes come from the base configuration.
+        assert_eq!(spec.pauses, vec![600.0]);
+        assert_eq!(spec.nodes, vec![30]);
+        assert_eq!(spec.faults.len(), 1);
+        assert!(spec.faults[0].is_none());
+        assert_eq!(spec.base.nodes, 30);
+        assert_eq!(spec.expand().len(), 4);
         assert_eq!(c.threads, None);
+
+        // Axes come back canonical, whatever order the flags list.
+        let cmd = parse(&args(
+            "compare --rates 2.0,0.2 --schemes rcast,802.11 --pause 30",
+        ))
+        .unwrap();
+        let Command::Compare(c) = cmd else { panic!() };
+        assert_eq!(c.spec.rates, vec![0.2, 2.0]);
+        assert_eq!(c.spec.schemes, vec![Scheme::Dot11, Scheme::Rcast]);
+        assert_eq!(c.spec.pauses, vec![30.0]);
+        assert_eq!(c.spec.seeds, vec![1, 2, 3], "default seeds");
     }
 
     #[test]
@@ -763,6 +793,14 @@ mod tests {
         let cmd = parse(&args("compare --threads 4")).unwrap();
         let Command::Compare(c) = cmd else { panic!() };
         assert_eq!(c.threads, Some(4));
+        // The default grid: the paper's three schemes × four rates.
+        assert_eq!(
+            c.spec.schemes,
+            vec![Scheme::Dot11, Scheme::Odpm, Scheme::Rcast]
+        );
+        assert_eq!(c.spec.rates, vec![0.2, 0.4, 1.0, 2.0]);
+        assert_eq!(c.spec.nodes, vec![100]);
+        assert_eq!(c.spec.total_runs(), 3 * 4 * 3);
         assert!(parse(&args("compare --threads 0")).is_err());
         assert!(parse(&args("compare --threads many")).is_err());
         assert!(parse(&args("compare --threads")).is_err());
