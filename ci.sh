@@ -96,32 +96,6 @@ shard_t8_ms=$(( shard_t8_end_ms - shard_t8_start_ms ))
 [ "$shard_t8_ms" -gt 0 ] || shard_t8_ms=1
 echo "    --threads 1: ${shard_t1_ms} ms, --threads 8: ${shard_t8_ms} ms," \
     "speedup $(awk "BEGIN { printf \"%.2fx\", $shard_t1_ms / $shard_t8_ms }")"
-# Companion scaling line: the same workload recipe at 150, 600 and
-# 1200 nodes (constant density, constant 30-flow load, 15 simulated
-# seconds). Informational — the asserted version of this claim is the
-# `bench --smoke --large` gate above; this print shows the raw
-# wall-time growth on *this* box, including setup cost.
-scale_150_start_ms=$(( $(date +%s%N) / 1000000 ))
-./target/release/rcast run --scheme rcast --nodes 150 --area 1800x360 \
-    --duration 15 --flows 30 --seed 11 > /dev/null
-scale_150_end_ms=$(( $(date +%s%N) / 1000000 ))
-scale_600_start_ms=$(( $(date +%s%N) / 1000000 ))
-./target/release/rcast run --scheme rcast --nodes 600 --area 3600x720 \
-    --duration 15 --flows 30 --seed 11 > /dev/null
-scale_600_end_ms=$(( $(date +%s%N) / 1000000 ))
-scale_1200_start_ms=$(( $(date +%s%N) / 1000000 ))
-./target/release/rcast run --scheme rcast --nodes 1200 --area 7200x720 \
-    --duration 15 --flows 30 --seed 11 > /dev/null
-scale_1200_end_ms=$(( $(date +%s%N) / 1000000 ))
-scale_150_ms=$(( scale_150_end_ms - scale_150_start_ms ))
-scale_600_ms=$(( scale_600_end_ms - scale_600_start_ms ))
-scale_1200_ms=$(( scale_1200_end_ms - scale_1200_start_ms ))
-[ "$scale_150_ms" -gt 0 ] || scale_150_ms=1
-[ "$scale_600_ms" -gt 0 ] || scale_600_ms=1
-echo "    node scaling: 150 -> ${scale_150_ms} ms, 600 -> ${scale_600_ms} ms," \
-    "1200 -> ${scale_1200_ms} ms" \
-    "($(awk "BEGIN { printf \"%.2fx per 4x nodes, %.2fx per 2x nodes\", \
-        $scale_600_ms / $scale_150_ms, $scale_1200_ms / $scale_600_ms }"))"
 
 echo "==> trace smoke: rcast-trace/v1 export matches the checked-in golden"
 # The same pinned workload the determinism suite locks down at widths

@@ -22,8 +22,9 @@
 //! # Hot path & memory discipline
 //!
 //! The steady-state interval loop is allocation-free (see DESIGN.md
-//! §10): the neighbor index ([`rcast_mobility::NeighborIndex`]) is
-//! updated in place from the mobility delta, packets are interned once
+//! §10): the neighbor index ([`rcast_mobility::NeighborIndex`])
+//! refilters each node's list in place from skin-radius candidate lists
+//! that are rebuilt only after enough motion, packets are interned once
 //! in a [`PacketArena`] and travel through the MAC as copyable
 //! [`PacketHandle`]s, and all per-interval working storage lives in a
 //! [`Scratch`] that is cleared, never dropped. `crates/bench` carries a
@@ -495,10 +496,11 @@ impl Simulation {
             // double-buffered tables; shard it, then feed the decider
             // serially in node order so its state evolves identically
             // at every width.
-            // Carried-forward lists (no refill, no fault mutation) have
-            // zero churn by construction, so the symmetric-difference
-            // merge runs only for lists that actually changed — the
-            // decider still sees every node (its EWMA decays on 0).
+            // Carried-forward lists (byte-equal to the previous
+            // interval's, no fault mutation since) have zero churn, so
+            // the symmetric-difference merge runs only for lists that
+            // actually changed — the decider still sees every node (its
+            // EWMA decays on 0).
             let shards = self.pool.threads().min(n.max(1));
             if shards <= 1 {
                 for i in 0..n {

@@ -50,22 +50,18 @@ impl SpatialGrid {
         let area = snapshot.area();
         let cols = (area.width() / cell_size).ceil().max(1.0) as usize;
         let rows = (area.height() / cell_size).ceil().max(1.0) as usize;
-        let mut buckets = vec![Vec::new(); cols * rows];
-        for (i, p) in snapshot.positions().iter().enumerate() {
-            let col = ((p.x / cell_size) as usize).min(cols - 1);
-            let row = ((p.y / cell_size) as usize).min(rows - 1);
-            buckets[row * cols + col].push(NodeId::new(i as u32));
-        }
-        SpatialGrid {
+        let mut grid = SpatialGrid {
             cell_size,
             cols,
             rows,
-            buckets,
-        }
+            buckets: vec![Vec::new(); cols * rows],
+        };
+        grid.rebucket(snapshot);
+        grid
     }
 
-    /// All nodes strictly within `radius` meters of node `of`
-    /// (excluding `of` itself), in ascending id order.
+    /// All nodes within `radius` meters of node `of`, boundary included
+    /// and `of` itself excluded, in ascending id order.
     ///
     /// # Panics
     ///
@@ -90,35 +86,79 @@ impl SpatialGrid {
         radius: f64,
         out: &mut Vec<NodeId>,
     ) {
+        self.check_radius(radius);
+        out.clear();
+        let p = snapshot.positions()[of.index()];
+        let r2 = radius * radius;
+        for bucket in self.stencil(p) {
+            for &other in bucket {
+                if other != of && p.distance_squared_to(snapshot.positions()[other.index()]) <= r2 {
+                    out.push(other);
+                }
+            }
+        }
+        out.sort_unstable();
+    }
+
+    /// Calls `f` with every node of id above `of` within `radius` of it,
+    /// in bucket order. Visiting every node this way meets each pair
+    /// once.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`neighbors_of`](Self::neighbors_of).
+    pub(crate) fn for_each_above(
+        &self,
+        of: NodeId,
+        snapshot: &Snapshot,
+        radius: f64,
+        mut f: impl FnMut(NodeId),
+    ) {
+        self.check_radius(radius);
+        let p = snapshot.positions()[of.index()];
+        let r2 = radius * radius;
+        for bucket in self.stencil(p) {
+            // Buckets hold ascending ids, so the ids above `of` are a
+            // suffix.
+            for &other in &bucket[bucket.partition_point(|&id| id <= of)..] {
+                if p.distance_squared_to(snapshot.positions()[other.index()]) <= r2 {
+                    f(other);
+                }
+            }
+        }
+    }
+
+    /// The buckets of the 3 × 3 cell neighborhood around `p`.
+    fn stencil(&self, p: Vec2) -> impl Iterator<Item = &[NodeId]> + '_ {
+        let (row, col) = self.cell_of(p);
+        let rows = row.saturating_sub(1)..=(row + 1).min(self.rows - 1);
+        rows.flat_map(move |r| {
+            let cols = col.saturating_sub(1)..=(col + 1).min(self.cols - 1);
+            cols.map(move |c| self.buckets[r * self.cols + c].as_slice())
+        })
+    }
+
+    /// A 3 × 3 scan finds every node within `radius` only when the
+    /// radius fits in one cell.
+    fn check_radius(&self, radius: f64) {
         assert!(
             radius <= self.cell_size + 1e-9,
             "radius {radius} exceeds cell size {}",
             self.cell_size
         );
-        out.clear();
-        let p = snapshot.positions()[of.index()];
-        let r2 = radius * radius;
-        let col = ((p.x / self.cell_size) as usize).min(self.cols - 1);
-        let row = ((p.y / self.cell_size) as usize).min(self.rows - 1);
-        for dr in -1i64..=1 {
-            for dc in -1i64..=1 {
-                let rr = row as i64 + dr;
-                let cc = col as i64 + dc;
-                if rr < 0 || cc < 0 || rr >= self.rows as i64 || cc >= self.cols as i64 {
-                    continue;
-                }
-                for &other in &self.buckets[rr as usize * self.cols + cc as usize] {
-                    if other == of {
-                        continue;
-                    }
-                    let q = snapshot.positions()[other.index()];
-                    if p.distance_squared_to(q) <= r2 {
-                        out.push(other);
-                    }
-                }
-            }
+    }
+
+    /// Re-buckets every node from `snapshot` in place, keeping the
+    /// grid's dimensions and each bucket's capacity. Nodes are pushed in
+    /// id order, so every bucket holds ascending ids.
+    pub(crate) fn rebucket(&mut self, snapshot: &Snapshot) {
+        for bucket in &mut self.buckets {
+            bucket.clear();
         }
-        out.sort_unstable();
+        for (i, &p) in snapshot.positions().iter().enumerate() {
+            let (row, col) = self.cell_of(p);
+            self.buckets[row * self.cols + col].push(NodeId::new(i as u32));
+        }
     }
 
     /// The number of grid cells.
@@ -126,28 +166,11 @@ impl SpatialGrid {
         self.buckets.len()
     }
 
-    /// The grid's column count.
-    pub(crate) fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The bucket a position falls into.
-    pub(crate) fn bucket_index(&self, p: Vec2) -> usize {
+    /// The `(row, col)` of the cell a position falls into.
+    fn cell_of(&self, p: Vec2) -> (usize, usize) {
         let col = ((p.x / self.cell_size) as usize).min(self.cols - 1);
         let row = ((p.y / self.cell_size) as usize).min(self.rows - 1);
-        row * self.cols + col
-    }
-
-    /// Moves `id` from bucket `from` to bucket `to`, keeping both
-    /// buckets sorted by id (build order is ascending id, and
-    /// incremental maintenance preserves that invariant).
-    pub(crate) fn move_between_buckets(&mut self, id: NodeId, from: usize, to: usize) {
-        if let Ok(pos) = self.buckets[from].binary_search(&id) {
-            self.buckets[from].remove(pos);
-        }
-        if let Err(pos) = self.buckets[to].binary_search(&id) {
-            self.buckets[to].insert(pos, id);
-        }
+        (row, col)
     }
 }
 

@@ -15,7 +15,10 @@
 //! * [`MobilityField`] — all-node container producing position
 //!   [`Snapshot`]s,
 //! * [`SpatialGrid`] — a uniform-grid neighbor index answering
-//!   "who is within radio range of node *i*" in O(neighbors).
+//!   "who is within radio range of node *i*" in O(neighbors),
+//! * [`NeighborTable`] / [`NeighborIndex`] — every node's neighbor list
+//!   at one instant, built from scratch or maintained in place across
+//!   snapshots with skin-radius candidate lists.
 //!
 //! # Example
 //!

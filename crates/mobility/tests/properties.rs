@@ -171,10 +171,58 @@ fn incremental_index_matches_rebuilt_table() {
                     oracle.neighbors(id),
                     "node {i} after op {op} at {t_ms} ms"
                 );
+                // After an advance a list is carried forward exactly
+                // when it is byte-equal to the previous one; a fault
+                // mutation turns the skip off until the next advance.
+                let unchanged = index.current().neighbors(id) == index.previous().neighbors(id);
+                prop_assert_eq!(
+                    index.carried_forward(id),
+                    op == 0 && unchanged,
+                    "carried_forward of node {i} after op {op} at {t_ms} ms"
+                );
             }
         }
         Ok(())
     });
+}
+
+/// The incremental index at the e2e benchmark's idle-1200 shape (1200
+/// always-moving nodes on 7200 × 720 m) equals a from-scratch build at
+/// every beacon interval, and carries forward exactly the lists that
+/// did not change.
+#[test]
+fn incremental_index_matches_rebuilt_table_at_scale() {
+    let n = 1_200u32;
+    let mut field = MobilityField::random_waypoint(
+        n,
+        Area::new(7_200.0, 720.0),
+        WaypointConfig::default(),
+        StreamRng::from_seed(1_200),
+    );
+    let mut snap = field.snapshot(SimTime::ZERO);
+    let mut index = NeighborIndex::new(&snap, 250.0);
+    let (mut carried, mut changed) = (0usize, 0usize);
+    for k in 1..=48u64 {
+        field.snapshot_into(SimTime::from_millis(k * 250), &mut snap);
+        index.advance(&snap);
+        let oracle = NeighborTable::build(&snap, 250.0);
+        for i in 0..n {
+            let id = NodeId::new(i);
+            assert_eq!(
+                index.current().neighbors(id),
+                oracle.neighbors(id),
+                "node {i} at interval {k}"
+            );
+            let unchanged = index.current().neighbors(id) == index.previous().neighbors(id);
+            assert_eq!(index.carried_forward(id), unchanged, "node {i} at interval {k}");
+            if unchanged {
+                carried += 1;
+            } else {
+                changed += 1;
+            }
+        }
+    }
+    assert!(carried > 0 && changed > 0, "{carried} carried, {changed} changed");
 }
 
 /// The grid-backed fan-out — the set the MAC's broadcast/overhearing

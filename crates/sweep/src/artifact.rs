@@ -213,11 +213,18 @@ pub fn human_summary(report: &SweepReport) -> String {
     ));
     for cell in &report.cells {
         let e = cell.metric("energy_j");
+        // One seed gives no interval: `summarize95` reports an infinite
+        // half-width (the JSON artifact writes `null`).
+        let half_width = if e.half_width95.is_finite() {
+            format!("{:>5.0}", e.half_width95)
+        } else {
+            format!("{:>5}", "n/a")
+        };
         s.push_str(&format!(
-            "{:<32} {:>9.0} ±{:>5.0} {:>10.0} {:>6.1}% {:>10.0} {:>9.2} {:>11.3e}\n",
+            "{:<32} {:>9.0} ±{} {:>10.0} {:>6.1}% {:>10.0} {:>9.2} {:>11.3e}\n",
             cell.cell.key(),
             e.mean,
-            e.half_width95,
+            half_width,
             cell.metric("energy_variance").mean,
             cell.metric("pdr").mean * 100.0,
             cell.metric("delay_s").mean * 1e3,
@@ -333,5 +340,27 @@ mod tests {
             assert!(line.ends_with(&format!(" #9 {:.1}", curve[9])), "{line}");
             assert_eq!(line.matches(" #").count(), 2, "{line}");
         }
+    }
+
+    #[test]
+    fn a_one_seed_cell_prints_no_interval() {
+        let mut spec = tiny_report().spec;
+        spec.seeds = vec![1];
+        let one = run_spec(&spec, 1).expect("one-seed sweep runs");
+        let text = human_summary(&one);
+        let rows: Vec<&str> = text.lines().filter(|l| l.contains(" ±")).collect();
+        assert_eq!(rows.len(), one.cells.len(), "{text}");
+        for row in rows {
+            assert!(row.contains(" ±  n/a "), "{row}");
+            assert!(!row.contains("inf"), "{row}");
+        }
+        // The two-seed report keeps its numeric intervals, in the same
+        // column.
+        let two = human_summary(&tiny_report());
+        let (a, b) = (text.lines().nth(2).unwrap(), two.lines().nth(2).unwrap());
+        assert_eq!(a.find('±'), b.find('±'));
+        assert_eq!(a.len(), b.len(), "fixed width:\n{a}\n{b}");
+        assert!(!b.contains("n/a"), "{b}");
+        assert!(to_json(&one).contains("\"ci95\": null"));
     }
 }
