@@ -78,25 +78,6 @@ echo "==> scaling smoke: large-tier near-linearity gate (release)"
 # the nodes-doubling table it prints lands in the CI log via stderr.
 ./target/release/rcast bench --smoke --large > /dev/null
 
-echo "==> shard smoke: serial vs parallel interval loop (release)"
-# The sharded hot loop must produce byte-identical reports at any
-# width (the determinism suite proves that); here CI prints the
-# wall-clock ratio so a parallel-path pessimization is visible in the
-# log. Informational only: single-core CI boxes legitimately see ~1x.
-shard_t1_start_ms=$(( $(date +%s%N) / 1000000 ))
-./target/release/rcast run --scheme rcast --nodes 150 --area 1800x360 \
-    --duration 60 --flows 30 --seed 11 --threads 1 > /dev/null
-shard_t1_end_ms=$(( $(date +%s%N) / 1000000 ))
-shard_t8_start_ms=$(( $(date +%s%N) / 1000000 ))
-./target/release/rcast run --scheme rcast --nodes 150 --area 1800x360 \
-    --duration 60 --flows 30 --seed 11 --threads 8 > /dev/null
-shard_t8_end_ms=$(( $(date +%s%N) / 1000000 ))
-shard_t1_ms=$(( shard_t1_end_ms - shard_t1_start_ms ))
-shard_t8_ms=$(( shard_t8_end_ms - shard_t8_start_ms ))
-[ "$shard_t8_ms" -gt 0 ] || shard_t8_ms=1
-echo "    --threads 1: ${shard_t1_ms} ms, --threads 8: ${shard_t8_ms} ms," \
-    "speedup $(awk "BEGIN { printf \"%.2fx\", $shard_t1_ms / $shard_t8_ms }")"
-
 echo "==> trace smoke: rcast-trace/v1 export matches the checked-in golden"
 # The same pinned workload the determinism suite locks down at widths
 # 1/2/8; here the release binary's end-to-end CLI path (config flags →

@@ -63,4 +63,4 @@ pub use rcast_obs::{
     PacketClass, TraceFilter, SERIES_COLUMNS,
 };
 pub use scheme::Scheme;
-pub use sim::{run_seeds, run_seeds_parallel, run_sim, run_sim_with_width, Simulation};
+pub use sim::{run_seeds, run_seeds_parallel, run_sim, Simulation};

@@ -36,11 +36,12 @@ use std::sync::Arc;
 
 use rcast_aodv::AodvCounters;
 use rcast_dsr::DsrCounters;
+use rcast_engine::pool::{shard_range, ScopedPool};
 use rcast_engine::rng::StreamRng;
 use rcast_engine::{NodeId, SimDuration, SimTime};
 use rcast_mac::{
-    Channel, Delivery, ImmediateResult, IntervalOutcome, MacFrame, MacLayer, MacObserver,
-    OverhearingLevel, PowerMode, WakePolicy,
+    Channel, Delivery, ImmediateResult, IntervalOutcome, LinkFailure, MacFrame, MacLayer,
+    MacObserver, OverhearingLevel, PowerMode, WakePolicy,
 };
 use rcast_mobility::{MobilityField, NeighborIndex, NeighborTable, Snapshot};
 use rcast_obs::{EventKind as ObsKind, Ledger, LedgerParams, PacketClass};
@@ -340,9 +341,11 @@ pub struct Simulation {
     /// Incrementally maintained neighbor index (current + previous
     /// table, double-buffered).
     neighbors: NeighborIndex,
-    /// Intra-interval shard pool: width 1 (the default) is the serial
-    /// path; [`set_shard_width`](Self::set_shard_width) widens it.
-    pool: rcast_engine::pool::ScopedPool,
+    /// The run's one intra-interval shard pool, shared by the churn
+    /// scan and the MAC's prepass/post-pass. Width 1 (the default)
+    /// runs every pass as one lane on the caller's thread;
+    /// [`set_shard_width`](Self::set_shard_width) widens it.
+    pool: ScopedPool,
     scratch: Scratch,
     /// The next beacon interval to execute.
     k: u64,
@@ -426,7 +429,7 @@ impl Simulation {
             fault_counters: FaultCounters::default(),
             snap,
             neighbors,
-            pool: rcast_engine::pool::ScopedPool::new(1),
+            pool: ScopedPool::new(1),
             scratch,
             k: 0,
             next_arrival,
@@ -445,12 +448,10 @@ impl Simulation {
     /// split into. Runtime-only — it is deliberately *not* part of
     /// [`SimConfig`], because results are byte-identical at every width
     /// (the shard merge re-serializes in canonical node/delivery
-    /// order); only wall-clock time changes. Width 1 (the default) is
-    /// the plain serial path.
+    /// order); only wall-clock time changes. Width 1 (the default)
+    /// runs each pass as a single lane on the caller's thread.
     pub fn set_shard_width(&mut self, width: usize) {
-        let width = width.max(1);
-        self.pool = rcast_engine::pool::ScopedPool::new(width);
-        self.mac.set_shard_width(width);
+        self.pool = ScopedPool::new(width);
     }
 
     /// The current intra-interval shard width.
@@ -502,44 +503,21 @@ impl Simulation {
             // actually changed — the decider still sees every node (its
             // EWMA decays on 0).
             let shards = self.pool.threads().min(n.max(1));
-            if shards <= 1 {
-                for i in 0..n {
+            scratch.churn.resize_with(shards, Vec::new);
+            let (cur, prev) = (neighbors.current(), neighbors.previous());
+            self.pool.map_shards(&mut scratch.churn, |s, lane| {
+                lane.clear();
+                lane.extend(shard_range(s, shards, n).map(|i| {
                     let id = NodeId::new(i as u32);
-                    let changes = if neighbors.carried_forward(id) {
+                    if neighbors.carried_forward(id) {
                         0
                     } else {
-                        neighbors
-                            .current()
-                            .link_changes_since(neighbors.previous(), id)
-                    };
-                    self.rcast.note_link_changes(id, changes);
-                }
-            } else {
-                let chunk = n.div_ceil(shards).max(1);
-                scratch.churn.resize_with(shards, Vec::new);
-                let nidx = &neighbors;
-                let (cur, prev) = (neighbors.current(), neighbors.previous());
-                self.pool.map_shards(&mut scratch.churn, |s, lane| {
-                    lane.clear();
-                    let lo = (s * chunk).min(n);
-                    let hi = ((s + 1) * chunk).min(n);
-                    for i in lo..hi {
-                        let id = NodeId::new(i as u32);
-                        lane.push(if nidx.carried_forward(id) {
-                            0
-                        } else {
-                            cur.link_changes_since(prev, id)
-                        });
+                        cur.link_changes_since(prev, id)
                     }
-                });
-                let mut i = 0u32;
-                for lane in &scratch.churn {
-                    for &changes in lane {
-                        self.rcast.note_link_changes(NodeId::new(i), changes);
-                        i += 1;
-                    }
-                }
-                debug_assert_eq!(i as usize, n);
+                }));
+            });
+            for (i, &changes) in scratch.churn.iter().flatten().enumerate() {
+                self.rcast.note_link_changes(NodeId::new(i as u32), changes);
             }
         }
         let nt = neighbors.current();
@@ -581,34 +559,25 @@ impl Simulation {
                             t,
                             nt,
                             &mut policy,
+                            self.pool,
                             &mut scratch.outcome,
                             &mut tap,
                         );
                     }
-                    None => self
-                        .mac
-                        .run_interval_into(t, nt, &mut policy, &mut scratch.outcome),
+                    None => self.mac.run_interval_into(
+                        t,
+                        nt,
+                        &mut policy,
+                        self.pool,
+                        &mut scratch.outcome,
+                    ),
                 }
             }
             for d in scratch.outcome.deliveries.drain(..) {
                 self.process_delivery(d, &scratch.outcome.fanout, work, batch, &mut obs);
             }
             for f in scratch.outcome.failures.drain(..) {
-                if self.faults_active
-                    && (self.lanes.down[f.receiver.index()]
-                        || self.faults.link_cut(f.sender, f.receiver, t))
-                {
-                    self.fault_counters.rerrs_triggered += 1;
-                }
-                let packet = self.arena.take(f.frame.payload);
-                let actions = self.routers[f.sender.index()].link_failure(
-                    f.receiver,
-                    packet,
-                    f.at,
-                );
-                for a in actions {
-                    work.push_back((f.sender, f.at, a));
-                }
+                self.link_failure(f, t, work);
             }
             self.dispatch(work, batch, imm_fanout, nt, &mut obs);
         }
@@ -942,21 +911,8 @@ impl Simulation {
                     self.process_delivery(d, fanout, work, batch, obs)
                 }
                 ImmediateResult::Failed(f) => {
-                    if self.faults_active
-                        && (self.lanes.down[f.receiver.index()]
-                            || self.faults.link_cut(f.sender, f.receiver, f.at))
-                    {
-                        self.fault_counters.rerrs_triggered += 1;
-                    }
-                    let packet = self.arena.take(f.frame.payload);
-                    let actions = self.routers[f.sender.index()].link_failure(
-                        f.receiver,
-                        packet,
-                        f.at,
-                    );
-                    for a in actions {
-                        work.push_back((f.sender, f.at, a));
-                    }
+                    let at = f.at;
+                    self.link_failure(f, at, work);
                 }
             }
         } else if let Err(frame) = self.mac.enqueue(from, frame, at) {
@@ -968,6 +924,31 @@ impl Simulation {
                 }
             }
             self.arena.release(h);
+        }
+    }
+
+    /// Hands a failed unicast back to its sender's router, for both the
+    /// PSM path (failures collected over an interval) and the immediate
+    /// path. The failure counts as fault-caused when the receiver is
+    /// down or the link is cut at `fault_at` (the interval start on the
+    /// PSM path, the failure time on the immediate path). The packet
+    /// leaves the arena, and the router's recovery actions are queued.
+    fn link_failure(
+        &mut self,
+        f: LinkFailure<PacketHandle>,
+        fault_at: SimTime,
+        work: &mut VecDeque<Pending>,
+    ) {
+        if self.faults_active
+            && (self.lanes.down[f.receiver.index()]
+                || self.faults.link_cut(f.sender, f.receiver, fault_at))
+        {
+            self.fault_counters.rerrs_triggered += 1;
+        }
+        let packet = self.arena.take(f.frame.payload);
+        let actions = self.routers[f.sender.index()].link_failure(f.receiver, packet, f.at);
+        for a in actions {
+            work.push_back((f.sender, f.at, a));
         }
     }
 
@@ -1228,19 +1209,6 @@ pub fn run_sim(cfg: SimConfig) -> Result<SimReport, String> {
     Ok(Simulation::new(cfg)?.run())
 }
 
-/// Builds and runs one simulation with the interval sharded across
-/// `width` workers ([`Simulation::set_shard_width`]). The report is
-/// byte-identical at any width; only wall-clock time changes.
-///
-/// # Errors
-///
-/// Returns the configuration error, if any.
-pub fn run_sim_with_width(cfg: SimConfig, width: usize) -> Result<SimReport, String> {
-    let mut sim = Simulation::new(cfg)?;
-    sim.set_shard_width(width);
-    Ok(sim.run())
-}
-
 /// Runs the same configuration under `seeds` different seeds, serially.
 /// The configuration is shared (one clone total), with only the seed
 /// varying per run.
@@ -1285,7 +1253,7 @@ pub fn run_seeds_parallel(
     cfg.validate()?;
     let shared = Arc::new(cfg.clone());
     let seeds: Vec<u64> = seeds.into_iter().collect();
-    Ok(rcast_engine::pool::ScopedPool::new(threads)
+    Ok(ScopedPool::new(threads)
         .map(seeds, |_, seed| {
             Simulation::with_seed(Arc::clone(&shared), seed)
                 .expect("validated above")

@@ -15,12 +15,22 @@
 //! * `std::thread::scope` keeps everything borrow-checked with no
 //!   `'static` bounds and no channels; worker panics propagate to the
 //!   caller on scope exit.
-//! * Items are claimed one at a time (no chunking). Simulation runs are
-//!   long (milliseconds to minutes), so cursor contention is noise and
-//!   the schedule stays balanced even when run times differ wildly
-//!   across seeds or schemes.
-//! * Thread count is clamped to `[1, items]`; one thread short-circuits
-//!   to a plain serial loop on the caller's thread.
+//! * One worker loop serves every entry point: [`map_shards`]
+//!   (in-place lanes), [`map`] (one lane per item) and [`map_grid`]
+//!   (one lane per `(cell, repeat)` pair). Items are claimed one at a
+//!   time (no chunking), so the schedule stays balanced even when run
+//!   times differ wildly across seeds or schemes.
+//! * One thread-count policy: the servicing width is clamped to
+//!   `[1, items]` and capped at the machine's available parallelism
+//!   (floor two, so any requested width above one still exercises the
+//!   real cross-thread path). One thread short-circuits to a plain
+//!   serial loop on the caller's thread.
+//! * [`shard_range`] is the one shard geometry: every intra-interval
+//!   pass splits its node (or delivery) index space with it.
+//!
+//! [`map_shards`]: ScopedPool::map_shards
+//! [`map`]: ScopedPool::map
+//! [`map_grid`]: ScopedPool::map_grid
 //!
 //! # Example
 //!
@@ -31,6 +41,7 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -61,7 +72,8 @@ impl ScopedPool {
 
     /// Applies `f` to every item, in parallel, returning outputs **in
     /// input order** regardless of thread count. `f` receives the item's
-    /// index alongside the item.
+    /// index alongside the item. Each item is one
+    /// [`map_shards`](Self::map_shards) lane.
     ///
     /// Determinism: for a pure `f`, `map` returns the same `Vec` as the
     /// serial `items.into_iter().enumerate().map(|(i, x)| f(i, x))`.
@@ -75,66 +87,26 @@ impl ScopedPool {
         U: Send,
         F: Fn(usize, T) -> U + Sync,
     {
-        let n = items.len();
-        let width = self.threads.min(n);
-        if width <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, x)| f(i, x))
-                .collect();
-        }
-
-        // Each input slot is `take`n exactly once by the worker that
-        // claims its index; each output slot is written exactly once.
-        let inputs: Vec<Mutex<Option<T>>> =
-            items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-        let outputs: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..width)
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let item = inputs[i]
-                            .lock()
-                            .expect("input slot poisoned")
-                            .take()
-                            .expect("each index is claimed once");
-                        let out = f(i, item);
-                        *outputs[i].lock().expect("output slot poisoned") = Some(out);
-                    })
-                })
-                .collect();
-            // Join explicitly so a worker's panic payload reaches the
-            // caller verbatim (scope's implicit join would replace it).
-            for w in workers {
-                if let Err(payload) = w.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
+        // Each lane's input is taken exactly once by the worker that
+        // claims its index; its output is written exactly once.
+        let mut lanes: Vec<(Option<T>, Option<U>)> =
+            items.into_iter().map(|x| (Some(x), None)).collect();
+        self.map_shards(&mut lanes, |i, (item, out)| {
+            *out = Some(f(i, item.take().expect("each item is claimed once")));
         });
-
-        outputs
+        lanes
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("output slot poisoned")
-                    .expect("every slot filled")
-            })
+            .map(|(_, out)| out.expect("every lane filled"))
             .collect()
     }
 
     /// Runs `f(shard_index, &mut lane)` once per lane, in parallel,
-    /// mutating each lane in place. This is the *intra-run* sibling of
-    /// [`map`](Self::map): instead of fanning out whole simulations, a
-    /// single simulation splits one interval's node-indexed work into
-    /// `lanes.len()` shards, each shard writes only into its own lane,
-    /// and the caller merges lanes serially in shard order afterwards.
+    /// mutating each lane in place. This is the pool's one worker loop.
+    /// Within a simulation, one interval's node-indexed work is split
+    /// into `lanes.len()` shards (ranges from [`shard_range`]), each
+    /// shard writes only into its own lane, and the caller merges lanes
+    /// serially in shard order afterwards; width 1 is the same seam with
+    /// one lane.
     ///
     /// Determinism: `f` must derive everything it writes from
     /// `shard_index` plus captured immutable state (`F: Fn(..) + Sync`
@@ -143,20 +115,14 @@ impl ScopedPool {
     /// these closures). Under that contract the lane contents are a pure
     /// function of the shard index, so the merged result is identical
     /// for any thread count — the differential tests in
-    /// `crates/core/tests/parallel_interval.rs` pin this byte-for-byte.
+    /// `tests/parallel_interval.rs` pin this byte-for-byte.
     ///
     /// Shard *count* is chosen by the caller via `lanes.len()` and is
     /// what fixes the output layout; this pool only decides how many OS
-    /// threads service the lanes, which is invisible to the result. The
-    /// servicing width is clamped to `[1, lanes.len()]` and additionally
-    /// capped at the machine's available parallelism (floor two, so any
-    /// requested width above one still exercises the real cross-thread
-    /// path): unlike [`map`](Self::map)'s minutes-long simulation runs,
-    /// shard passes live inside a 250 ms-interval hot loop where
-    /// oversubscribed threads are pure spawn overhead. Width 1
-    /// short-circuits to a plain serial loop with zero allocations,
-    /// which keeps the quiet-interval zero-alloc contract intact at the
-    /// default width.
+    /// threads service the lanes (see the module docs' thread-count
+    /// policy), which is invisible to the result. Width 1 short-circuits
+    /// to a plain serial loop with zero allocations, which keeps the
+    /// quiet-interval zero-alloc contract intact at the default width.
     ///
     /// # Panics
     ///
@@ -243,6 +209,22 @@ impl ScopedPool {
             .map(|_| flat.by_ref().take(inner).collect())
             .collect()
     }
+}
+
+/// Shard `shard`'s slice of the index space `0..len` when it is split
+/// into `shards` contiguous, ascending, disjoint ranges that cover it
+/// exactly. Sizes differ by at most one, so with `shards <= len` every
+/// range is non-empty; with more shards than items the surplus ranges
+/// are empty. Consuming lanes in shard order is therefore index order,
+/// which is what makes every sharded pass byte-identical at every width.
+///
+/// # Panics
+///
+/// Debug builds assert `shard < shards`.
+pub fn shard_range(shard: usize, shards: usize, len: usize) -> Range<usize> {
+    debug_assert!(shard < shards, "shard {shard} out of {shards}");
+    let bound = |s: usize| s * len / shards;
+    bound(shard)..bound(shard + 1)
 }
 
 /// The machine's available parallelism, defaulting to 1 when unknown.
@@ -442,6 +424,28 @@ mod tests {
             *lane = Some(std::thread::current().id());
         });
         assert!(seen.iter().all(|id| id.is_some_and(|id| id != main_id)));
+    }
+
+    #[test]
+    fn shard_ranges_tile_the_index_space() {
+        // len 0, len < width, len = width and uneven splits.
+        for (width, len) in [(1, 0), (4, 0), (8, 3), (4, 4), (3, 10), (4, 7), (2, 1200), (1, 5)] {
+            let shards = width.min(len);
+            let ranges: Vec<Range<usize>> =
+                (0..shards).map(|s| shard_range(s, shards, len)).collect();
+            assert_eq!(ranges.len(), width.min(len), "width {width}, len {len}");
+            let mut next = 0;
+            for r in &ranges {
+                assert_eq!(r.start, next, "contiguous and disjoint: {ranges:?}");
+                assert!(r.start < r.end, "ascending and non-empty: {ranges:?}");
+                next = r.end;
+            }
+            assert_eq!(next, len, "covers exactly 0..{len}: {ranges:?}");
+        }
+        // More shards than items: the surplus ranges are empty, and the
+        // union still covers the index space in order.
+        let covered: Vec<usize> = (0..8).flat_map(|s| shard_range(s, 8, 3)).collect();
+        assert_eq!(covered, vec![0, 1, 2]);
     }
 
     #[test]

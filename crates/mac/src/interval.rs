@@ -27,7 +27,7 @@
 //! energy layer can integrate `P_awake × awake + P_sleep × sleep` —
 //! exactly the arithmetic the paper uses in Figure 5.
 
-use rcast_engine::pool::ScopedPool;
+use rcast_engine::pool::{shard_range, ScopedPool};
 use rcast_engine::rng::StreamRng;
 use rcast_engine::{NodeId, SimDuration, SimTime};
 use rcast_mobility::NeighborTable;
@@ -224,7 +224,6 @@ pub struct MacLayer<P> {
     rng: StreamRng,
     counters: MacCounters,
     scratch: IntervalScratch,
-    pool: ScopedPool,
 }
 
 /// One announced (acknowledged) advertisement awaiting its data phase.
@@ -358,23 +357,7 @@ impl<P> MacLayer<P> {
             rng,
             counters: MacCounters::default(),
             scratch: IntervalScratch::default(),
-            pool: ScopedPool::new(1),
         }
-    }
-
-    /// Sets how many shards interval resolution splits its node-indexed
-    /// prepass and fanout post-pass into (and up to as many worker
-    /// threads). Width 1 — the default — is the fully serial,
-    /// zero-allocation path; any width produces byte-identical
-    /// outcomes, so this is purely a throughput knob and deliberately
-    /// *not* part of [`MacConfig`] (scenario hashing must not see it).
-    pub fn set_shard_width(&mut self, width: usize) {
-        self.pool = ScopedPool::new(width);
-    }
-
-    /// The configured shard width.
-    pub fn shard_width(&self) -> usize {
-        self.pool.threads()
     }
 
     /// The MAC configuration.
@@ -488,10 +471,10 @@ impl<P> MacLayer<P> {
         out.extend_from_slice(nt.neighbors(s));
     }
 
-    /// Resolves one beacon interval starting at `start`, returning a
-    /// freshly allocated outcome. Convenience wrapper over
-    /// [`run_interval_into`](Self::run_interval_into) — the simulator's
-    /// hot loop uses the latter with a reused outcome.
+    /// Resolves one beacon interval starting at `start` on the caller's
+    /// thread, returning a freshly allocated outcome. Convenience wrapper
+    /// over [`run_interval_into`](Self::run_interval_into) — the
+    /// simulator's hot loop uses the latter with a reused outcome.
     pub fn run_interval(
         &mut self,
         start: SimTime,
@@ -502,7 +485,7 @@ impl<P> MacLayer<P> {
         P: Sync,
     {
         let mut out = IntervalOutcome::default();
-        self.run_interval_into(start, nt, policy, &mut out);
+        self.run_interval_into(start, nt, policy, ScopedPool::new(1), &mut out);
         out
     }
 
@@ -512,16 +495,24 @@ impl<P> MacLayer<P> {
     ///
     /// `nt` must describe node positions at `start`; `policy` supplies
     /// per-node power modes and randomized-overhearing decisions.
+    /// `pool` shards the node-indexed prepass and fanout post-pass
+    /// (`pool.threads()` lanes, at most one per node); every width
+    /// produces a byte-identical outcome, so the width is purely a
+    /// throughput knob and deliberately *not* part of [`MacConfig`]
+    /// (scenario hashing must not see it). Width 1 runs each pass as
+    /// one lane on the caller's thread, allocation-free once the lanes
+    /// have grown.
     pub fn run_interval_into(
         &mut self,
         start: SimTime,
         nt: &NeighborTable,
         policy: &mut dyn WakePolicy,
+        pool: ScopedPool,
         out: &mut IntervalOutcome<P>,
     ) where
         P: Sync,
     {
-        self.run_interval_observed(start, nt, policy, out, &mut NullMacObserver);
+        self.run_interval_observed(start, nt, policy, pool, out, &mut NullMacObserver);
     }
 
     /// Like [`run_interval_into`](Self::run_interval_into), but reports
@@ -533,6 +524,7 @@ impl<P> MacLayer<P> {
         start: SimTime,
         nt: &NeighborTable,
         policy: &mut dyn WakePolicy,
+        pool: ScopedPool,
         out: &mut IntervalOutcome<P>,
         obs: &mut dyn MacObserver,
     ) where
@@ -547,12 +539,11 @@ impl<P> MacLayer<P> {
         deliveries.clear();
         failures.clear();
 
-        // Shard geometry: the prepass and post-pass chunk nodes (and
-        // deliveries) into `shards` contiguous ascending ranges, so
-        // consuming lanes in shard order is index order and the result
-        // is byte-identical for every width.
-        let shards = self.pool.threads().min(n.max(1));
-        let node_chunk = n.div_ceil(shards.max(1)).max(1);
+        // Shard geometry: the prepass and post-pass split nodes (and
+        // deliveries) into `shards` contiguous ascending ranges
+        // (`shard_range`), so consuming lanes in shard order is index
+        // order and the result is byte-identical for every width.
+        let shards = pool.threads().min(n.max(1));
 
         // Working state lives on `self` between intervals; detach it so
         // the resolver can borrow queues/counters/rng freely.
@@ -596,18 +587,17 @@ impl<P> MacLayer<P> {
         {
             let queues = &self.queues;
             let pending = &self.pending;
-            self.pool.map_shards(&mut scr.prepass, |s, lane| {
+            pool.map_shards(&mut scr.prepass, |s, lane| {
                 lane.out.clear();
-                let lo = (s * node_chunk).min(n);
-                let hi = ((s + 1) * node_chunk).min(n);
-                for (i, q) in queues[lo..hi].iter().enumerate() {
+                for i in shard_range(s, shards, n) {
                     // Idle nodes emit no candidates; the pending lane
                     // lets the scan skip them without touching the
                     // queue's storage at all.
-                    if !pending[lo + i] {
+                    if !pending[i] {
                         continue;
                     }
-                    let sender = NodeId::new((lo + i) as u32);
+                    let q = &queues[i];
+                    let sender = NodeId::new(i as u32);
                     q.destinations_into(&mut lane.dests);
                     for &dest in lane.dests.iter() {
                         lane.out.push((sender, dest, q.strongest_level_for(dest)));
@@ -865,62 +855,38 @@ impl<P> MacLayer<P> {
         let committed_r: &[bool] = committed;
         let full_wake_r: &[bool] = full_wake;
         let doze_at_r: &[SimTime] = doze_at;
-        if shards <= 1 {
-            // Serial fast path: write straight into the outcome, no
-            // lanes, no allocations.
-            for d in deliveries.iter_mut() {
-                let first = out.fanout.len() as u32;
-                let (rec, ovh) = delivery_fanout(d, nt, awake_r, &mut out.fanout);
-                d.fanout = Fanout {
-                    start: first,
-                    recipients: rec,
-                    overhearers: ovh,
-                };
+        scr.merge.resize_with(shards, MergeLane::default);
+        let deliveries_r: &[Delivery<P>] = deliveries;
+        pool.map_shards(&mut scr.merge, |s, lane| {
+            lane.fanout.clear();
+            lane.counts.clear();
+            lane.committed.clear();
+            for d in &deliveries_r[shard_range(s, shards, nd)] {
+                lane.counts.push(delivery_fanout(d, nt, awake_r, &mut lane.fanout));
             }
-            out.committed_awake.extend((0..n).map(|i| {
+            lane.committed.extend(shard_range(s, shards, n).map(|i| {
                 committed_duration(
                     i, committed_r, full_wake_r, doze_at_r, start, aw, bi, doze_after,
                 )
             }));
-        } else {
-            scr.merge.resize_with(shards, MergeLane::default);
-            let delivery_chunk = nd.div_ceil(shards).max(1);
-            let deliveries_r: &[Delivery<P>] = deliveries;
-            self.pool.map_shards(&mut scr.merge, |s, lane| {
-                lane.fanout.clear();
-                lane.counts.clear();
-                lane.committed.clear();
-                let lo = (s * delivery_chunk).min(nd);
-                let hi = ((s + 1) * delivery_chunk).min(nd);
-                for d in &deliveries_r[lo..hi] {
-                    lane.counts.push(delivery_fanout(d, nt, awake_r, &mut lane.fanout));
-                }
-                let nlo = (s * node_chunk).min(n);
-                let nhi = ((s + 1) * node_chunk).min(n);
-                for i in nlo..nhi {
-                    lane.committed.push(committed_duration(
-                        i, committed_r, full_wake_r, doze_at_r, start, aw, bi, doze_after,
-                    ));
-                }
-            });
-            // Serial merge in shard order = delivery/node index order.
-            let mut di = 0usize;
-            for lane in scr.merge.iter() {
-                let mut off = out.fanout.len() as u32;
-                out.fanout.extend_from_slice(&lane.fanout);
-                for &(rec, ovh) in lane.counts.iter() {
-                    deliveries[di].fanout = Fanout {
-                        start: off,
-                        recipients: rec,
-                        overhearers: ovh,
-                    };
-                    off += rec + ovh;
-                    di += 1;
-                }
-                out.committed_awake.extend_from_slice(&lane.committed);
+        });
+        // Serial merge in shard order = delivery/node index order.
+        let mut di = 0usize;
+        for lane in scr.merge.iter() {
+            let mut off = out.fanout.len() as u32;
+            out.fanout.extend_from_slice(&lane.fanout);
+            for &(rec, ovh) in lane.counts.iter() {
+                deliveries[di].fanout = Fanout {
+                    start: off,
+                    recipients: rec,
+                    overhearers: ovh,
+                };
+                off += rec + ovh;
+                di += 1;
             }
-            debug_assert_eq!(di, nd, "every delivery got its fanout");
+            out.committed_awake.extend_from_slice(&lane.committed);
         }
+        debug_assert_eq!(di, nd, "every delivery got its fanout");
 
         out.awake.clear();
         out.awake.extend_from_slice(awake);

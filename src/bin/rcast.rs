@@ -6,6 +6,7 @@
 //! cargo run --release --bin rcast -- help
 //! ```
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use randomcast::cli::{self, Command};
@@ -23,20 +24,18 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match cli::parse(&args) {
         Ok(Command::Help) => {
-            print!("{}", cli::USAGE);
+            emit(cli::USAGE);
             ExitCode::SUCCESS
         }
-        Ok(Command::Run(run)) => match match run.threads {
-            Some(width) => randomcast::run_sim_with_width(run.config.clone(), width),
-            None => run_sim(run.config.clone()),
-        } {
+        Ok(Command::Run(run)) => match run_sim(run.config.clone()) {
             Ok(report) => {
                 if run.csv {
-                    println!("{}", cli::csv_row(&report, &run.config));
+                    emit(&format!("{}\n", cli::csv_row(&report, &run.config)));
                 } else {
-                    println!("{}", report.summary());
-                    println!(
-                        "  routing {} | originated {} | delivered {} | control tx {} | EPB {} J/bit",
+                    let mut text = format!(
+                        "{}\n  routing {} | originated {} | delivered {} | control tx {} | \
+EPB {} J/bit\n",
+                        report.summary(),
                         run.config.routing,
                         report.delivery.originated(),
                         report.delivery.delivered(),
@@ -44,22 +43,12 @@ fn main() -> ExitCode {
                         fmt_f64(report.energy_per_bit(run.config.traffic.packet_bytes), 9),
                     );
                     if let Some(t) = report.first_depletion {
-                        println!("  first battery depletion at {t}");
+                        text += &format!("  first battery depletion at {t}\n");
                     }
                     if !run.config.faults.is_none() {
-                        let f = &report.faults;
-                        println!(
-                            "  faults: {} crashes | {} rejoins | {} battery deaths | \
-{} blackouts | {} bursts | {} fault link errors | {} packets lost",
-                            f.crashes,
-                            f.rejoins,
-                            f.battery_deaths,
-                            f.link_blackouts,
-                            f.corruption_bursts,
-                            f.rerrs_triggered,
-                            f.packets_lost_to_faults,
-                        );
+                        text += &fault_line(&report);
                     }
+                    emit(&text);
                 }
                 ExitCode::SUCCESS
             }
@@ -86,23 +75,11 @@ fn main() -> ExitCode {
             match run_sim(config.clone()) {
                 Ok(report) => {
                     if csv {
-                        println!("{}", cli::csv_row(&report, &config));
+                        emit(&format!("{}\n", cli::csv_row(&report, &config)));
+                    } else if config.faults.is_none() {
+                        emit(&format!("{}\n", report.summary()));
                     } else {
-                        println!("{}", report.summary());
-                        if !config.faults.is_none() {
-                            let f = &report.faults;
-                            println!(
-                                "  faults: {} crashes | {} rejoins | {} battery deaths | \
-{} blackouts | {} bursts | {} fault link errors | {} packets lost",
-                                f.crashes,
-                                f.rejoins,
-                                f.battery_deaths,
-                                f.link_blackouts,
-                                f.corruption_bursts,
-                                f.rerrs_triggered,
-                                f.packets_lost_to_faults,
-                            );
-                        }
+                        emit(&format!("{}\n{}", report.summary(), fault_line(&report)));
                     }
                     ExitCode::SUCCESS
                 }
@@ -113,7 +90,7 @@ fn main() -> ExitCode {
             }
         }
         Ok(Command::ExportScenario(cfg)) => {
-            print!("{}", randomcast::write_scenario(&cfg));
+            emit(&randomcast::write_scenario(&cfg));
             ExitCode::SUCCESS
         }
         Ok(Command::Lint(lint)) => {
@@ -164,11 +141,11 @@ fn main() -> ExitCode {
                         eprintln!("rcast lint: stale baseline entry '{} {}'", s.rule, s.path);
                     }
                     if lint.json {
-                        print!("{}", rcast_lint::render_json(&kept));
+                        emit(&rcast_lint::render_json(&kept));
                     } else if lint.sarif {
-                        print!("{}", rcast_lint::render_sarif(&kept));
+                        emit(&rcast_lint::render_sarif(&kept));
                     } else {
-                        print!("{}", rcast_lint::render_text(&kept));
+                        emit(&rcast_lint::render_text(&kept));
                         if kept.is_empty() {
                             eprintln!("rcast lint: clean ({})", root.display());
                         } else {
@@ -190,7 +167,7 @@ fn main() -> ExitCode {
         Ok(Command::Bench(bench)) => {
             let results = rcast_bench::perf::run_suite_with(bench.smoke, bench.large);
             let json = rcast_bench::perf::to_json(&results);
-            print!("{json}");
+            emit(&json);
             if bench.large {
                 // stderr, so `rcast bench > file` keeps the table visible.
                 eprint!("{}", rcast_bench::perf::scaling_table(&results));
@@ -294,7 +271,7 @@ fn main() -> ExitCode {
                 }
                 eprintln!("rcast trace: wrote {path} ({} lines)", jsonl.lines().count());
             } else {
-                print!("{jsonl}");
+                emit(&jsonl);
             }
             let control: u64 = match trace.config.routing {
                 randomcast::RoutingKind::Dsr => {
@@ -364,14 +341,14 @@ spec file: {e}",
                     eprintln!("rcast sweep: wrote {path}");
                 }
             } else {
-                print!("{json}");
+                emit(&json);
             }
             eprint!("{}", randomcast::sweep::human_summary(&report));
             ExitCode::SUCCESS
         }
         Ok(Command::Compare(cmp)) => match run_campaign(&cmp.spec, cmp.threads) {
             Ok(report) => {
-                print!("{}", randomcast::sweep::human_summary(&report));
+                emit(&randomcast::sweep::human_summary(&report));
                 ExitCode::SUCCESS
             }
             Err(code) => code,
@@ -387,6 +364,38 @@ spec file: {e}",
             }
         }
     }
+}
+
+/// Writes `text` to standard output. A reader that closes the pipe
+/// early (`rcast trace | head`) ends the process quietly with exit 0,
+/// since the output it wanted was delivered; any other write error is
+/// reported on stderr and exits 1.
+fn emit(text: &str) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// The `faults:` summary line (newline-terminated) that `rcast run` and
+/// `rcast scenario` print under a fault plan.
+fn fault_line(report: &randomcast::SimReport) -> String {
+    let f = &report.faults;
+    format!(
+        "  faults: {} crashes | {} rejoins | {} battery deaths | \
+{} blackouts | {} bursts | {} fault link errors | {} packets lost\n",
+        f.crashes,
+        f.rejoins,
+        f.battery_deaths,
+        f.link_blackouts,
+        f.corruption_bursts,
+        f.rerrs_triggered,
+        f.packets_lost_to_faults,
+    )
 }
 
 /// Runs a sweep campaign (`rcast sweep` and `rcast compare`) on

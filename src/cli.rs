@@ -130,9 +130,6 @@ pub struct RunArgs {
     pub config: SimConfig,
     /// Emit one CSV row instead of the human summary.
     pub csv: bool,
-    /// Intra-interval shard width (`None` = serial). The report is
-    /// byte-identical at any width; only wall-clock time changes.
-    pub threads: Option<usize>,
 }
 
 /// Arguments of `rcast compare`.
@@ -236,8 +233,6 @@ COMMON OPTIONS (both subcommands):
 
 run-ONLY:
     --csv             print one CSV row (with header)
-    --threads <n>     shard each beacon interval across n workers
-                      (results are byte-identical at any width)
 
 compare-ONLY:
     --schemes <list>  comma list of schemes      [802.11,odpm,rcast]
@@ -294,27 +289,13 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
         "run" => {
             let (config, extras) = parse_config(rest)?;
             let mut csv = false;
-            let mut threads = None;
-            let mut it = extras.iter();
-            while let Some(e) = it.next() {
+            for e in &extras {
                 match e.as_str() {
                     "--csv" => csv = true,
-                    "--threads" => {
-                        let v = it.next().ok_or_else(|| err("--threads needs a value"))?;
-                        let n = parse_u64("--threads", v)? as usize;
-                        if n == 0 {
-                            return Err(err("--threads must be at least 1"));
-                        }
-                        threads = Some(n);
-                    }
                     other => return Err(err(format!("unknown option '{other}'"))),
                 }
             }
-            Ok(Command::Run(RunArgs {
-                config,
-                csv,
-                threads,
-            }))
+            Ok(Command::Run(RunArgs { config, csv }))
         }
         "scenario" => {
             let mut path = None;
@@ -441,14 +422,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
                 };
                 match flag.as_str() {
                     "--spec" => spec = Some(value("--spec")?.clone()),
-                    "--threads" => {
-                        let v = value("--threads")?;
-                        let n = parse_u64("--threads", v)? as usize;
-                        if n == 0 {
-                            return Err(err("--threads must be at least 1"));
-                        }
-                        threads = Some(n);
-                    }
+                    "--threads" => threads = Some(parse_threads(it.next())?),
                     "--out" => out = Some(value("--out")?.clone()),
                     "--smoke" => smoke = true,
                     other => return Err(err(format!("unknown option '{other}'"))),
@@ -501,14 +475,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
                             .map(|s| parse_u64("--seeds", s))
                             .collect::<Result<_, _>>()?;
                     }
-                    "--threads" => {
-                        let v = it.next().ok_or_else(|| err("--threads needs a value"))?;
-                        let n = parse_u64("--threads", v)? as usize;
-                        if n == 0 {
-                            return Err(err("--threads must be at least 1"));
-                        }
-                        threads = Some(n);
-                    }
+                    "--threads" => threads = Some(parse_threads(it.next())?),
                     other => {
                         passthrough.push(other.to_string());
                         if let Some(v) = it.next() {
@@ -542,6 +509,17 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
              export-scenario, lint, bench, trace, sweep, help)"
         ))),
     }
+}
+
+/// Parses the value after `--threads` (`sweep` and `compare`): a worker
+/// count of at least 1.
+fn parse_threads(value: Option<&String>) -> Result<usize, ParseCliError> {
+    let v = value.ok_or_else(|| err("--threads needs a value"))?;
+    let n = parse_u64("--threads", v)? as usize;
+    if n == 0 {
+        return Err(err("--threads must be at least 1"));
+    }
+    Ok(n)
 }
 
 /// Parses the shared configuration flags, returning leftover flags.
@@ -684,18 +662,12 @@ mod tests {
         assert_eq!(r.config.seed, 9);
         assert_eq!(r.config.area.width(), 800.0);
         assert!(r.csv);
-        assert_eq!(r.threads, None);
     }
 
     #[test]
-    fn run_threads_parse() {
-        let Command::Run(r) = parse(&args("run --threads 8")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(r.threads, Some(8));
-        assert!(parse(&args("run --threads 0")).is_err());
-        assert!(parse(&args("run --threads many")).is_err());
-        assert!(parse(&args("run --threads")).is_err());
+    fn run_rejects_the_removed_threads_flag() {
+        let e = parse(&args("run --threads 2")).unwrap_err();
+        assert!(e.to_string().contains("unknown option '--threads'"), "{e}");
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub mod sweep {
 }
 
 pub use rcast_core::{
-    parse_scenario, run_seeds, run_seeds_parallel, run_sim, run_sim_with_width, write_scenario,
+    parse_scenario, run_seeds, run_seeds_parallel, run_sim, write_scenario,
     AggregateReport, FaultCounters, FaultEvent, FaultPlan, FaultsConfig, OdpmConfig,
     OverhearFactors, RcastDecider, RoutingKind, Scheme, SimConfig, SimReport, Simulation,
 };

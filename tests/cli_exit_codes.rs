@@ -191,3 +191,32 @@ fn sweep_smoke_succeeds_and_keeps_json_on_stdout() {
     // The human summary stays on stderr, out of the artifact stream.
     assert!(stderr(&out).contains("fig7-smoke"));
 }
+
+#[test]
+fn a_reader_closing_the_pipe_early_is_a_quiet_exit() {
+    use std::io::Read;
+    use std::process::Stdio;
+
+    // The full trace is far larger than a pipe buffer, so the binary is
+    // still writing when the reader goes away (`rcast trace | head -c 100`).
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rcast"))
+        .args(["trace", "--seed", "7", "--duration", "30"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rcast");
+    let mut head = [0u8; 100];
+    child
+        .stdout
+        .take()
+        .expect("piped stdout")
+        .read_exact(&mut head)
+        .expect("read the first bytes");
+    assert!(head.starts_with(b"{\"schema\":\"rcast-trace/v1\""));
+    // Dropping the handle above closed the read end of the pipe.
+    let out = child.wait_with_output().expect("wait for rcast");
+    let err = stderr(&out);
+    assert!(!err.contains("panicked"), "stderr: {err}");
+    // Not a panic's 101: the output the reader wanted was delivered.
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+}
