@@ -133,4 +133,22 @@ echo "==> front-end smoke: rcast compare and the fig5 per-node summary (release)
     exit 1
 }
 
+echo "==> scenario round trip: an exported scenario replays its run (release)"
+# One flag set that exercises every key the old hand-kept grammars lost:
+# Rcast factors, --broadcast-p ahead of --factors, a seed past 2^53, a
+# fault plan and a battery. `run --csv` and `scenario --csv` on the
+# `export-scenario` text must print the same bytes.
+rt_dir=$(mktemp -d)
+trap 'rm -f "$trace_out"; rm -rf "$sweep_out" "$rt_dir"' EXIT
+set -- --nodes 20 --area 800x300 --duration 20 --flows 4 \
+    --broadcast-p 0.5 --factors sender-id,mobility --seed 9007199254740993 \
+    --faults crash=0.3,downtime=10 --battery 500
+./target/release/rcast run "$@" --csv > "$rt_dir/run.csv"
+./target/release/rcast export-scenario "$@" > "$rt_dir/exported.scn"
+./target/release/rcast scenario "$rt_dir/exported.scn" --csv > "$rt_dir/replay.csv"
+cmp "$rt_dir/run.csv" "$rt_dir/replay.csv" || {
+    echo "FAIL: rcast scenario on the export-scenario text diverged from rcast run" >&2
+    exit 1
+}
+
 echo "CI gate passed."

@@ -57,7 +57,7 @@ pub use routing::{
     RouterNode, RoutingKind,
 };
 pub use rcast_mobility::Area;
-pub use scenario::{parse_scenario, write_scenario};
+pub use scenario::{parse_scenario, set_key, write_scenario};
 pub use rcast_obs::{
     render_jsonl, Event as ObsEvent, EventKind as ObsEventKind, Ledger, LedgerParams, ObsReport,
     PacketClass, TraceFilter, SERIES_COLUMNS,

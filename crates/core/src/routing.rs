@@ -29,6 +29,28 @@ impl RoutingKind {
             RoutingKind::Aodv => "AODV",
         }
     }
+
+    /// The scenario-file, CLI and sweep-artifact token (`dsr`, `aodv`);
+    /// `str::parse` reads it back.
+    pub fn token(self) -> &'static str {
+        match self {
+            RoutingKind::Dsr => "dsr",
+            RoutingKind::Aodv => "aodv",
+        }
+    }
+}
+
+/// The one routing-name parser: a [`token`](RoutingKind::token) in any
+/// letter case.
+impl std::str::FromStr for RoutingKind {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<RoutingKind, String> {
+        [RoutingKind::Dsr, RoutingKind::Aodv]
+            .into_iter()
+            .find(|r| r.token().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown routing protocol '{name}' (expected dsr, aodv)"))
+    }
 }
 
 impl std::fmt::Display for RoutingKind {

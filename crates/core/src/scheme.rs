@@ -56,6 +56,18 @@ impl Scheme {
         }
     }
 
+    /// The scenario-file and CLI token (`802.11`, `psm`, `psm-none`,
+    /// `odpm`, `rcast`); `str::parse` reads it back.
+    pub fn token(self) -> &'static str {
+        match self {
+            Scheme::Dot11 => "802.11",
+            Scheme::Psm => "psm",
+            Scheme::PsmNoOverhear => "psm-none",
+            Scheme::Odpm => "odpm",
+            Scheme::Rcast => "rcast",
+        }
+    }
+
     /// `true` when nodes use the PSM transmission path (buffered
     /// traffic, ATIM advertisement, beacon-interval delivery).
     pub fn uses_psm_path(self) -> bool {
@@ -101,6 +113,32 @@ impl Scheme {
 impl std::fmt::Display for Scheme {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// The one scheme-name parser (scenario files, CLI flags, sweep specs):
+/// a [`token`](Scheme::token) or one of the aliases `80211`, `dot11`,
+/// `always-on`, `no-overhear` and `randomcast`, in any letter case.
+impl std::str::FromStr for Scheme {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Scheme, String> {
+        const ALIASES: [(&str, Scheme); 5] = [
+            ("80211", Scheme::Dot11),
+            ("dot11", Scheme::Dot11),
+            ("always-on", Scheme::Dot11),
+            ("no-overhear", Scheme::PsmNoOverhear),
+            ("randomcast", Scheme::Rcast),
+        ];
+        Scheme::ALL
+            .iter()
+            .map(|&s| (s.token(), s))
+            .chain(ALIASES)
+            .find(|(token, _)| token.eq_ignore_ascii_case(name))
+            .map(|(_, s)| s)
+            .ok_or_else(|| {
+                format!("unknown scheme '{name}' (expected 802.11, psm, psm-none, odpm, rcast)")
+            })
     }
 }
 

@@ -7,7 +7,7 @@
 //! `--threads` width — render **byte-identical** files, so artifacts can
 //! be checked in and diffed, and CI can `cmp` them against goldens.
 
-use rcast_core::{FaultsConfig, RoutingKind, FIGURE_METRICS};
+use rcast_core::{FaultsConfig, FIGURE_METRICS};
 use rcast_metrics::CsvTable;
 
 use crate::run::SweepReport;
@@ -67,13 +67,6 @@ fn fault_label(f: &FaultsConfig) -> String {
     }
 }
 
-fn routing_label(r: RoutingKind) -> &'static str {
-    match r {
-        RoutingKind::Dsr => "dsr",
-        RoutingKind::Aodv => "aodv",
-    }
-}
-
 /// Renders the `rcast-sweep/v1` JSON document. See the
 /// [module docs](self) for the stability contract.
 pub fn to_json(report: &SweepReport) -> String {
@@ -104,7 +97,7 @@ pub fn to_json(report: &SweepReport) -> String {
     s.push_str(&format!(
         "  \"base\": {{\"routing\": \"{}\", \"duration_s\": {}, \"flows\": {}, \
 \"packet_bytes\": {}, \"area_m\": [{}, {}]}},\n",
-        routing_label(spec.base.routing),
+        spec.base.routing.token(),
         num(spec.base.duration.as_secs_f64()),
         spec.base.traffic.flows,
         spec.base.traffic.packet_bytes,

@@ -45,4 +45,4 @@ mod spec;
 
 pub use artifact::{human_summary, to_csv, to_json};
 pub use run::{run_spec, CellSummary, SweepReport};
-pub use spec::{parse_spec, preset, Pairing, SweepCell, SweepSpec, PRESETS};
+pub use spec::{parse_spec, preset, Pairing, SweepCell, SweepSpec, AXIS_KEYS, PRESETS};

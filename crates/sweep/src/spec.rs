@@ -281,8 +281,10 @@ impl SweepSpec {
 }
 
 /// The spec-file keys that sweep an axis — and therefore ban their
-/// singular scenario-file counterparts from the base section.
-const AXIS_KEYS: [(&str, &str); 6] = [
+/// singular scenario-file counterparts from the base section — as
+/// `(singular, plural)` pairs. `rcast compare` applies the same rule
+/// to its `--schemes`/`--rates`/`--seeds` flags.
+pub const AXIS_KEYS: [(&str, &str); 6] = [
     ("scheme", "schemes"),
     ("rate", "rates"),
     ("pause", "pauses"),
@@ -309,7 +311,8 @@ const AXIS_KEYS: [(&str, &str); 6] = [
 /// fault-plan crash=0.3,downtime=20
 /// pairing common
 /// per-node false
-/// duration 1125        # base line: handed to the scenario parser
+/// # base lines: handed to the scenario parser
+/// duration 1125
 /// flows 20
 /// ```
 ///
@@ -355,7 +358,7 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, String> {
             "schemes" => {
                 spec.schemes = list("schemes")?
                     .into_iter()
-                    .map(parse_scheme_name)
+                    .map(str::parse)
                     .collect::<Result<_, _>>()
                     .map_err(at)?;
             }
@@ -475,19 +478,6 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, String> {
     // it, keeping parsed specs canonical.
     spec.base.seed = 0;
     spec.normalized()
-}
-
-fn parse_scheme_name(s: &str) -> Result<Scheme, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "802.11" | "80211" | "dot11" | "always-on" => Ok(Scheme::Dot11),
-        "psm" => Ok(Scheme::Psm),
-        "psm-none" | "no-overhear" => Ok(Scheme::PsmNoOverhear),
-        "odpm" => Ok(Scheme::Odpm),
-        "rcast" | "randomcast" => Ok(Scheme::Rcast),
-        other => Err(format!(
-            "unknown scheme '{other}' (expected 802.11, psm, psm-none, odpm, rcast)"
-        )),
-    }
 }
 
 /// A built-in figure preset, or `None` for an unknown name.

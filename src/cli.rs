@@ -14,10 +14,8 @@
 
 use std::fmt;
 
-use crate::core::{OverhearFactors, RoutingKind, Scheme, SimConfig};
-use crate::engine::SimDuration;
-use crate::mobility::Area;
-use crate::sweep::{Pairing, SweepSpec};
+use crate::core::{set_key, Scheme, SimConfig};
+use crate::sweep::{Pairing, SweepSpec, AXIS_KEYS};
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,31 +157,6 @@ impl std::error::Error for ParseCliError {}
 
 fn err(msg: impl Into<String>) -> ParseCliError {
     ParseCliError(msg.into())
-}
-
-/// Parses a scheme name as printed by the paper.
-pub fn parse_scheme(s: &str) -> Result<Scheme, ParseCliError> {
-    match s.to_ascii_lowercase().as_str() {
-        "802.11" | "80211" | "dot11" | "always-on" => Ok(Scheme::Dot11),
-        "psm" => Ok(Scheme::Psm),
-        "psm-none" | "no-overhear" => Ok(Scheme::PsmNoOverhear),
-        "odpm" => Ok(Scheme::Odpm),
-        "rcast" | "randomcast" => Ok(Scheme::Rcast),
-        other => Err(err(format!(
-            "unknown scheme '{other}' (expected 802.11, psm, psm-none, odpm, rcast)"
-        ))),
-    }
-}
-
-/// Parses a routing protocol name.
-pub fn parse_routing(s: &str) -> Result<RoutingKind, ParseCliError> {
-    match s.to_ascii_lowercase().as_str() {
-        "dsr" => Ok(RoutingKind::Dsr),
-        "aodv" => Ok(RoutingKind::Aodv),
-        other => Err(err(format!(
-            "unknown routing protocol '{other}' (expected dsr, aodv)"
-        ))),
-    }
 }
 
 fn parse_f64(flag: &str, v: &str) -> Result<f64, ParseCliError> {
@@ -454,29 +427,17 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
             let mut it = rest.iter();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--schemes" => {
-                        let v = it.next().ok_or_else(|| err("--schemes needs a value"))?;
-                        schemes = v
-                            .split(',')
-                            .map(parse_scheme)
-                            .collect::<Result<_, _>>()?;
-                    }
-                    "--rates" => {
-                        let v = it.next().ok_or_else(|| err("--rates needs a value"))?;
-                        rates = v
-                            .split(',')
-                            .map(|r| parse_f64("--rates", r))
-                            .collect::<Result<_, _>>()?;
-                    }
-                    "--seeds" => {
-                        let v = it.next().ok_or_else(|| err("--seeds needs a value"))?;
-                        seeds = v
-                            .split(',')
-                            .map(|s| parse_u64("--seeds", s))
-                            .collect::<Result<_, _>>()?;
-                    }
+                    "--schemes" => schemes = list(flag, it.next(), |s| s.parse().map_err(err))?,
+                    "--rates" => rates = list(flag, it.next(), |r| parse_f64(flag, r))?,
+                    "--seeds" => seeds = list(flag, it.next(), |s| parse_u64(flag, s))?,
                     "--threads" => threads = Some(parse_threads(it.next())?),
                     other => {
+                        // A singular flag for one of the axes above would
+                        // only set the base, which every cell overwrites.
+                        let axis = AXIS_KEYS.iter().find(|(s, _)| Some(*s) == other.strip_prefix("--"));
+                        if let Some((_, plural)) = axis.filter(|(_, p)| COMPARE_AXES.contains(p)) {
+                            return Err(err(format!("'{other}' is an axis here — use '--{plural}'")));
+                        }
                         passthrough.push(other.to_string());
                         if let Some(v) = it.next() {
                             passthrough.push(v.clone());
@@ -511,6 +472,16 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
     }
 }
 
+/// Parses the comma list after `flag`, each item with `parse`.
+fn list<T>(
+    flag: &str,
+    value: Option<&String>,
+    parse: impl Fn(&str) -> Result<T, ParseCliError>,
+) -> Result<Vec<T>, ParseCliError> {
+    let v = value.ok_or_else(|| err(format!("{flag} needs a value")))?;
+    v.split(',').map(parse).collect()
+}
+
 /// Parses the value after `--threads` (`sweep` and `compare`): a worker
 /// count of at least 1.
 fn parse_threads(value: Option<&String>) -> Result<usize, ParseCliError> {
@@ -522,70 +493,31 @@ fn parse_threads(value: Option<&String>) -> Result<usize, ParseCliError> {
     Ok(n)
 }
 
+/// The scenario keys the shared configuration flags set: `--broadcast-p`
+/// sets `broadcast_p`. The key table in `rcast_core`'s scenario module
+/// reads every value.
+const CONFIG_KEYS: [&str; 13] = [
+    "scheme", "routing", "nodes", "area", "rate", "flows", "pause", "duration", "seed", "battery",
+    "faults", "broadcast_p", "factors",
+];
+
+/// The axes `rcast compare` sweeps with its own list flags; their
+/// singulars ([`AXIS_KEYS`]) are rejected there.
+const COMPARE_AXES: [&str; 3] = ["schemes", "rates", "seeds"];
+
 /// Parses the shared configuration flags, returning leftover flags.
 fn parse_config(args: &[String]) -> Result<(SimConfig, Vec<String>), ParseCliError> {
     let mut cfg = SimConfig::paper(Scheme::Rcast, 1, 0.4, 600.0);
     let mut extras = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, ParseCliError> {
-            it.next().ok_or_else(|| err(format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--scheme" => cfg.scheme = parse_scheme(value("--scheme")?)?,
-            "--routing" => cfg.routing = parse_routing(value("--routing")?)?,
-            "--nodes" => cfg.nodes = parse_u64("--nodes", value("--nodes")?)? as u32,
-            "--area" => {
-                let v = value("--area")?;
-                let (w, h) = v
-                    .split_once(['x', 'X'])
-                    .ok_or_else(|| err(format!("--area expects WxH, got '{v}'")))?;
-                cfg.area = Area::new(parse_f64("--area", w)?, parse_f64("--area", h)?);
+        let flag_of = |key: &&str| format!("--{}", key.replace('_', "-"));
+        match CONFIG_KEYS.iter().find(|key| flag_of(key) == *flag) {
+            Some(key) => {
+                let v = it.next().ok_or_else(|| err(format!("{flag} needs a value")))?;
+                set_key(&mut cfg, key, v).map_err(|e| err(format!("{flag}: {e}")))?;
             }
-            "--rate" => cfg.traffic.rate_pps = parse_f64("--rate", value("--rate")?)?,
-            "--flows" => {
-                cfg.traffic.flows = parse_u64("--flows", value("--flows")?)? as u32
-            }
-            "--pause" => {
-                cfg.waypoint.pause_secs = parse_f64("--pause", value("--pause")?)?
-            }
-            "--duration" => {
-                cfg.duration =
-                    SimDuration::from_secs_f64(parse_f64("--duration", value("--duration")?)?)
-            }
-            "--seed" => cfg.seed = parse_u64("--seed", value("--seed")?)?,
-            "--battery" => {
-                cfg.battery_capacity_j =
-                    Some(parse_f64("--battery", value("--battery")?)?)
-            }
-            "--faults" => {
-                cfg.faults = crate::core::FaultsConfig::parse_spec(value("--faults")?)
-                    .map_err(err)?
-            }
-            "--broadcast-p" => {
-                cfg.factors.broadcast_probability =
-                    parse_f64("--broadcast-p", value("--broadcast-p")?)?
-            }
-            "--factors" => {
-                let v = value("--factors")?;
-                let mut f = OverhearFactors {
-                    neighbors: false,
-                    ..OverhearFactors::default()
-                };
-                for part in v.split(',') {
-                    match part {
-                        "neighbors" => f.neighbors = true,
-                        "sender-id" => f.sender_id = true,
-                        "mobility" => f.mobility = true,
-                        "battery" => f.battery = true,
-                        other => {
-                            return Err(err(format!("unknown factor '{other}'")))
-                        }
-                    }
-                }
-                cfg.factors = f;
-            }
-            other => extras.push(other.to_string()),
+            None => extras.push(flag.clone()),
         }
     }
     cfg.validate().map_err(err)?;
@@ -622,6 +554,8 @@ energy_j,variance,pdr,delay_ms,overhead,epb_j_per_bit,first_depletion_s";
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::RoutingKind;
+    use crate::engine::SimDuration;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -672,6 +606,8 @@ mod tests {
 
     #[test]
     fn scheme_names_paper_style() {
+        // The shared parser (`str::parse`) behind every scheme flag.
+        let parse_scheme = str::parse::<Scheme>;
         assert_eq!(parse_scheme("802.11").unwrap(), Scheme::Dot11);
         assert_eq!(parse_scheme("PSM").unwrap(), Scheme::Psm);
         assert_eq!(parse_scheme("psm-none").unwrap(), Scheme::PsmNoOverhear);
@@ -758,6 +694,26 @@ mod tests {
         assert_eq!(c.spec.schemes, vec![Scheme::Dot11, Scheme::Rcast]);
         assert_eq!(c.spec.pauses, vec![30.0]);
         assert_eq!(c.spec.seeds, vec![1, 2, 3], "default seeds");
+    }
+
+    #[test]
+    fn compare_rejects_singular_axis_flags_with_a_pointer() {
+        for (flag, plural) in [
+            ("--scheme odpm", "--schemes"),
+            ("--rate 2.0", "--rates"),
+            ("--seed 9", "--seeds"),
+        ] {
+            let e = parse(&args(&format!("compare --rates 0.4 --seeds 1 {flag}"))).unwrap_err();
+            assert!(e.to_string().contains(plural), "{flag}: {e}");
+        }
+        // Single-valued axes still come from the base flags.
+        let Command::Compare(c) =
+            parse(&args("compare --pause 30 --nodes 20 --faults crash=0.1")).unwrap()
+        else {
+            panic!("expected compare");
+        };
+        assert_eq!(c.spec.pauses, vec![30.0]);
+        assert_eq!(c.spec.nodes, vec![20]);
     }
 
     #[test]
@@ -967,6 +923,73 @@ mod tests {
         assert!(parse(&args("run --bogus 1")).is_err());
         // Validation runs too: one node is rejected.
         assert!(parse(&args("run --nodes 1")).is_err());
+    }
+
+    #[test]
+    fn broadcast_p_survives_factors_in_either_order() {
+        for line in [
+            "run --broadcast-p 0.5 --factors sender-id",
+            "run --factors sender-id --broadcast-p 0.5",
+        ] {
+            let Command::Run(r) = parse(&args(line)).unwrap() else { panic!() };
+            assert_eq!(r.config.factors.broadcast_probability, 0.5, "{line}");
+            assert!(r.config.factors.sender_id && !r.config.factors.neighbors, "{line}");
+        }
+        // Flags spell keys with '-': there is no '_' alias.
+        assert!(parse(&args("run --broadcast_p 0.5")).is_err());
+    }
+
+    /// Every numeric scenario key × hostile values, through the CLI flag
+    /// (where one exists) and through scenario text: never a panic,
+    /// always an `Err` except where the value fits the field (1e30 or
+    /// 2.7 for a float field, left to validation).
+    #[test]
+    fn hostile_numbers_are_errors_through_flags_and_scenario_text() {
+        // (key, flag, integer field, duration field)
+        let keys = [
+            ("nodes", Some("--nodes"), true, false),
+            ("area", Some("--area"), false, false),
+            ("range", None, false, false),
+            ("data_rate", None, false, false),
+            ("duration", Some("--duration"), false, true),
+            ("seed", Some("--seed"), true, false),
+            ("beacon_interval_ms", None, false, true),
+            ("atim_window_ms", None, false, true),
+            ("flows", Some("--flows"), true, false),
+            ("rate", Some("--rate"), false, false),
+            ("packet_bytes", None, true, false),
+            ("pause", Some("--pause"), false, false),
+            ("max_speed", None, false, false),
+            ("broadcast_p", Some("--broadcast-p"), false, false),
+            ("battery", Some("--battery"), false, false),
+        ];
+        for (key, flag, integer, duration) in keys {
+            for bad in ["NaN", "inf", "-1", "1e30", "2.7"] {
+                let must_fail = match bad {
+                    "1e30" => integer || duration,
+                    "2.7" => integer,
+                    _ => true,
+                };
+                let (text, cli) = if key == "area" {
+                    (format!("area {bad} 300\n"), format!("{bad}x300"))
+                } else {
+                    (format!("{key} {bad}\n"), bad.to_string())
+                };
+                let scenario = crate::core::parse_scenario(&text);
+                if let Err(e) = &scenario {
+                    assert!(e.starts_with("line 1"), "{text:?}: {e}");
+                }
+                assert!(!must_fail || scenario.is_err(), "{text:?} parsed");
+                if let Some(flag) = flag {
+                    let argv = vec!["run".to_string(), flag.to_string(), cli.clone()];
+                    let parsed = parse(&argv);
+                    assert!(!must_fail || parsed.is_err(), "{flag} {cli} parsed");
+                }
+            }
+        }
+        // Out of range for the field's type, before anything allocates.
+        assert!(parse(&args("run --nodes 5000000000")).is_err());
+        assert!(parse(&args("run --area 0x300")).is_err());
     }
 
     #[test]

@@ -220,3 +220,55 @@ fn a_reader_closing_the_pipe_early_is_a_quiet_exit() {
     // Not a panic's 101: the output the reader wanted was delivered.
     assert_eq!(out.status.code(), Some(0), "stderr: {err}");
 }
+
+#[test]
+fn malformed_config_values_fail_with_one_error_line_not_a_panic() {
+    let dir = std::env::temp_dir().join("rcast-cli-exit-codes").join("values");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let mut cases: Vec<Vec<String>> = [
+        &["run", "--duration", "inf"][..],
+        &["run", "--duration", "-1"][..],
+        &["run", "--area", "0x300"][..],
+        &["run", "--nodes", "5000000000"][..],
+        &["export-scenario", "--seed", "1.5"][..],
+    ]
+    .iter()
+    .map(|a| a.iter().map(|s| s.to_string()).collect())
+    .collect();
+    for (i, line) in [
+        "duration NaN",
+        "beacon_interval_ms -5",
+        "atim_window_ms inf",
+        "area 1500 inf",
+        "nodes 2.7",
+        "packet_bytes 1e30",
+        "duration 1e30",
+    ]
+    .iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("bad{i}.scn"));
+        std::fs::write(&path, format!("{line}\n")).expect("write scenario");
+        let path = path.to_str().expect("utf-8 path").to_string();
+        cases.push(vec!["scenario".into(), path.clone()]);
+        // Spec base lines go through the same scenario keys.
+        let spec = dir.join(format!("bad{i}.sweep"));
+        std::fs::write(&spec, format!("{line}\n")).expect("write spec");
+        cases.push(vec!["sweep".into(), "--spec".into(), spec.to_str().expect("utf-8").into()]);
+    }
+    for args in &cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_rcast"))
+            .args(args)
+            .output()
+            .expect("spawn rcast");
+        let err = stderr(&out);
+        assert!(!out.status.success(), "{args:?} unexpectedly succeeded");
+        assert_ne!(out.status.code(), Some(101), "{args:?} panicked: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(
+            err.lines().filter(|l| l.starts_with("error")).count(),
+            1,
+            "{args:?}: {err}"
+        );
+    }
+}
