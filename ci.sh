@@ -119,10 +119,12 @@ for ext in json csv; do
     }
 done
 
-echo "==> front-end smoke: rcast compare and the fig5 per-node summary (release)"
+echo "==> front-end smoke: rcast compare, the fig5 per-node summary and the aodv-comparison variants (release)"
 # `rcast compare` builds an inline sweep spec and prints the sweep
 # engine's human summary; `sweep --spec fig5 --smoke` is the path that
-# also prints each cell's sampled per-node energy curve.
+# also prints each cell's sampled per-node energy curve and role
+# numbers; `sweep --spec aodv-comparison --smoke` runs the variant axis
+# and the optional metric columns, whose CSV header must carry them.
 ./target/release/rcast compare --nodes 20 --area 800x300 --duration 20 \
     --flows 4 --rates 0.4 --seeds 1 > /dev/null || {
     echo "FAIL: rcast compare smoke exited non-zero" >&2
@@ -130,6 +132,15 @@ echo "==> front-end smoke: rcast compare and the fig5 per-node summary (release)
 }
 ./target/release/rcast sweep --spec fig5 --smoke > /dev/null || {
     echo "FAIL: rcast sweep --spec fig5 --smoke exited non-zero" >&2
+    exit 1
+}
+./target/release/rcast sweep --spec aodv-comparison --smoke \
+    --out "$sweep_out" 2> /dev/null || {
+    echo "FAIL: rcast sweep --spec aodv-comparison --smoke exited non-zero" >&2
+    exit 1
+}
+head -1 "$sweep_out/aodv-comparison-smoke.csv" | grep -q ',rreq_share_mean,' || {
+    echo "FAIL: aodv-comparison CSV header lacks rreq_share_mean" >&2
     exit 1
 }
 

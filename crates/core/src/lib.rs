@@ -51,7 +51,7 @@ pub use config::SimConfig;
 pub use faults::{FaultCounters, FaultEvent, FaultPlan, FaultsConfig};
 pub use odpm::{OdpmConfig, OdpmState};
 pub use overhearing::{OverhearFactors, RcastDecider};
-pub use report::{AggregateReport, SimReport, FIGURE_METRICS};
+pub use report::{AggregateReport, RunMetric, SimReport, FIGURE_METRICS, RUN_METRICS};
 pub use routing::{
     DataInfo, NetPacket, PacketArena, PacketHandle, PacketHeader, PacketKind, RouteAction,
     RouterNode, RoutingKind,

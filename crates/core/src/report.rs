@@ -23,6 +23,34 @@ pub const FIGURE_METRICS: [&str; 6] = [
     "epb_j_per_bit",
 ];
 
+/// One optional per-run metric column: its name and how it reads a run.
+pub type RunMetric = (&'static str, fn(&SimReport) -> f64);
+
+/// The optional per-run metric columns, each with how it reads a run.
+/// A sweep spec's `metrics` line adds any of them after
+/// [`FIGURE_METRICS`]:
+///
+/// * `rreq_tx` — route-request transmissions, originated plus
+///   forwarded, DSR and AODV together;
+/// * `rreq_share` — `rreq_tx` over all routing control transmissions
+///   (`0` when there were none);
+/// * `hellos` — AODV hello beacons sent;
+/// * `first_depletion_s` — when the first battery ran out, or the run's
+///   duration when none did (a lifetime censored at the run's end);
+/// * `depleted` — `1` when a battery ran out, else `0`.
+pub const RUN_METRICS: [RunMetric; 5] = [
+    ("rreq_tx", |r| r.rreq_transmissions() as f64),
+    ("rreq_share", |r| match r.delivery.control_transmissions() {
+        0 => 0.0,
+        control => r.rreq_transmissions() as f64 / control as f64,
+    }),
+    ("hellos", |r| r.aodv.hello_sent as f64),
+    ("first_depletion_s", |r| {
+        r.first_depletion.map_or(r.duration.as_secs_f64(), |t| t.as_secs_f64())
+    }),
+    ("depleted", |r| if r.first_depletion.is_some() { 1.0 } else { 0.0 }),
+];
+
 /// Everything measured over one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -61,15 +89,23 @@ impl SimReport {
         self.energy.energy_per_bit(bits)
     }
 
+    /// Route-request transmissions, originated plus forwarded, under
+    /// either routing protocol.
+    pub fn rreq_transmissions(&self) -> u64 {
+        self.dsr.rreq_originated
+            + self.dsr.rreq_forwarded
+            + self.aodv.rreq_originated
+            + self.aodv.rreq_forwarded
+    }
+
     /// The six scalar figure metrics of one run, in the paper's
     /// artifact order: total energy (J), per-node energy variance,
     /// delivery ratio, mean delay (s), normalized routing overhead,
     /// and energy per delivered bit (J/bit, clamped to `0` when
     /// nothing was delivered so means stay finite).
     ///
-    /// [`AggregateReport::from_runs`] and the sweep engine's per-cell
-    /// sampling both read runs through this accessor, so a scalar added
-    /// here flows into every artifact.
+    /// The sweep engine's per-cell sampling reads runs through this
+    /// accessor, so a scalar added here flows into every artifact.
     pub fn figure_metrics(&self, packet_bytes: usize) -> [f64; FIGURE_METRICS.len()] {
         let epb = self.energy_per_bit(packet_bytes);
         [
@@ -96,29 +132,18 @@ impl SimReport {
     }
 }
 
-/// Seed-averaged results for one `(scheme, parameter point)`.
+/// Seed-aggregated per-node results for one `(scheme, parameter point)`.
 ///
-/// The paper repeats each scenario ten times; this aggregates the same
-/// way — arithmetic means over runs for scalars, and per-node means for
-/// the energy vector (so Fig. 5's sorted curve is an average curve).
+/// The paper repeats each scenario ten times; this aggregates the
+/// per-node vectors over the runs: means for energy (so Fig. 5's sorted
+/// curve is an average curve) and sums for role numbers (Fig. 9). The
+/// scalar metrics are reduced per sweep cell (`rcast_sweep::run_spec`).
 #[derive(Debug, Clone)]
 pub struct AggregateReport {
     /// The scheme aggregated.
     pub scheme: Scheme,
     /// Runs aggregated.
     pub runs: usize,
-    /// Mean network-wide energy, joules.
-    pub mean_total_energy_j: f64,
-    /// Mean per-node energy variance (Fig. 6).
-    pub mean_energy_variance: f64,
-    /// Mean packet delivery ratio.
-    pub mean_pdr: f64,
-    /// Mean end-to-end delay, seconds.
-    pub mean_delay_s: f64,
-    /// Mean normalized routing overhead.
-    pub mean_overhead: f64,
-    /// Mean energy per delivered bit, J/bit.
-    pub mean_epb: f64,
     /// Seed-averaged per-node energy, indexed by node id.
     pub mean_per_node_energy_j: Vec<f64>,
     /// Summed role numbers across runs, indexed by node id.
@@ -131,7 +156,7 @@ impl AggregateReport {
     /// # Panics
     ///
     /// Panics if `reports` is empty, mixes schemes, or mixes node counts.
-    pub fn from_runs(reports: &[SimReport], packet_bytes: usize) -> Self {
+    pub fn from_runs(reports: &[SimReport]) -> Self {
         assert!(!reports.is_empty(), "no runs to aggregate");
         let scheme = reports[0].scheme;
         let n_nodes = reports[0].energy.len();
@@ -148,16 +173,7 @@ impl AggregateReport {
 
         let mut per_node = vec![0.0; n_nodes];
         let mut roles = RoleNumbers::new(n_nodes);
-        let (mut energy, mut var, mut pdr, mut delay, mut overhead, mut epb) =
-            (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
         for r in reports {
-            let [e, v, p, d, o, b] = r.figure_metrics(packet_bytes);
-            energy += e;
-            var += v;
-            pdr += p;
-            delay += d;
-            overhead += o;
-            epb += b;
             for (acc, &j) in per_node.iter_mut().zip(r.energy.per_node_joules()) {
                 *acc += j / k;
             }
@@ -166,12 +182,6 @@ impl AggregateReport {
         AggregateReport {
             scheme,
             runs,
-            mean_total_energy_j: energy / k,
-            mean_energy_variance: var / k,
-            mean_pdr: pdr / k,
-            mean_delay_s: delay / k,
-            mean_overhead: overhead / k,
-            mean_epb: epb / k,
             mean_per_node_energy_j: per_node,
             roles,
         }
@@ -200,14 +210,19 @@ impl AggregateReport {
             return Err("no seeds to aggregate".to_string());
         }
         let reports = run_seeds_parallel(cfg, seeds.iter().copied(), threads)?;
-        Ok(Self::from_runs(&reports, cfg.traffic.packet_bytes))
+        Ok(Self::from_runs(&reports))
     }
 
-    /// Per-node mean energy sorted ascending — Fig. 5's curve.
-    pub fn sorted_per_node_energy(&self) -> Vec<f64> {
-        let mut v = self.mean_per_node_energy_j.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite energies"));
-        v
+    /// Per-node mean energy sorted ascending — Fig. 5's curve — and
+    /// each of those nodes' summed role numbers in the same order, so
+    /// the two read as Fig. 9's (role, energy) scatter. Ties keep node
+    /// order.
+    pub fn per_node_by_energy(&self) -> (Vec<f64>, Vec<u64>) {
+        let energy = &self.mean_per_node_energy_j;
+        let mut order: Vec<usize> = (0..energy.len()).collect();
+        order.sort_by(|&a, &b| energy[a].partial_cmp(&energy[b]).expect("finite energies"));
+        let roles = self.roles.all();
+        order.iter().map(|&i| (energy[i], roles[i])).unzip()
     }
 }
 
@@ -277,16 +292,13 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_means_scalars_and_vectors() {
+    fn aggregation_means_per_node_vectors() {
         let a = report(Scheme::Rcast, 0, vec![10.0, 20.0], 4);
         let b = report(Scheme::Rcast, 1, vec![30.0, 40.0], 2);
-        let agg = AggregateReport::from_runs(&[a, b], 512);
+        let agg = AggregateReport::from_runs(&[a, b]);
         assert_eq!(agg.runs, 2);
-        assert!((agg.mean_total_energy_j - 50.0).abs() < 1e-12);
         assert_eq!(agg.mean_per_node_energy_j, vec![20.0, 30.0]);
-        assert_eq!(agg.sorted_per_node_energy(), vec![20.0, 30.0]);
-        // PDRs: 4/5 and 2/3 → mean ≈ 0.7333.
-        assert!((agg.mean_pdr - (0.8 + 2.0 / 3.0) / 2.0).abs() < 1e-12);
+        assert_eq!(agg.per_node_by_energy(), (vec![20.0, 30.0], vec![0, 0]));
     }
 
     #[test]
@@ -294,12 +306,12 @@ mod tests {
     fn mixed_schemes_panic() {
         let a = report(Scheme::Rcast, 0, vec![1.0], 1);
         let b = report(Scheme::Odpm, 0, vec![1.0], 1);
-        let _ = AggregateReport::from_runs(&[a, b], 512);
+        let _ = AggregateReport::from_runs(&[a, b]);
     }
 
     #[test]
     #[should_panic]
     fn empty_aggregation_panics() {
-        let _ = AggregateReport::from_runs(&[], 512);
+        let _ = AggregateReport::from_runs(&[]);
     }
 }

@@ -35,11 +35,15 @@
 //! | `broadcast_p` | Rcast broadcast receive probability | `1` |
 //! | `battery` | joules per node | unlimited |
 //! | `obs` | `true` / `false` | `false` |
-//! | `faults` | a `--faults` spec (`crash=0.3,downtime=10`) | none |
+//! | `faults` | a `--faults` spec (`crash=0.3,downtime=10`) or `none` | none |
+//! | `cache_capacity` | DSR route-cache entries (paths or links) | `64` |
+//! | `cache_timeout` | DSR route-cache entry lifetime, seconds | none |
+//! | `cache_strategy` | `path`, `link` | `path` |
+//! | `odpm_rrep_timeout_ms`, `odpm_data_timeout_ms` | ODPM keep-alives, milliseconds | `5000`, `2000` |
 //!
 //! `factors` sets only the four factor switches, never `broadcast_p`.
-//! `factors`, `battery`, `obs` and `faults` print nothing at their
-//! default. Values are checked before they reach a field: numbers must
+//! `factors`, `battery`, `obs`, `faults` and the five cache and ODPM
+//! keys print nothing at their default. Values are checked before they reach a field: numbers must
 //! be finite and non-negative, integer keys take integers that fit
 //! their field (`2.7` and `1e30` are errors, not casts), and durations
 //! must fit the nanosecond clock, which they keep exactly. Unlisted
@@ -54,8 +58,11 @@ use std::str::FromStr;
 use rcast_engine::SimDuration;
 use rcast_mobility::Area;
 
+use rcast_dsr::{CacheConfig, CacheStrategy};
+
 use crate::config::SimConfig;
 use crate::faults::FaultsConfig;
+use crate::odpm::OdpmConfig;
 use crate::overhearing::OverhearFactors;
 use crate::scheme::Scheme;
 
@@ -93,8 +100,12 @@ const MILLI: u64 = 1_000_000;
 /// The Rcast decision factors, in the order `factors` prints them.
 const FACTORS: [&str; 4] = ["neighbors", "sender-id", "mobility", "battery"];
 
+/// The route-cache strategies, by their `cache_strategy` names.
+const STRATEGIES: [(&str, CacheStrategy); 2] =
+    [("path", CacheStrategy::Path), ("link", CacheStrategy::Link)];
+
 /// Every scenario key, in the order [`write_scenario`] prints them.
-const KEYS: [Key; 20] = [
+const KEYS: [Key; 25] = [
     key!("scheme", |c, v| scheme = one(v)?.parse()?, Some(c.scheme.token().into())),
     key!("routing", |c, v| routing = one(v)?.parse()?, Some(c.routing.token().into())),
     key!("nodes", nodes, integer),
@@ -121,9 +132,37 @@ const KEYS: [Key; 20] = [
     // Scripted faults have no spec syntax and are deliberately not
     // serialized: scenario files capture sweepable experiments, not
     // hand-placed test fixtures.
-    key!("faults", |c, v| faults = FaultsConfig::parse_spec(one(v)?)?,
+    key!("faults", |c, v| faults = match one(v)? {
+            "none" => FaultsConfig::default(),
+            spec => FaultsConfig::parse_spec(spec)?,
+        },
         (c.faults != FaultsConfig::default()).then(|| c.faults.spec_string()).flatten()),
+    key!("cache_capacity", |c, v| dsr.cache.capacity = integer(v)?,
+        changed(c.dsr.cache.capacity, CacheConfig::default().capacity, |n| n.to_string())),
+    key!("cache_timeout", |c, v| dsr.cache.timeout = Some(span(v, SECOND)?),
+        c.dsr.cache.timeout.map(|t| print_span(t, SECOND))),
+    key!("cache_strategy", |c, v| dsr.cache.strategy = strategy(v)?,
+        changed(c.dsr.cache.strategy, CacheStrategy::default(), |s| {
+            STRATEGIES.iter().find(|(_, k)| *k == s).map_or("", |(name, _)| name).into()
+        })),
+    key!("odpm_rrep_timeout_ms", |c, v| odpm.rrep_timeout = span(v, MILLI)?,
+        changed(c.odpm.rrep_timeout, OdpmConfig::default().rrep_timeout, |t| print_span(t, MILLI))),
+    key!("odpm_data_timeout_ms", |c, v| odpm.data_timeout = span(v, MILLI)?,
+        changed(c.odpm.data_timeout, OdpmConfig::default().data_timeout, |t| print_span(t, MILLI))),
 ];
+
+/// `print(value)`, or `None` when the value is `default`.
+fn changed<T: PartialEq>(value: T, default: T, print: impl FnOnce(T) -> String) -> Option<String> {
+    (value != default).then(|| print(value))
+}
+
+/// A `cache_strategy` name.
+fn strategy(v: &str) -> Result<CacheStrategy, String> {
+    let name = one(v)?;
+    STRATEGIES.iter().find(|(n, _)| *n == name).map(|&(_, s)| s).ok_or_else(|| {
+        format!("expects path or link, got '{name}'")
+    })
+}
 
 /// The value as exactly one token.
 fn one(v: &str) -> Result<&str, String> {
@@ -384,6 +423,29 @@ mod tests {
         assert_eq!(span("1e3", SECOND), Ok(SimDuration::from_secs(1000)));
         assert!(span("18446744073.709551616", SECOND).is_err(), "one past u64");
         assert!(span("1e30", SECOND).is_err());
+    }
+
+    #[test]
+    fn cache_and_odpm_keys_round_trip_and_print_nothing_at_default() {
+        let clean = write_scenario(&SimConfig::paper(Scheme::Odpm, 1, 0.4, 600.0));
+        assert!(!clean.contains("cache_") && !clean.contains("odpm_"), "{clean}");
+        let cfg = parse_scenario(
+            "cache_capacity 128\ncache_timeout 30\ncache_strategy link\n\
+             odpm_rrep_timeout_ms 1000\nodpm_data_timeout_ms 500.5\n",
+        )
+        .unwrap();
+        assert_eq!(cfg.dsr.cache.capacity, 128);
+        assert_eq!(cfg.dsr.cache.timeout, Some(SimDuration::from_secs(30)));
+        assert_eq!(cfg.dsr.cache.strategy, CacheStrategy::Link);
+        assert_eq!(cfg.odpm.rrep_timeout, SimDuration::from_secs(1));
+        assert_eq!(cfg.odpm.data_timeout, SimDuration::from_micros(500_500));
+        let text = write_scenario(&cfg);
+        assert!(text.contains("cache_strategy link\nodpm_rrep_timeout_ms 1000\n"), "{text}");
+        assert_eq!(parse_scenario(&text).unwrap(), cfg);
+        assert!(parse_scenario("cache_strategy tree\n").is_err());
+        assert!(parse_scenario("cache_capacity 0\n").is_err(), "validation runs");
+        let healed = parse_scenario("faults crash=0.3\nfaults none\n").unwrap();
+        assert_eq!(healed.faults, FaultsConfig::default());
     }
 
     #[test]

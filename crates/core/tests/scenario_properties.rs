@@ -4,8 +4,8 @@
 //!
 //! * `write_scenario` → `parse_scenario` is the **identity** — seeds
 //!   past 2^53, nanosecond durations, non-default Rcast factors next to
-//!   a `broadcast_p` below 1, fault plans, batteries and the ledger
-//!   switch all survive;
+//!   a `broadcast_p` below 1, fault plans, batteries, the ledger
+//!   switch and the route-cache and ODPM timeout keys all survive;
 //! * mutated exports (truncated, tokens swapped, values replaced by
 //!   NaN, inf, −1, 0, 1e30, 2.7 or a zero-sided area, values dropped)
 //!   never panic, and every error names its line.
@@ -15,6 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use rcast_core::{
     parse_scenario, write_scenario, Area, FaultsConfig, RoutingKind, Scheme, SimConfig,
 };
+use rcast_dsr::CacheStrategy;
 use rcast_engine::SimDuration;
 use rcast_testkit::{prop_assert, prop_assert_eq, Check, Gen};
 
@@ -59,6 +60,11 @@ fn arb_config(g: &mut Gen) -> SimConfig {
             script: Vec::new(),
         };
     }
+    c.dsr.cache.capacity = g.usize_range(1, 1 << 20);
+    c.dsr.cache.timeout = g.bool().then(|| SimDuration::from_nanos(g.u64_range(0, u64::MAX)));
+    c.dsr.cache.strategy = if g.bool() { CacheStrategy::Link } else { CacheStrategy::Path };
+    c.odpm.rrep_timeout = SimDuration::from_nanos(g.u64_range(0, u64::MAX));
+    c.odpm.data_timeout = SimDuration::from_nanos(g.u64_range(0, u64::MAX));
     c
 }
 

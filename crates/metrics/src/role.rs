@@ -64,11 +64,6 @@ impl RoleNumbers {
         self.counts.iter().copied().max().unwrap_or(0)
     }
 
-    /// Role numbers as f64 for statistics.
-    pub fn as_f64(&self) -> Vec<f64> {
-        self.counts.iter().map(|&c| c as f64).collect()
-    }
-
     /// Merges counts from another accumulator (multi-seed runs).
     ///
     /// # Panics
@@ -115,7 +110,7 @@ mod tests {
         assert_eq!(r.role(NodeId::new(1)), 3);
         assert_eq!(r.role(NodeId::new(2)), 1);
         assert_eq!(r.max_role(), 3);
-        assert_eq!(r.as_f64(), vec![0.0, 3.0, 1.0, 0.0]);
+        assert_eq!(r.all(), [0, 3, 1, 0]);
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! `--threads` width — render **byte-identical** files, so artifacts can
 //! be checked in and diffed, and CI can `cmp` them against goldens.
 
-use rcast_core::{FaultsConfig, FIGURE_METRICS};
-use rcast_metrics::CsvTable;
+use std::fmt::Display;
 
-use crate::run::SweepReport;
+use rcast_core::FIGURE_METRICS;
+use rcast_metrics::{CsvTable, SampleSummary};
+
+use crate::run::{CellSummary, SweepReport};
+use crate::spec::Variant;
 
 /// A JSON number: shortest round-trip `Display` for finite values,
 /// `null` otherwise (JSON has no NaN/infinity).
@@ -22,76 +25,58 @@ fn num(x: f64) -> String {
     }
 }
 
+/// A JSON array of rendered items.
+fn array(items: impl Iterator<Item = String>) -> String {
+    format!("[{}]", items.collect::<Vec<_>>().join(", "))
+}
+
 /// A JSON array of numbers.
-fn num_array(xs: &[f64]) -> String {
-    let mut s = String::from("[");
-    for (i, &x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&num(x));
-    }
-    s.push(']');
-    s
+fn num_array(xs: impl Iterator<Item = f64>) -> String {
+    array(xs.map(num))
 }
 
 /// A JSON array of strings (no escaping needed: every value here is a
-/// scheme label or fault spec, both escape-free by construction).
-fn str_array<S: AsRef<str>>(xs: &[S]) -> String {
-    let mut s = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push('"');
-        s.push_str(x.as_ref());
-        s.push('"');
-    }
-    s.push(']');
-    s
+/// scheme label or variant label, both escape-free by construction).
+fn str_array(xs: impl Iterator<Item = impl Display>) -> String {
+    array(xs.map(|x| format!("\"{x}\"")))
 }
 
-/// The axis label of one fault plan: `none` for the empty plan, its
-/// `--faults` spec string otherwise.
-///
-/// # Panics
-///
-/// Panics on a scripted plan — normalization rejects those before a
-/// report can exist.
-fn fault_label(f: &FaultsConfig) -> String {
-    if f.is_none() {
-        "none".to_string()
-    } else {
-        f.spec_string()
-            .expect("normalization rejects scripted fault plans")
-    }
+/// A cell's metric columns, figure metrics first, then the spec's
+/// extra metrics.
+fn columns(cell: &CellSummary) -> impl Iterator<Item = (&str, &SampleSummary)> {
+    FIGURE_METRICS
+        .iter()
+        .copied()
+        .zip(&cell.metrics)
+        .chain(cell.extra.iter().map(|(name, m)| (*name, m)))
 }
 
 /// Renders the `rcast-sweep/v1` JSON document. See the
 /// [module docs](self) for the stability contract.
 pub fn to_json(report: &SweepReport) -> String {
     let spec = &report.spec;
+    let labels: Vec<String> = spec.variants.iter().map(Variant::label).collect();
     let mut s = String::from("{\n  \"schema\": \"rcast-sweep/v1\",\n");
     s.push_str(&format!("  \"name\": \"{}\",\n", spec.name));
     s.push_str(&format!("  \"pairing\": \"{}\",\n", spec.pairing.label()));
     s.push_str(&format!(
         "  \"seeds\": {},\n",
-        num_array(&spec.seeds.iter().map(|&x| x as f64).collect::<Vec<_>>())
+        num_array(spec.seeds.iter().map(|&x| x as f64))
     ));
     s.push_str("  \"axes\": {\n");
     s.push_str(&format!(
         "    \"schemes\": {},\n",
-        str_array(&spec.schemes.iter().map(|x| x.label()).collect::<Vec<_>>())
+        str_array(spec.schemes.iter().map(|x| x.label()))
     ));
-    s.push_str(&format!("    \"rates_pps\": {},\n", num_array(&spec.rates)));
-    s.push_str(&format!("    \"pauses_s\": {},\n", num_array(&spec.pauses)));
+    s.push_str(&format!("    \"rates_pps\": {},\n", num_array(spec.rates.iter().copied())));
+    s.push_str(&format!("    \"pauses_s\": {},\n", num_array(spec.pauses.iter().copied())));
     s.push_str(&format!(
         "    \"nodes\": {},\n",
-        num_array(&spec.nodes.iter().map(|&x| f64::from(x)).collect::<Vec<_>>())
+        num_array(spec.nodes.iter().map(|&x| f64::from(x)))
     ));
     s.push_str(&format!(
         "    \"fault_plans\": {}\n",
-        str_array(&spec.faults.iter().map(fault_label).collect::<Vec<_>>())
+        str_array(labels.iter())
     ));
     s.push_str("  },\n");
     s.push_str(&format!(
@@ -114,13 +99,11 @@ pub fn to_json(report: &SweepReport) -> String {
             num(cell.cell.rate_pps),
             num(cell.cell.pause_s),
             cell.cell.nodes,
-            fault_label(&spec.faults[cell.cell.fault_index]),
+            labels[cell.cell.variant_index],
             cell.runs,
         ));
         s.push_str("     \"metrics\": {");
-        for (j, (name, m)) in
-            FIGURE_METRICS.iter().zip(&cell.metrics).enumerate()
-        {
+        for (j, (name, m)) in columns(cell).enumerate() {
             if j > 0 {
                 s.push_str(", ");
             }
@@ -135,8 +118,12 @@ pub fn to_json(report: &SweepReport) -> String {
         if let Some(curve) = &cell.per_node_energy_j {
             s.push_str(&format!(
                 ",\n     \"per_node_energy_j\": {}",
-                num_array(curve)
+                num_array(curve.iter().copied())
             ));
+        }
+        if let Some(roles) = &cell.per_node_roles {
+            let roles = num_array(roles.iter().map(|&r| r as f64));
+            s.push_str(&format!(",\n     \"per_node_roles\": {roles}"));
         }
         s.push_str(&format!(
             "}}{}\n",
@@ -158,7 +145,8 @@ pub fn to_csv(report: &SweepReport) -> String {
     .iter()
     .map(|s| s.to_string())
     .collect();
-    for name in FIGURE_METRICS {
+    let labels: Vec<String> = report.spec.variants.iter().map(Variant::label).collect();
+    for name in FIGURE_METRICS.iter().chain(&report.spec.metrics) {
         header.push(format!("{name}_mean"));
         header.push(format!("{name}_stddev"));
         header.push(format!("{name}_ci95"));
@@ -172,10 +160,10 @@ pub fn to_csv(report: &SweepReport) -> String {
             CsvTable::num(cell.cell.rate_pps),
             CsvTable::num(cell.cell.pause_s),
             cell.cell.nodes.to_string(),
-            fault_label(&report.spec.faults[cell.cell.fault_index]),
+            labels[cell.cell.variant_index].clone(),
             cell.runs.to_string(),
         ];
-        for m in &cell.metrics {
+        for (_, m) in columns(cell) {
             row.push(CsvTable::num(m.mean));
             row.push(CsvTable::num(m.stddev));
             row.push(CsvTable::num(m.half_width95));
@@ -188,9 +176,12 @@ pub fn to_csv(report: &SweepReport) -> String {
 /// A human-readable summary table for the terminal: one line per cell
 /// with every [`FIGURE_METRICS`](rcast_core::FIGURE_METRICS) column —
 /// energy (mean ± CI95), per-node energy variance, PDR, delay, routing
-/// overhead and energy per bit. When the spec asked for per-node
-/// curves, each cell line is followed by its sorted curve sampled at
-/// every 10th position plus the last (Fig. 5's shape at a glance).
+/// overhead and energy per bit. Variants other than the healthy plan
+/// are listed by their `f` index first. Each cell line is followed by
+/// the means of the spec's extra metrics, if any, and, when the spec
+/// asked for per-node curves, by its sorted curve sampled at every 10th
+/// position plus the last (Fig. 5's shape at a glance) and its largest
+/// and mean role numbers (Fig. 9's).
 pub fn human_summary(report: &SweepReport) -> String {
     let mut s = format!(
         "sweep {}: {} cells x {} seeds = {} runs ({} simulated seconds)\n",
@@ -200,6 +191,12 @@ pub fn human_summary(report: &SweepReport) -> String {
         report.total_runs,
         report.total_sim_seconds,
     );
+    let labels: Vec<String> = report.spec.variants.iter().map(Variant::label).collect();
+    if labels.iter().any(|l| l != "none") {
+        for (i, label) in labels.iter().enumerate() {
+            s.push_str(&format!("  f{i}: {label}\n"));
+        }
+    }
     s.push_str(&format!(
         "{:<32} {:>16} {:>10} {:>7} {:>10} {:>9} {:>11}\n",
         "cell", "energy (J)", "variance", "PDR", "delay (ms)", "overhead", "EPB (J/bit)"
@@ -224,6 +221,11 @@ pub fn human_summary(report: &SweepReport) -> String {
             cell.metric("overhead").mean,
             cell.metric("epb_j_per_bit").mean,
         ));
+        if !cell.extra.is_empty() {
+            let extra: Vec<String> =
+                cell.extra.iter().map(|(name, m)| format!("{name} {:.3}", m.mean)).collect();
+            s.push_str(&format!("    {}\n", extra.join(" | ")));
+        }
         if let Some(curve) = &cell.per_node_energy_j {
             s.push_str("    sorted per-node energy (J):");
             let last = curve.len().saturating_sub(1);
@@ -234,6 +236,11 @@ pub fn human_summary(report: &SweepReport) -> String {
                 s.push_str(&format!(" #{i} {:.1}", curve[i]));
             }
             s.push('\n');
+        }
+        if let Some(roles) = &cell.per_node_roles {
+            let max = roles.iter().max().unwrap_or(&0);
+            let mean = roles.iter().sum::<u64>() as f64 / roles.len() as f64;
+            s.push_str(&format!("    role numbers: max {max} | mean {mean:.1}\n"));
         }
     }
     s
@@ -270,6 +277,7 @@ mod tests {
         assert!(json.contains("\"schemes\": [\"802.11\", \"Rcast\"]"));
         assert!(json.contains("\"fault_plans\": [\"none\"]"));
         assert!(json.contains("\"per_node_energy_j\": ["));
+        assert_eq!(json.matches("\"per_node_roles\": [").count(), 2, "one per cell");
         assert!(json.contains("\"total_runs\": 4"));
         for name in FIGURE_METRICS {
             assert!(json.contains(&format!("\"{name}\": {{\"mean\": ")), "{name}");
@@ -332,6 +340,37 @@ mod tests {
             let curve = cell.per_node_energy_j.as_ref().unwrap();
             assert!(line.ends_with(&format!(" #9 {:.1}", curve[9])), "{line}");
             assert_eq!(line.matches(" #").count(), 2, "{line}");
+        }
+    }
+
+    #[test]
+    fn a_fault_plan_line_is_a_faults_variant() {
+        let base = "schemes rcast\nrates 0.4\npauses 8\nnodes 10\nseeds 1,2\n\
+                    duration 8\narea 600 300\nflows 3\npairing independent\nfault-plan none\n";
+        let render = |line: &str| {
+            let spec = crate::parse_spec(&format!("{base}{line}\n")).expect("valid spec");
+            let report = run_spec(&spec, 2).expect("runs");
+            (to_json(&report), to_csv(&report))
+        };
+        let (json, csv) = render("fault-plan crash=0.3,downtime=20");
+        assert_eq!((json.clone(), csv), render("variant faults crash=0.3,downtime=20"));
+        assert!(json.contains("\"fault_plans\": [\"none\", \"crash=0.3,downtime=20,"), "{json}");
+    }
+
+    #[test]
+    fn every_preset_smoke_grid_runs_and_renders() {
+        for name in crate::PRESETS {
+            let spec = crate::preset(name).expect(name).smoke();
+            let report = run_spec(&spec, 2).expect(name);
+            assert_eq!(report.cells.len(), spec.normalized().unwrap().expand().len(), "{name}");
+            let (json, csv) = (to_json(&report), to_csv(&report));
+            assert!(json.contains(&format!("\"name\": \"{name}-smoke\"")), "{name}");
+            for metric in &report.spec.metrics {
+                assert!(csv.lines().next().unwrap().contains(&format!("{metric}_mean")), "{name}");
+                assert!(json.contains(&format!("\"{metric}\": {{\"mean\": ")), "{name}");
+            }
+            assert_eq!(csv.lines().count(), 1 + report.cells.len(), "{name}");
+            assert!(human_summary(&report).lines().count() > report.cells.len(), "{name}");
         }
     }
 

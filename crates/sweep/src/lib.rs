@@ -6,9 +6,11 @@
 //! makes that grid a first-class object:
 //!
 //! * [`SweepSpec`] — the declarative campaign: axes over scheme × rate ×
-//!   pause × node count × fault plan, a seed list, and a base
-//!   configuration; parsed from spec files ([`parse_spec`]) or built
-//!   from the figure presets ([`preset`]: `fig5`–`fig8`).
+//!   pause × node count × [`Variant`] (scenario assignments such as a
+//!   fault plan), a seed list, a base configuration and optional extra
+//!   metric columns; parsed from spec files ([`parse_spec`]) or built
+//!   from the presets ([`preset`]: the figures `fig5`–`fig8` and the
+//!   experiments listed in [`PRESETS`]).
 //! * [`run_spec`] — canonical expansion into [`SweepCell`]s, execution
 //!   across cores via `ScopedPool::map_grid` (workers steal across
 //!   cells, not just seeds), and per-cell reduction to
@@ -45,4 +47,6 @@ mod spec;
 
 pub use artifact::{human_summary, to_csv, to_json};
 pub use run::{run_spec, CellSummary, SweepReport};
-pub use spec::{parse_spec, preset, Pairing, SweepCell, SweepSpec, AXIS_KEYS, PRESETS};
+pub use spec::{
+    parse_spec, preset, Pairing, SweepCell, SweepSpec, Variant, AXIS_KEYS, MAX_SEEDS, PRESETS,
+};

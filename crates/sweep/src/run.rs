@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use rcast_core::{
-    AggregateReport, SimConfig, SimReport, Simulation, FIGURE_METRICS,
+    AggregateReport, RunMetric, SimConfig, SimReport, Simulation, FIGURE_METRICS, RUN_METRICS,
 };
 use rcast_engine::pool::ScopedPool;
 use rcast_metrics::{summarize95, SampleSummary};
@@ -30,24 +30,34 @@ pub struct CellSummary {
     /// Per-metric summaries, indexed like
     /// [`FIGURE_METRICS`](rcast_core::FIGURE_METRICS).
     pub metrics: [SampleSummary; FIGURE_METRICS.len()],
+    /// Summaries of the spec's extra [`metrics`](SweepSpec::metrics),
+    /// by name, in the spec's order.
+    pub extra: Vec<(&'static str, SampleSummary)>,
     /// Seed-averaged per-node energy sorted ascending (Fig. 5's curve),
     /// when the spec set [`per_node`](SweepSpec::per_node).
     pub per_node_energy_j: Option<Vec<f64>>,
+    /// Per-node role numbers summed over the runs, in the order of
+    /// [`per_node_energy_j`](Self::per_node_energy_j): entry `i` of
+    /// both is one node, a point of Fig. 9's scatter.
+    pub per_node_roles: Option<Vec<u64>>,
 }
 
 impl CellSummary {
     /// The summary for one metric by its
-    /// [`FIGURE_METRICS`](rcast_core::FIGURE_METRICS) column name.
+    /// [`FIGURE_METRICS`](rcast_core::FIGURE_METRICS) column name or
+    /// the name of one of the spec's extra metrics.
     ///
     /// # Panics
     ///
-    /// Panics on an unknown metric name.
+    /// Panics on a name that is neither.
     pub fn metric(&self, name: &str) -> &SampleSummary {
-        let i = FIGURE_METRICS
-            .iter()
-            .position(|&m| m == name)
-            .unwrap_or_else(|| panic!("unknown figure metric '{name}'"));
-        &self.metrics[i]
+        match FIGURE_METRICS.iter().position(|&m| m == name) {
+            Some(i) => &self.metrics[i],
+            None => self.extra.iter().find(|(m, _)| *m == name).map_or_else(
+                || panic!("unknown figure metric '{name}', and not one of the spec's metrics"),
+                |(_, summary)| summary,
+            ),
+        }
     }
 }
 
@@ -69,19 +79,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// The cells of one `(scheme)` slice, in matrix order — convenience
-    /// for shape assertions ("Rcast's energy curve sits below 802.11's
-    /// at every rate point").
-    pub fn scheme_cells(
-        &self,
-        scheme: rcast_core::Scheme,
-    ) -> Vec<&CellSummary> {
-        self.cells
-            .iter()
-            .filter(|c| c.cell.scheme == scheme)
-            .collect()
-    }
-
     /// The cell at an exact matrix point, if the grid has it.
     pub fn find_cell(
         &self,
@@ -134,6 +131,10 @@ pub fn run_spec(spec: &SweepSpec, threads: usize) -> Result<SweepReport, String>
         |_, (cfg, seeds), i| run_cell_seed(cfg, seeds[i]),
     );
 
+    let extra: Vec<RunMetric> = RUN_METRICS
+        .into_iter()
+        .filter(|(name, _)| spec.metrics.contains(name))
+        .collect();
     let mut out = Vec::with_capacity(cells.len());
     let mut total_intervals = 0u64;
     let mut total_sim_seconds = 0.0;
@@ -153,14 +154,23 @@ pub fn run_spec(spec: &SweepSpec, threads: usize) -> Result<SweepReport, String>
             }
         }
         let metrics = std::array::from_fn(|j| summarize95(&samples[j]));
-        let per_node_energy_j = spec.per_node.then(|| {
-            AggregateReport::from_runs(runs, packet_bytes).sorted_per_node_energy()
-        });
+        let extra = extra
+            .iter()
+            .map(|&(name, read)| (name, summarize95(&runs.iter().map(read).collect::<Vec<_>>())))
+            .collect();
+        let (per_node_energy_j, per_node_roles) = if spec.per_node {
+            let (energy, roles) = AggregateReport::from_runs(runs).per_node_by_energy();
+            (Some(energy), Some(roles))
+        } else {
+            (None, None)
+        };
         out.push(CellSummary {
             cell,
             runs: runs.len(),
             metrics,
+            extra,
             per_node_energy_j,
+            per_node_roles,
         });
     }
     let total_runs = out.iter().map(|c| c.runs).sum();
@@ -213,7 +223,6 @@ mod tests {
         }
         assert!(report.find_cell(Scheme::Rcast, 0.4, 10.0).is_some());
         assert!(report.find_cell(Scheme::Odpm, 0.4, 10.0).is_none());
-        assert_eq!(report.scheme_cells(Scheme::Rcast).len(), 2);
     }
 
     #[test]
@@ -262,6 +271,53 @@ mod tests {
             format!("{:?}", common.cells),
             "pairing modes draw different seed streams"
         );
+    }
+
+    /// The tiny grid as spec text, for the spec-file paths.
+    const TINY: &str = "schemes rcast\nrates 0.4\npauses 10\nnodes 12\nseeds 1,2\n\
+                        duration 10\narea 600 300\nflows 3\n";
+
+    #[test]
+    fn a_variant_runs_like_the_same_base_line() {
+        let run = |text: String| {
+            let report = run_spec(&crate::parse_spec(&text).expect("valid spec"), 2).expect("runs");
+            format!("{:?}", report.cells.iter().map(|c| &c.metrics).collect::<Vec<_>>())
+        };
+        let variant = run(format!("{TINY}variant broadcast_p 0.5\n"));
+        assert_eq!(variant, run(format!("{TINY}broadcast_p 0.5\n")));
+        assert_ne!(variant, run(TINY.to_string()), "the assignment reaches the runs");
+    }
+
+    #[test]
+    fn per_node_roles_align_with_the_energy_curve() {
+        let mut spec = crate::parse_spec(&format!("{TINY}per-node true\n")).unwrap();
+        spec.schemes = vec![Scheme::Odpm];
+        let report = run_spec(&spec, 2).expect("runs");
+        let cell = &report.cells[0];
+        let roles = cell.per_node_roles.as_ref().expect("per-node roles");
+        assert_eq!(roles.len(), 12, "one per node");
+        let cfg = cell.cell.config(&report.spec);
+        let runs: Vec<SimReport> = spec.seeds.iter().map(|&s| run_cell_seed(&Arc::new(cfg.clone()), s)).collect();
+        let agg = AggregateReport::from_runs(&runs);
+        assert_eq!(roles.iter().sum::<u64>(), agg.roles.all().iter().sum::<u64>());
+        assert!(roles.iter().sum::<u64>() > 0, "a grid this small still caches routes");
+        assert_eq!((cell.per_node_energy_j.clone().unwrap(), roles.clone()), agg.per_node_by_energy());
+    }
+
+    #[test]
+    fn a_tiny_battery_reads_as_depleted() {
+        let text = format!("{TINY}battery 0.5\nmetrics depleted,first_depletion_s\n");
+        let report = run_spec(&crate::parse_spec(&text).unwrap(), 2).expect("runs");
+        let cell = &report.cells[0];
+        assert_eq!(cell.metric("depleted").mean, 1.0);
+        let first = cell.metric("first_depletion_s");
+        assert!(first.mean > 0.0 && first.mean < 10.0, "{first:?}");
+        assert_eq!(cell.extra.len(), 2);
+        // Without a battery, no run depletes and the lifetime is the run.
+        let report = run_spec(&crate::parse_spec(&format!("{TINY}metrics depleted,first_depletion_s\n")).unwrap(), 2)
+            .expect("runs");
+        assert_eq!(report.cells[0].metric("depleted").mean, 0.0);
+        assert_eq!(report.cells[0].metric("first_depletion_s").mean, 10.0);
     }
 
     #[test]

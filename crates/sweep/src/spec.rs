@@ -1,10 +1,13 @@
 //! Declarative campaign specs and their expansion into a run matrix.
 //!
 //! A [`SweepSpec`] names the axes of one figure-style experiment grid —
-//! schemes × packet rates × pause times × node counts × fault plans —
-//! plus the seed list averaged per cell and a base configuration for
-//! everything the grid does not sweep. [`SweepSpec::expand`] turns it
-//! into the canonical, duplicate-free list of [`SweepCell`]s the
+//! schemes × packet rates × pause times × node counts × variants — plus
+//! the seed list averaged per cell, a base configuration for everything
+//! the grid does not sweep, and any extra per-run metric columns.
+//! A [`Variant`] is a list of scenario assignments applied on top of
+//! the base (`factors neighbors,battery; battery 1500`); a fault plan
+//! is the variant that assigns `faults`. [`SweepSpec::expand`] turns the
+//! spec into the canonical, duplicate-free list of [`SweepCell`]s the
 //! runner executes.
 //!
 //! Specs are **normalized** before use: every sortable axis is sorted
@@ -12,7 +15,10 @@
 //! independent of the order axis values were written in — permuting a
 //! spec file's `rates 2.0,0.2` line cannot reorder the artifact.
 
-use rcast_core::{parse_scenario, Area, FaultsConfig, Scheme, SimConfig};
+use std::fmt::Display;
+use std::str::FromStr;
+
+use rcast_core::{parse_scenario, set_key, Area, Scheme, SimConfig, RUN_METRICS};
 use rcast_engine::rng::StreamRng;
 use rcast_engine::SimDuration;
 
@@ -41,6 +47,77 @@ impl Pairing {
     }
 }
 
+/// One value of the variant axis: scenario assignments applied, in
+/// order, to each cell's configuration through [`rcast_core::set_key`].
+/// The default variant assigns nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Variant {
+    /// `(key, value)` pairs, every one accepted by `set_key`.
+    sets: Vec<(String, String)>,
+}
+
+impl Variant {
+    /// Parses a `;`-separated list of `key value` scenario assignments,
+    /// such as `factors neighbors,battery; battery 1500`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an empty assignment, a key an axis owns
+    /// (`scheme`, `rate`, `pause`, `nodes`, `seed`), `obs`, or a key or
+    /// value [`rcast_core::set_key`] rejects.
+    pub fn parse(text: &str) -> Result<Variant, String> {
+        let mut scratch = SimConfig::paper(Scheme::Rcast, 0, 0.4, 600.0);
+        let mut sets = Vec::new();
+        for part in text.split(';').map(str::trim) {
+            let (key, value) = part.split_once(char::is_whitespace).unwrap_or((part, ""));
+            if key.is_empty() {
+                return Err(format!("variant '{text}' has an empty assignment"));
+            }
+            if let Some((singular, plural)) =
+                AXIS_KEYS.iter().find(|(s, _)| *s == key && *s != "faults")
+            {
+                return Err(format!("'{singular}' is an axis here — use '{plural}'"));
+            }
+            if key == "obs" {
+                return Err("'obs' is not sweepable — artifacts carry aggregates, not ledgers".into());
+            }
+            // One space between tokens keeps labels free of control
+            // characters. Setters read only the value text, so one that
+            // accepts it here accepts it on every cell's configuration.
+            let value = value.split_whitespace().collect::<Vec<_>>().join(" ");
+            set_key(&mut scratch, key, &value).map_err(|e| format!("{key}: {e}"))?;
+            sets.push((key.to_string(), value));
+        }
+        Ok(Variant { sets })
+    }
+
+    /// Applies the assignments to `cfg`.
+    fn apply(&self, cfg: &mut SimConfig) {
+        for (key, value) in &self.sets {
+            set_key(cfg, key, value).expect("Variant::parse checked every assignment");
+        }
+    }
+
+    /// The artifact label (the `fault_plan` field and column). A variant
+    /// that assigns nothing or only `faults` reads as its fault plan:
+    /// `none` for the healthy plan, else the plan's canonical spec
+    /// string. Any other variant reads as its assignments joined by
+    /// `; `. Labels need no escaping in JSON: every value passed a
+    /// scenario setter, and its tokens are joined by single spaces.
+    pub fn label(&self) -> String {
+        if !self.sets.iter().all(|(key, _)| key == "faults") {
+            let sets: Vec<String> = self.sets.iter().map(|(k, v)| format!("{k} {v}")).collect();
+            return sets.join("; ");
+        }
+        let mut cfg = SimConfig::paper(Scheme::Rcast, 0, 0.4, 600.0);
+        self.apply(&mut cfg);
+        if cfg.faults.is_none() {
+            return "none".into();
+        }
+        cfg.faults.spec_string().expect("spec text never scripts a fault")
+    }
+}
+
 /// A declarative sweep campaign. See the [module docs](self).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
@@ -58,15 +135,20 @@ pub struct SweepSpec {
     pub pauses: Vec<f64>,
     /// Node-count axis.
     pub nodes: Vec<u32>,
-    /// Fault-plan axis; `FaultsConfig::default()` is the healthy cell.
-    pub faults: Vec<FaultsConfig>,
+    /// Variant axis; `Variant::default()` is the base as it stands.
+    pub variants: Vec<Variant>,
     /// Seeds averaged per cell.
     pub seeds: Vec<u64>,
     /// Seed pairing across cells.
     pub pairing: Pairing,
     /// When `true`, each cell's artifact row carries the seed-averaged
-    /// sorted per-node energy curve (Fig. 5's raw material).
+    /// sorted per-node energy curve (Fig. 5's raw material) and the
+    /// matching per-node role numbers (Fig. 9's).
     pub per_node: bool,
+    /// Extra per-run metric columns, by their
+    /// [`RUN_METRICS`](rcast_core::RUN_METRICS) names, after the six
+    /// figure metrics.
+    pub metrics: Vec<&'static str>,
 }
 
 /// One point of the expanded run matrix.
@@ -80,15 +162,16 @@ pub struct SweepCell {
     pub pause_s: f64,
     /// Node count.
     pub nodes: u32,
-    /// Index into [`SweepSpec::faults`].
-    pub fault_index: usize,
+    /// Index into [`SweepSpec::variants`].
+    pub variant_index: usize,
 }
 
 impl SweepCell {
     /// A stable identity string for the cell: distinct cells in one
     /// matrix always have distinct keys (floats render with Rust's
     /// shortest-round-trip `Display`, so distinct values never print
-    /// alike).
+    /// alike). The variant reads `f{index}`, its name from when the
+    /// axis held only fault plans, so independent-pairing seeds keep.
     pub fn key(&self) -> String {
         format!(
             "{}/r{}/p{}/n{}/f{}",
@@ -96,7 +179,7 @@ impl SweepCell {
             self.rate_pps,
             self.pause_s,
             self.nodes,
-            self.fault_index
+            self.variant_index
         )
     }
 
@@ -116,14 +199,15 @@ impl SweepCell {
     }
 
     /// The cell's full configuration: the spec's base with this cell's
-    /// axis values written in (seed still to be set per run).
+    /// axis values and variant written in (seed still to be set per
+    /// run).
     pub fn config(&self, spec: &SweepSpec) -> SimConfig {
         let mut cfg = spec.base.clone();
         cfg.scheme = self.scheme;
         cfg.traffic.rate_pps = self.rate_pps;
         cfg.waypoint.pause_secs = self.pause_s;
         cfg.nodes = self.nodes;
-        cfg.faults = spec.faults[self.fault_index].clone();
+        spec.variants[self.variant_index].apply(&mut cfg);
         cfg
     }
 }
@@ -131,7 +215,8 @@ impl SweepCell {
 impl SweepSpec {
     /// The paper's default campaign scaffold: `Scheme::PAPER_FIGURES`
     /// at the nominal rate/pause on the Section 4.1 testbed, five
-    /// seeds, no faults. Presets and spec files start from this.
+    /// seeds, one variant that changes nothing, no extra metrics.
+    /// Presets and spec files start from this.
     pub fn paper_default(name: &str) -> SweepSpec {
         SweepSpec {
             name: name.to_string(),
@@ -140,24 +225,26 @@ impl SweepSpec {
             rates: vec![0.4],
             pauses: vec![600.0],
             nodes: vec![100],
-            faults: vec![FaultsConfig::default()],
+            variants: vec![Variant::default()],
             seeds: (1..=5).collect(),
             pairing: Pairing::Common,
             per_node: false,
+            metrics: Vec::new(),
         }
     }
 
     /// Normalizes and validates the spec: sortable axes are sorted and
     /// deduplicated (schemes by paper order, rates/pauses/nodes/seeds
-    /// ascending), the fault axis is deduplicated preserving order, and
-    /// every resulting cell's configuration must validate.
+    /// ascending, metrics in [`RUN_METRICS`](rcast_core::RUN_METRICS)
+    /// order), variants that give the same configuration as an earlier
+    /// one are dropped, and every resulting cell's configuration must
+    /// validate.
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint: an empty axis or seed
-    /// list, a non-finite axis value, a scripted fault plan (those have
-    /// no spec syntax and cannot be archived in an artifact), or a
-    /// per-cell configuration error.
+    /// list, a non-finite axis value, an unknown metric, or a per-cell
+    /// configuration error.
     pub fn normalized(&self) -> Result<SweepSpec, String> {
         let mut spec = self.clone();
         if spec.name.is_empty() {
@@ -168,7 +255,7 @@ impl SweepSpec {
             ("rates", spec.rates.len()),
             ("pauses", spec.pauses.len()),
             ("nodes", spec.nodes.len()),
-            ("fault plans", spec.faults.len()),
+            ("variants", spec.variants.len()),
             ("seeds", spec.seeds.len()),
         ] {
             if len == 0 {
@@ -185,12 +272,9 @@ impl SweepSpec {
                 return Err(format!("sweep: invalid pause {p}"));
             }
         }
-        for f in &spec.faults {
-            if !f.script.is_empty() {
-                return Err("sweep: scripted fault plans cannot be swept \
-                            (no spec syntax to archive them)"
-                    .into());
-            }
+        let metric_order = |m: &&str| RUN_METRICS.iter().position(|(name, _)| name == m);
+        if let Some(m) = spec.metrics.iter().find(|m| metric_order(m).is_none()) {
+            return Err(format!("sweep: unknown metric '{m}'"));
         }
         spec.schemes.sort_by_key(|s| Scheme::ALL.iter().position(|a| a == s));
         spec.schemes.dedup();
@@ -203,13 +287,18 @@ impl SweepSpec {
         spec.nodes.dedup();
         spec.seeds.sort_unstable();
         spec.seeds.dedup();
-        let mut deduped: Vec<FaultsConfig> = Vec::new();
-        for f in spec.faults {
-            if !deduped.contains(&f) {
-                deduped.push(f);
+        spec.metrics.sort_by_key(metric_order);
+        spec.metrics.dedup();
+        let mut seen: Vec<SimConfig> = Vec::new();
+        spec.variants.retain(|v| {
+            let mut cfg = spec.base.clone();
+            v.apply(&mut cfg);
+            let fresh = !seen.contains(&cfg);
+            if fresh {
+                seen.push(cfg);
             }
-        }
-        spec.faults = deduped;
+            fresh
+        });
         for cell in spec.expand() {
             cell.config(&spec)
                 .validate()
@@ -219,26 +308,26 @@ impl SweepSpec {
     }
 
     /// Expands the (normalized) spec into its run matrix, scheme-major:
-    /// scheme, then rate, pause, node count, fault plan. The expansion
+    /// scheme, then rate, pause, node count, variant. The expansion
     /// of a normalized spec is canonical — axis input order cannot
     /// change it — and duplicate-free.
     pub fn expand(&self) -> Vec<SweepCell> {
         let mut cells = Vec::with_capacity(
             self.schemes.len() * self.rates.len() * self.pauses.len()
                 * self.nodes.len()
-                * self.faults.len(),
+                * self.variants.len(),
         );
         for &scheme in &self.schemes {
             for &rate_pps in &self.rates {
                 for &pause_s in &self.pauses {
                     for &nodes in &self.nodes {
-                        for fault_index in 0..self.faults.len() {
+                        for variant_index in 0..self.variants.len() {
                             cells.push(SweepCell {
                                 scheme,
                                 rate_pps,
                                 pause_s,
                                 nodes,
-                                fault_index,
+                                variant_index,
                             });
                         }
                     }
@@ -283,7 +372,8 @@ impl SweepSpec {
 /// The spec-file keys that sweep an axis — and therefore ban their
 /// singular scenario-file counterparts from the base section — as
 /// `(singular, plural)` pairs. `rcast compare` applies the same rule
-/// to its `--schemes`/`--rates`/`--seeds` flags.
+/// to its `--schemes`/`--rates`/`--seeds` flags. Variants may assign
+/// `faults` (that is what `fault-plan` does) but none of the others.
 pub const AXIS_KEYS: [(&str, &str); 6] = [
     ("scheme", "schemes"),
     ("rate", "rates"),
@@ -292,6 +382,11 @@ pub const AXIS_KEYS: [(&str, &str); 6] = [
     ("seed", "seeds"),
     ("faults", "fault-plan"),
 ];
+
+/// The most seeds a spec's `seeds` line may list. The paper averages
+/// ten; the cap turns a typo such as `seeds 0..18446744073709551615`
+/// into an error naming its line instead of an allocation failure.
+pub const MAX_SEEDS: u64 = 65_536;
 
 /// Parses a sweep spec file.
 ///
@@ -309,6 +404,8 @@ pub const AXIS_KEYS: [(&str, &str); 6] = [
 /// seeds 1..10
 /// fault-plan none
 /// fault-plan crash=0.3,downtime=20
+/// variant factors neighbors,battery; battery 1500
+/// metrics rreq_tx,first_depletion_s
 /// pairing common
 /// per-node false
 /// # base lines: handed to the scenario parser
@@ -320,33 +417,33 @@ pub const AXIS_KEYS: [(&str, &str); 6] = [
 /// `pause`, `seed` and `faults` lines are rejected with a pointer to
 /// the plural form, and `obs`/`trace` are rejected outright (a sweep
 /// artifact carries aggregates, not ledgers). `seeds` accepts comma
-/// lists and inclusive `A..B` ranges. Each `fault-plan` line appends
-/// one axis value (`none` for the healthy plan).
+/// lists and inclusive `A..B` ranges, at most [`MAX_SEEDS`] in all.
+/// Each `variant` line appends one [`Variant`]: `;`-separated scenario
+/// assignments. `fault-plan X` is the spelling of `variant faults X`
+/// (`none` for the healthy plan). `metrics` names extra columns from
+/// [`RUN_METRICS`](rcast_core::RUN_METRICS).
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending line for unknown or banned
-/// keys, malformed values, or a spec that fails [`SweepSpec::normalized`].
+/// keys, malformed values, or (naming the last line) a spec that fails
+/// [`SweepSpec::normalized`].
 pub fn parse_spec(text: &str) -> Result<SweepSpec, String> {
     let mut spec = SweepSpec::paper_default("sweep");
     let mut base_lines = String::new();
-    let mut faults: Vec<FaultsConfig> = Vec::new();
+    let mut variants: Vec<Variant> = Vec::new();
+    let mut lines = 0;
     for (lineno, raw) in text.lines().enumerate() {
+        lines = lineno + 1;
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             base_lines.push('\n');
             continue;
         }
-        let at = |msg: String| format!("line {}: {msg}", lineno + 1);
+        let at = |msg: String| format!("line {lines}: {msg}");
         let (key, value) = match line.split_once(char::is_whitespace) {
             Some((k, v)) => (k, v.trim()),
             None => (line, ""),
-        };
-        let list = |what: &str| -> Result<Vec<&str>, String> {
-            if value.is_empty() {
-                return Err(at(format!("'{what}' expects a comma list")));
-            }
-            Ok(value.split(',').map(str::trim).collect())
         };
         match key {
             "name" => {
@@ -355,73 +452,56 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, String> {
                 }
                 spec.name = value.to_string();
             }
-            "schemes" => {
-                spec.schemes = list("schemes")?
-                    .into_iter()
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()
-                    .map_err(at)?;
-            }
-            "rates" => {
-                spec.rates = list("rates")?
-                    .into_iter()
-                    .map(|v| {
-                        v.parse::<f64>()
-                            .map_err(|_| at(format!("bad rate '{v}'")))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "pauses" => {
-                spec.pauses = list("pauses")?
-                    .into_iter()
-                    .map(|v| {
-                        v.parse::<f64>()
-                            .map_err(|_| at(format!("bad pause '{v}'")))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "nodes" => {
-                spec.nodes = list("nodes")?
-                    .into_iter()
-                    .map(|v| {
-                        v.parse::<u32>()
-                            .map_err(|_| at(format!("bad node count '{v}'")))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
+            "schemes" => spec.schemes = items(value, "scheme").map_err(at)?,
+            "rates" => spec.rates = items(value, "rate").map_err(at)?,
+            "pauses" => spec.pauses = items(value, "pause").map_err(at)?,
+            "nodes" => spec.nodes = items(value, "node count").map_err(at)?,
             "seeds" => {
                 let mut seeds = Vec::new();
-                for part in list("seeds")? {
-                    if let Some((lo, hi)) = part.split_once("..") {
-                        let lo: u64 = lo
-                            .parse()
-                            .map_err(|_| at(format!("bad seed range '{part}'")))?;
-                        let hi: u64 = hi
-                            .parse()
-                            .map_err(|_| at(format!("bad seed range '{part}'")))?;
-                        if lo > hi {
-                            return Err(at(format!(
-                                "seed range '{part}' is empty (A..B is inclusive)"
-                            )));
+                for part in items::<String>(value, "seed").map_err(at)? {
+                    let (lo, hi) = match part.split_once("..") {
+                        Some((lo, hi)) => {
+                            let bad = |_| at(format!("bad seed range '{part}'"));
+                            (lo.parse::<u64>().map_err(bad)?, hi.parse::<u64>().map_err(bad)?)
                         }
-                        seeds.extend(lo..=hi);
-                    } else {
-                        seeds.push(
-                            part.parse()
-                                .map_err(|_| at(format!("bad seed '{part}'")))?,
-                        );
+                        None => {
+                            let seed = part.parse().map_err(|_| at(format!("bad seed '{part}'")))?;
+                            (seed, seed)
+                        }
+                    };
+                    if lo > hi {
+                        return Err(at(format!(
+                            "seed range '{part}' is empty (A..B is inclusive)"
+                        )));
                     }
+                    // `hi - lo + 1` overflows only for the full u64
+                    // range, which saturates past the cap all the same.
+                    let count = (hi - lo).saturating_add(1);
+                    if count > MAX_SEEDS - seeds.len() as u64 {
+                        return Err(at(format!(
+                            "'{part}' takes the seed list past {MAX_SEEDS} seeds"
+                        )));
+                    }
+                    seeds.extend(lo..=hi);
                 }
                 spec.seeds = seeds;
             }
+            "variant" => variants.push(Variant::parse(value).map_err(at)?),
             "fault-plan" => {
-                if value == "none" {
-                    faults.push(FaultsConfig::default());
-                } else {
-                    faults.push(
-                        FaultsConfig::parse_spec(value).map_err(at)?,
-                    );
-                }
+                let plan = if value.is_empty() { "none" } else { value };
+                variants.push(Variant::parse(&format!("faults {plan}")).map_err(at)?);
+            }
+            "metrics" => {
+                let names: Vec<&str> = RUN_METRICS.iter().map(|(name, _)| *name).collect();
+                spec.metrics = items::<String>(value, "metric")
+                    .map_err(at)?
+                    .into_iter()
+                    .map(|m| {
+                        names.iter().find(|name| **name == m).copied().ok_or_else(|| {
+                            at(format!("unknown metric '{m}' (expected {})", names.join(", ")))
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
             }
             "pairing" => {
                 spec.pairing = match value {
@@ -432,18 +512,12 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, String> {
                             "pairing expects common/independent, got '{other}'"
                         )))
                     }
-                };
+                }
             }
             "per-node" => {
-                spec.per_node = match value {
-                    "true" => true,
-                    "false" => false,
-                    other => {
-                        return Err(at(format!(
-                            "per-node expects true/false, got '{other}'"
-                        )))
-                    }
-                };
+                spec.per_node = value
+                    .parse()
+                    .map_err(|_| at(format!("per-node expects true/false, got '{value}'")))?
             }
             "obs" | "trace" => {
                 return Err(at(format!(
@@ -468,8 +542,8 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, String> {
         // errors carry this file's line numbers.
         base_lines.push('\n');
     }
-    if !faults.is_empty() {
-        spec.faults = faults;
+    if !variants.is_empty() {
+        spec.variants = variants;
     }
     spec.base = parse_scenario(&base_lines)?;
     // The scenario parser fills axis fields (scheme, rate, pause) with
@@ -477,61 +551,115 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, String> {
     // Its seed default is dead state here — runs set their own — so pin
     // it, keeping parsed specs canonical.
     spec.base.seed = 0;
-    spec.normalized()
+    spec.normalized().map_err(|e| format!("line {lines} (end of spec): {e}"))
 }
 
-/// A built-in figure preset, or `None` for an unknown name.
-///
-/// * `fig5` — per-node sorted energy curves for the paper's four panels
-///   (3 schemes × rates {0.4, 2.0} × pauses {600, 1125}, per-node
-///   curves on);
-/// * `fig6`/`fig7`/`fig8` — the shared evaluation grid (3 schemes ×
-///   4 rates × mobile/static pauses). The three figures plot different
-///   columns of the same matrix — variance, energy/PDR/EPB, and
-///   delay/overhead respectively — so their artifacts differ only in
-///   name; regenerate whichever the figure you are reading names.
-///
-/// All presets run the paper testbed (100 nodes, 1125 s) over seeds
-/// 1–5 with common seed pairing.
-pub fn preset(name: &str) -> Option<SweepSpec> {
-    match name {
-        "fig5" => {
-            let mut spec = SweepSpec::paper_default("fig5");
-            spec.rates = vec![0.4, 2.0];
-            spec.pauses = vec![600.0, 1125.0];
-            spec.per_node = true;
-            Some(spec)
-        }
-        "fig6" | "fig7" | "fig8" => {
-            let mut spec = SweepSpec::paper_default(name);
-            spec.rates = vec![0.2, 0.4, 1.0, 2.0];
-            spec.pauses = vec![600.0, 1125.0];
-            Some(spec)
-        }
-        "scale" => {
-            // Not a figure: the node-count scaling campaign, companion
-            // to `rcast bench --large`. The bench gate tracks simulator
-            // wall time per interval at constant density; this campaign
-            // tracks what the *protocol* does as the large tier's
-            // 7200 × 720 m field fills from 300 to 1200 nodes (energy,
-            // PDR, EPB per cell). Rcast only, three seeds, nominal
-            // rate, short pause so the population actually mixes.
-            let mut spec = SweepSpec::paper_default("scale");
-            spec.schemes = vec![Scheme::Rcast];
-            spec.nodes = vec![300, 600, 1200];
-            spec.pauses = vec![60.0];
-            spec.seeds = (1..=3).collect();
-            spec.base.area = Area::new(7200.0, 720.0);
-            spec.base.duration = SimDuration::from_secs(240);
-            spec.base.traffic.flows = 30;
-            Some(spec)
-        }
-        _ => None,
+/// The comma list `value`, each item parsed as one `what`.
+fn items<T: FromStr>(value: &str, what: &str) -> Result<Vec<T>, String>
+where
+    T::Err: Display,
+{
+    if value.is_empty() {
+        return Err(format!("expects a comma list of {what}s"));
     }
+    value
+        .split(',')
+        .map(|v| v.trim().parse().map_err(|e| format!("bad {what} '{}': {e}", v.trim())))
+        .collect()
+}
+
+/// The fig6/fig7/fig8 grid: 4 rates × mobile/static pauses.
+const GRID: &str = "rates 0.2,0.4,1.0,2.0\npauses 600,1125\n";
+
+/// The built-in presets as spec text, which [`preset`] parses after a
+/// `name` line. Unless the text says otherwise, each runs the paper's
+/// three schemes on its testbed (100 nodes, 1125 s, pause 600) over
+/// seeds 1–5 with common pairing.
+const PRESET_SPECS: [(&str, &str); 11] = [
+    // Fig. 5's four panels, with per-node curves. Fig. 9 plots the
+    // per-node role numbers of the pause-600 cells against their energy.
+    ("fig5", "rates 0.4,2.0\npauses 600,1125\nper-node true\n"),
+    // One grid, three figures: variance; energy, PDR and EPB; delay and
+    // overhead. Table 1 reads fig7's rate 0.4 and 2.0 cells at pause 600.
+    ("fig6", GRID),
+    ("fig7", GRID),
+    ("fig8", GRID),
+    // Not a figure: what the protocol does as the `rcast bench --large`
+    // field fills from 300 to 1200 nodes, with a short pause so the
+    // population mixes.
+    (
+        "scale",
+        "schemes rcast\nnodes 300,600,1200\npauses 60\nseeds 1..3\n\
+         area 7200 720\nduration 240\nflows 30\n",
+    ),
+    // Rcast's decision factors (Section 3.2); the battery factor needs
+    // finite batteries to read.
+    (
+        "ablation-factors",
+        "schemes rcast\nrates 0.4,2.0\n\
+         variant factors neighbors\n\
+         variant factors neighbors,sender-id\n\
+         variant factors neighbors,mobility\n\
+         variant factors neighbors,battery; battery 1500\n\
+         variant factors neighbors,sender-id,mobility,battery; battery 1500\n",
+    ),
+    // Randomized receiving of RREQ rebroadcasts (Section 5).
+    (
+        "ablation-broadcast",
+        "schemes rcast\nrates 0.4,2.0\n\
+         variant broadcast_p 1\nvariant broadcast_p 0.9\n\
+         variant broadcast_p 0.75\nvariant broadcast_p 0.5\n",
+    ),
+    // DSR route-cache capacity, timeout and strategy (Hu & Johnson).
+    (
+        "ablation-cache",
+        "schemes rcast\nrates 0.4,2.0\n\
+         variant cache_capacity 8\nvariant cache_capacity 16\n\
+         variant cache_capacity 64\nvariant cache_capacity 256\n\
+         variant cache_timeout 30\nvariant cache_timeout 120\n\
+         variant cache_strategy link; cache_capacity 128\n\
+         variant cache_strategy link; cache_capacity 128; cache_timeout 30\n",
+    ),
+    // ODPM's keep-alive timeouts around the suggested 5 s / 2 s.
+    (
+        "ablation-odpm",
+        "schemes odpm\nrates 0.4,2.0\n\
+         variant odpm_rrep_timeout_ms 1000; odpm_data_timeout_ms 500\n\
+         variant odpm_rrep_timeout_ms 2000; odpm_data_timeout_ms 1000\n\
+         variant odpm_rrep_timeout_ms 5000; odpm_data_timeout_ms 2000\n\
+         variant odpm_rrep_timeout_ms 10000; odpm_data_timeout_ms 5000\n\
+         variant odpm_rrep_timeout_ms 20000; odpm_data_timeout_ms 10000\n",
+    ),
+    // Network lifetime: 0.6 × 1125 s × 1.15 W per node, so an
+    // always-awake node's battery runs out at 60 % of the run.
+    ("lifetime", "rates 0.4,2.0\nbattery 776.25\nmetrics first_depletion_s,depleted\n"),
+    // DSR vs AODV under each power-management scheme (Section 1 and
+    // its footnote 1: RREQs dominate AODV's overhead).
+    (
+        "aodv-comparison",
+        "schemes 802.11,psm,rcast\nrates 0.4,2.0\n\
+         variant routing dsr\nvariant routing aodv\n\
+         metrics rreq_tx,rreq_share,hellos\n",
+    ),
+];
+
+/// A built-in preset, normalized, or `None` for an unknown name. See
+/// [`PRESETS`] for the names; the spec text of each is in this module.
+pub fn preset(name: &str) -> Option<SweepSpec> {
+    let (name, text) = PRESET_SPECS.iter().find(|(n, _)| *n == name)?;
+    Some(parse_spec(&format!("name {name}\n{text}")).expect("built-in presets parse"))
 }
 
 /// The built-in preset names, for help text and errors.
-pub const PRESETS: [&str; 5] = ["fig5", "fig6", "fig7", "fig8", "scale"];
+pub const PRESETS: [&str; PRESET_SPECS.len()] = {
+    let mut names = [""; PRESET_SPECS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = PRESET_SPECS[i].0;
+        i += 1;
+    }
+    names
+};
 
 #[cfg(test)]
 mod tests {
@@ -547,7 +675,7 @@ mod tests {
                 * spec.rates.len()
                 * spec.pauses.len()
                 * spec.nodes.len()
-                * spec.faults.len();
+                * spec.variants.len();
             assert_eq!(cells.len(), expect, "{name}");
             assert_eq!(spec.total_runs(), expect * spec.seeds.len());
         }
@@ -562,7 +690,7 @@ mod tests {
         assert_eq!(scale.nodes, vec![300, 600, 1200]);
         assert_eq!(scale.base.area, Area::new(7200.0, 720.0));
         assert_eq!(scale.base.traffic.flows, 30);
-        // 1 scheme × 1 rate × 1 pause × 3 node counts × 1 fault plan.
+        // 1 scheme × 1 rate × 1 pause × 3 node counts × 1 variant.
         assert_eq!(scale.expand().len(), 3);
         assert_eq!(scale.total_runs(), 9);
         // The smoke transform still collapses it to a cheap grid.
@@ -643,16 +771,13 @@ mod tests {
     #[test]
     fn cell_config_writes_all_axis_fields() {
         let mut spec = SweepSpec::paper_default("t");
-        spec.faults = vec![FaultsConfig::default(), FaultsConfig {
-            crash_prob: 0.25,
-            ..FaultsConfig::default()
-        }];
+        spec.variants = vec![Variant::default(), Variant::parse("faults crash=0.25").unwrap()];
         let cell = SweepCell {
             scheme: Scheme::Odpm,
             rate_pps: 1.5,
             pause_s: 30.0,
             nodes: 40,
-            fault_index: 1,
+            variant_index: 1,
         };
         let cfg = cell.config(&spec);
         assert_eq!(cfg.scheme, Scheme::Odpm);
@@ -671,7 +796,7 @@ mod tests {
         assert_eq!(spec.nodes, vec![20]);
         assert_eq!(spec.rates, vec![0.2, 0.4]);
         assert_eq!(spec.seeds, vec![1, 2]);
-        // 600/1125 of the 60 s run, like the experiment binaries' quick mode.
+        // 600/1125 of the 60 s run: the pause keeps its share of the run.
         assert!((spec.pauses[0] - 32.0).abs() < 1e-9, "{}", spec.pauses[0]);
         assert!((spec.pauses[1] - 60.0).abs() < 1e-9);
         assert!(spec.normalized().is_ok());
@@ -699,8 +824,8 @@ mod tests {
         assert_eq!(spec.schemes, vec![Scheme::Dot11, Scheme::Rcast]);
         assert_eq!(spec.rates, vec![0.2, 2.0], "normalized order");
         assert_eq!(spec.seeds, vec![1, 2, 3, 9]);
-        assert_eq!(spec.faults.len(), 2);
-        assert_eq!(spec.faults[1].crash_prob, 0.3);
+        assert_eq!(spec.variants.len(), 2);
+        assert_eq!(spec.expand()[1].config(&spec).faults.crash_prob, 0.3);
         assert_eq!(spec.pairing, Pairing::Independent);
         assert!(spec.per_node);
         assert_eq!(spec.base.duration, SimDuration::from_secs(300));
@@ -746,5 +871,121 @@ mod tests {
         assert!(err.contains("line 2"), "{err}");
         // Unknown base keys surface the scenario parser's message.
         assert!(err.contains("speed_of_light"), "{err}");
+    }
+
+    #[test]
+    fn seed_ranges_are_capped_before_they_allocate() {
+        for line in ["seeds 0..18446744073709551615", "seeds 0..100000", "seeds 1,0..65535"] {
+            let err = parse_spec(&format!("name s\n{line}\n")).expect_err(line);
+            assert!(err.starts_with("line 2: "), "{line}: {err}");
+            assert!(err.contains("65536"), "{line}: {err}");
+        }
+        let most = parse_spec("seeds 0..65535\n").expect("exactly the cap");
+        assert_eq!(most.seeds.len() as u64, MAX_SEEDS);
+    }
+
+    #[test]
+    fn variant_lines_assign_scenario_keys_and_label_themselves() {
+        let spec = parse_spec(
+            "schemes rcast\n\
+             variant factors neighbors,battery; battery 1500\n\
+             variant broadcast_p 0.5\n\
+             fault-plan crash=0.30,downtime=20\n\
+             variant faults none\n",
+        )
+        .expect("valid spec");
+        let labels: Vec<String> = spec.variants.iter().map(Variant::label).collect();
+        assert_eq!(
+            labels,
+            [
+                "factors neighbors,battery; battery 1500",
+                "broadcast_p 0.5",
+                "crash=0.3,downtime=20,blackouts=0,blackout=20,bursts=0,burst=10,corrupt=0.5,battery=false",
+                "none",
+            ]
+        );
+        let configs: Vec<SimConfig> = spec.expand().iter().map(|c| c.config(&spec)).collect();
+        assert!(configs[0].factors.battery && configs[0].factors.neighbors);
+        assert_eq!(configs[0].battery_capacity_j, Some(1500.0));
+        assert_eq!(configs[1].factors.broadcast_probability, 0.5);
+        assert_eq!(configs[1].battery_capacity_j, None, "variants do not leak");
+        assert_eq!(configs[2].faults.crash_prob, 0.3);
+        assert_eq!(Variant::default().label(), "none");
+        assert_eq!(Variant::parse("area 800\t 200 ;flows 3").unwrap().label(), "area 800 200; flows 3");
+    }
+
+    #[test]
+    fn variants_that_change_nothing_new_are_dropped() {
+        // `crash=0.3` twice, and the paper's cache capacity, which the
+        // base already has.
+        let spec = parse_spec(
+            "fault-plan crash=0.3\nfault-plan crash=0.30\n\
+             variant cache_capacity 64\nvariant cache_capacity 8\n",
+        )
+        .expect("valid spec");
+        assert_eq!(spec.variants.len(), 3);
+        assert_eq!(spec.variants[2].label(), "cache_capacity 8");
+        // A plan that injects nothing still differs from the healthy one.
+        let spec = parse_spec("fault-plan none\nfault-plan downtime=20\n").unwrap();
+        assert_eq!(spec.variants.len(), 2);
+        assert_eq!(spec.variants[1].label(), "none");
+    }
+
+    #[test]
+    fn malformed_variants_and_metrics_name_their_line() {
+        for (line, needle) in [
+            ("variant scheme odpm", "schemes"),
+            ("variant nodes 50", "nodes"),
+            ("variant seed 3", "seeds"),
+            ("variant obs true", "not sweepable"),
+            ("variant broadcast_p 0.5;", "empty assignment"),
+            ("variant", "empty assignment"),
+            ("variant speed_of_light 3e8", "speed_of_light"),
+            ("variant cache_strategy tree", "cache_strategy"),
+            ("fault-plan wat=1", "wat"),
+            ("metrics goodput", "goodput"),
+            ("metrics", "metrics"),
+        ] {
+            let err = parse_spec(&format!("name m\n{line}\n")).expect_err(line);
+            assert!(err.starts_with("line 2: ") && err.contains(needle), "{line}: {err}");
+        }
+        // A value only the whole cell rejects names the end of the spec.
+        let err = parse_spec("variant cache_capacity 0\n").unwrap_err();
+        assert!(err.starts_with("line 1 (end of spec): "), "{err}");
+    }
+
+    #[test]
+    fn metrics_lines_normalize_to_the_table_order() {
+        let spec = parse_spec("metrics depleted,rreq_tx, depleted\n").unwrap();
+        assert_eq!(spec.metrics, ["rreq_tx", "depleted"]);
+        let mut bad = SweepSpec::paper_default("t");
+        bad.metrics = vec!["goodput"];
+        assert!(bad.normalized().unwrap_err().contains("goodput"));
+    }
+
+    #[test]
+    fn experiment_presets_hold_their_variant_lists() {
+        let labels = |name: &str| -> Vec<String> {
+            preset(name).expect(name).variants.iter().map(Variant::label).collect()
+        };
+        assert_eq!(
+            labels("ablation-factors")[3],
+            "factors neighbors,battery; battery 1500"
+        );
+        assert_eq!(labels("ablation-broadcast").len(), 4);
+        assert_eq!(labels("ablation-cache").len(), 8);
+        assert_eq!(labels("ablation-odpm").len(), 5);
+        assert_eq!(labels("aodv-comparison"), ["routing dsr", "routing aodv"]);
+        let lifetime = preset("lifetime").unwrap();
+        // 0.6 × 1125 s × 1.15 W, written out exactly.
+        assert_eq!(lifetime.base.battery_capacity_j, Some(776.25));
+        assert!((776.25 - 0.6 * 1125.0 * 1.15_f64).abs() < 1e-9);
+        assert_eq!(lifetime.metrics, ["first_depletion_s", "depleted"]);
+        let aodv = preset("aodv-comparison").unwrap();
+        assert_eq!(aodv.metrics, ["rreq_tx", "rreq_share", "hellos"]);
+        assert_eq!(aodv.expand().len(), 3 * 2 * 2);
+        for name in PRESETS {
+            assert_eq!(preset(name).unwrap().name, name);
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Property tests for sweep-matrix expansion and cell seed derivation.
+//! Property tests for sweep-matrix expansion, cell seed derivation and
+//! the spec-file parser.
 //!
 //! Pinned here, over arbitrary axis specs:
 //!
@@ -9,10 +10,18 @@
 //! * under independent pairing, `(cell, base seed)` → run-seed is
 //!   **collision-free** across the whole matrix — no two runs of a
 //!   campaign ever share an RNG stream.
+//!
+//! And over mutated spec files (truncated, tokens swapped, values
+//! replaced by NaN, inf, −1, 1e30, 2^64, a full-width seed range, empty
+//! lists, or a variant assigning an axis key or `obs`): `parse_spec`
+//! never panics, every error names a line, and `normalized()` leaves
+//! every parsed spec as it is.
 
-use rcast_core::{FaultsConfig, Scheme, SimConfig};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use rcast_core::{Scheme, SimConfig};
 use rcast_engine::SimDuration;
-use rcast_sweep::{Pairing, SweepSpec};
+use rcast_sweep::{parse_spec, Pairing, SweepSpec, Variant};
 use rcast_testkit::{prop_assert, prop_assert_eq, Check, Gen};
 
 /// An arbitrary (valid) spec: random subsets of the scheme axis, random
@@ -33,15 +42,13 @@ fn arb_spec(g: &mut Gen) -> SweepSpec {
     spec.pauses = g.vec(1, 4, |g| f64::from(g.u32_range(0, 1200)));
     spec.nodes = g.vec(1, 3, |g| g.u32_range(2, 40));
     spec.seeds = g.vec(1, 6, |g| g.u64_range(0, 1 << 48));
-    spec.faults = g.vec(1, 3, |g| {
+    spec.variants = g.vec(1, 3, |g| {
         if g.bool() {
-            FaultsConfig::default()
+            Variant::default()
         } else {
-            FaultsConfig {
-                crash_prob: f64::from(g.u32_range(0, 10)) / 10.0,
-                downtime_s: f64::from(g.u32_range(0, 60)),
-                ..FaultsConfig::default()
-            }
+            let (crash, downtime) = (f64::from(g.u32_range(0, 10)) / 10.0, g.u32_range(0, 60));
+            Variant::parse(&format!("faults crash={crash},downtime={downtime}"))
+                .expect("a valid fault plan")
         }
     });
     spec.pairing = if g.bool() {
@@ -94,7 +101,7 @@ fn expansion_is_duplicate_free_and_exactly_the_axis_product() {
                 * spec.rates.len()
                 * spec.pauses.len()
                 * spec.nodes.len()
-                * spec.faults.len();
+                * spec.variants.len();
             prop_assert_eq!(cells.len(), product);
 
             let mut keys: Vec<String> =
@@ -147,6 +154,90 @@ fn run_seed_derivation_is_stable_and_pairing_aware() {
         // Deterministic inputs: if this ever failed it would fail on
         // every run, so a 2^-64 collision is a safe thing to pin.
         prop_assert!(derived != base, "cell {}", cell.key());
+        Ok(())
+    });
+}
+
+/// Spec texts the parser property mutates: `parse_spec`'s doc example
+/// and one text for each of the variant, fault-plan, metrics and
+/// per-node lines.
+const CORPUS: [&str; 5] = [
+    "# rcast sweep spec\nname my-campaign\nschemes 802.11,odpm,rcast\n\
+     rates 0.2,0.4,1.0,2.0\npauses 600,1125\nnodes 100\nseeds 1..10\n\
+     fault-plan none\nfault-plan crash=0.3,downtime=20\n\
+     variant factors neighbors,battery; battery 1500\n\
+     metrics rreq_tx,first_depletion_s\npairing common\nper-node false\n\
+     # base lines: handed to the scenario parser\nduration 1125\nflows 20\n",
+    "name variants\nschemes rcast\nrates 0.4\n\
+     variant factors neighbors,sender-id; battery 800; broadcast_p 0.5\n\
+     variant cache_strategy link; cache_capacity 128; cache_timeout 30\n\
+     variant odpm_rrep_timeout_ms 1000; odpm_data_timeout_ms 500\nduration 30\n",
+    "name faults\nseeds 1,4..6\nfault-plan none\nfault-plan crash=0.3,downtime=20\n\
+     pairing independent\nnodes 20,40\n",
+    "name metrics\nschemes 802.11,psm,rcast\nvariant routing aodv\n\
+     metrics rreq_tx,rreq_share,hellos,first_depletion_s,depleted\nbattery 500\n",
+    "name curves\nper-node true\nrates 0.4,2.0\npauses 600,1125\narea 800 300\n",
+];
+
+/// Parses without letting a panic escape: a panic becomes a property
+/// failure carrying the offending text and the runner's replay seed.
+fn parse_caught(text: &str) -> Result<Result<SweepSpec, String>, String> {
+    catch_unwind(AssertUnwindSafe(|| parse_spec(text)))
+        .map_err(|_| format!("parse_spec panicked on {text:?}"))
+}
+
+#[test]
+fn mutated_specs_never_panic_name_their_line_and_stay_normalized() {
+    const BAD: [&str; 12] = [
+        "NaN",
+        "inf",
+        "-1",
+        "1e30",
+        "18446744073709551616",
+        "0..18446744073709551615",
+        "",
+        ",",
+        "scheme rcast",
+        "obs true",
+        "nodes 5; broadcast_p 0.5",
+        "rate 2; seed 3",
+    ];
+    for text in CORPUS {
+        let spec = parse_spec(text).unwrap_or_else(|e| panic!("corpus text fails: {e}\n{text}"));
+        assert_eq!(spec.normalized(), Ok(spec.clone()), "{text}");
+    }
+    Check::new("sweep_spec_mutations").cases(512).run(|g: &mut Gen| {
+        let text = CORPUS[g.usize_range(0, CORPUS.len())];
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let at = g.usize_range(0, lines.len());
+        let key = lines[at].split(' ').next().unwrap_or("").to_string();
+        let bad = BAD[g.usize_range(0, BAD.len())];
+        let mutated = match g.usize_range(0, 4) {
+            // Truncate anywhere (the corpus is ASCII).
+            0 => text[..g.usize_range(0, text.len() + 1)].to_string(),
+            // Swap two tokens, possibly across lines.
+            1 => {
+                let mut tokens: Vec<&str> = text.split(' ').collect();
+                let (a, b) = (g.usize_range(0, tokens.len()), g.usize_range(0, tokens.len()));
+                tokens.swap(a, b);
+                tokens.join(" ")
+            }
+            // Replace one line's value with a hostile one.
+            2 => {
+                lines[at] = format!("{key} {bad}");
+                lines.join("\n")
+            }
+            // Add a variant that assigns a hostile value or banned key.
+            _ => {
+                let assignment = if g.bool() { bad.to_string() } else { format!("broadcast_p {bad}") };
+                lines.insert(at, format!("variant {assignment}"));
+                lines.join("\n")
+            }
+        };
+        match parse_caught(&mutated)? {
+            Err(e) => prop_assert!(e.starts_with("line "), "error without a line: {e} for {mutated:?}"),
+            Ok(spec) => prop_assert_eq!(spec.normalized(), Ok(spec)),
+        }
         Ok(())
     });
 }

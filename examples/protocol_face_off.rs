@@ -11,20 +11,15 @@
 //! how to archive the loser's configuration as a scenario file for
 //! later replay.
 
-use randomcast::metrics::{fmt_f64, TextTable};
 use randomcast::{run_sim, RoutingKind, Scheme, SimConfig, SimDuration};
 
 fn main() -> Result<(), String> {
     println!("Protocol face-off: DSR vs AODV under the Rcast scheme\n");
 
-    let mut table = TextTable::new(vec![
-        "routing".into(),
-        "energy (J)".into(),
-        "PDR (%)".into(),
-        "control tx".into(),
-        "RREQ tx".into(),
-        "hellos".into(),
-    ]);
+    println!(
+        "{:>7}  {:>10}  {:>7}  {:>10}  {:>7}  {:>6}",
+        "routing", "energy (J)", "PDR (%)", "control tx", "RREQ tx", "hellos"
+    );
 
     let mut archived = None;
     for routing in [RoutingKind::Dsr, RoutingKind::Aodv] {
@@ -35,24 +30,20 @@ fn main() -> Result<(), String> {
         cfg.traffic.flows = 12;
         cfg.routing = routing;
         let report = run_sim(cfg.clone())?;
-        let rreq = report.dsr.rreq_originated
-            + report.dsr.rreq_forwarded
-            + report.aodv.rreq_originated
-            + report.aodv.rreq_forwarded;
-        table.add_row(vec![
-            routing.label().into(),
-            fmt_f64(report.energy.total_joules(), 0),
-            fmt_f64(report.delivery.delivery_ratio() * 100.0, 1),
-            report.delivery.control_transmissions().to_string(),
-            rreq.to_string(),
-            report.aodv.hello_sent.to_string(),
-        ]);
+        println!(
+            "{:>7}  {:>10.0}  {:>7.1}  {:>10}  {:>7}  {:>6}",
+            routing.label(),
+            report.energy.total_joules(),
+            report.delivery.delivery_ratio() * 100.0,
+            report.delivery.control_transmissions(),
+            report.rreq_transmissions(),
+            report.aodv.hello_sent,
+        );
         if routing == RoutingKind::Aodv {
             archived = Some(randomcast::write_scenario(&cfg));
         }
     }
-    println!("{}", table.render());
-
+    println!();
     println!("DSR wins on control traffic and energy: its route caches feed");
     println!("on (randomized) overhearing, while AODV re-floods and beacons.");
     println!();

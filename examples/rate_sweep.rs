@@ -7,43 +7,28 @@
 //! Answers the operator's question the paper's Figure 7 answers for
 //! researchers: *as offered load grows, how do the energy savings and
 //! the delivery guarantees of each power-management scheme move?*
-//! Sweeps the per-flow packet rate on a mid-sized network and prints an
-//! energy-per-delivered-bit frontier.
+//! Sweeps the per-flow packet rate on a mid-sized network as an inline
+//! sweep spec and prints the sweep engine's summary, energy per
+//! delivered bit included.
 
-use randomcast::metrics::{fmt_f64, TextTable};
-use randomcast::{run_sim, Scheme, SimConfig, SimDuration};
+use randomcast::engine::pool::available_threads;
+use randomcast::mobility::Area;
+use randomcast::sweep::{human_summary, run_spec, SweepSpec};
+use randomcast::SimDuration;
 
 fn main() -> Result<(), String> {
-    println!("Rate sweep: 60 nodes, 12 flows, 240 simulated seconds per point\n");
-
-    let mut table = TextTable::new(vec![
-        "rate (pkt/s)".into(),
-        "scheme".into(),
-        "energy (J)".into(),
-        "PDR (%)".into(),
-        "EPB (mJ/bit)".into(),
-        "delay (ms)".into(),
-    ]);
-
-    for rate in [0.2, 0.5, 1.0, 2.0] {
-        for scheme in [Scheme::Dot11, Scheme::Odpm, Scheme::Rcast] {
-            let mut cfg = SimConfig::paper(scheme, 11, rate, 300.0);
-            cfg.nodes = 60;
-            cfg.area = randomcast::mobility::Area::new(1200.0, 300.0);
-            cfg.duration = SimDuration::from_secs(240);
-            cfg.traffic.flows = 12;
-            let report = run_sim(cfg)?;
-            table.add_row(vec![
-                format!("{rate}"),
-                report.scheme.label().into(),
-                fmt_f64(report.energy.total_joules(), 0),
-                fmt_f64(report.delivery.delivery_ratio() * 100.0, 1),
-                fmt_f64(report.energy_per_bit(512) * 1e3, 4),
-                fmt_f64(report.delivery.mean_delay().as_millis_f64(), 0),
-            ]);
-        }
-    }
-    println!("{}", table.render());
+    // 802.11, ODPM and Rcast at four rates: 60 nodes, 12 flows, one
+    // 240-second run per cell.
+    let mut spec = SweepSpec::paper_default("rate-sweep");
+    spec.rates = vec![0.2, 0.5, 1.0, 2.0];
+    spec.pauses = vec![300.0];
+    spec.nodes = vec![60];
+    spec.seeds = vec![11];
+    spec.base.area = Area::new(1200.0, 300.0);
+    spec.base.duration = SimDuration::from_secs(240);
+    spec.base.traffic.flows = 12;
+    let report = run_spec(&spec, available_threads())?;
+    println!("{}", human_summary(&report));
 
     println!("Reading the frontier: Rcast's energy-per-bit stays the lowest");
     println!("across the sweep; the price is delay pinned near the beacon");

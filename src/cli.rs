@@ -15,7 +15,7 @@
 use std::fmt;
 
 use crate::core::{set_key, Scheme, SimConfig};
-use crate::sweep::{Pairing, SweepSpec, AXIS_KEYS};
+use crate::sweep::{SweepSpec, AXIS_KEYS};
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +57,7 @@ pub enum Command {
 /// Arguments of `rcast sweep`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepArgs {
-    /// A preset name (`fig5`–`fig8`, `scale`) or a spec-file path;
+    /// A preset name (one of `rcast_sweep::PRESETS`) or a spec-file path;
     /// the binary resolves presets first.
     pub spec: String,
     /// Worker threads for the cell × seed fan-out (`None` = machine
@@ -135,8 +135,9 @@ pub struct RunArgs {
 pub struct CompareArgs {
     /// The normalized campaign: `--schemes` × `--rates` over `--seeds`
     /// with common seed pairing, on the base configuration the other
-    /// flags build. Pause time, node count and fault plan are
-    /// single-valued axes taken from that base.
+    /// flags build. Pause time and node count are single-valued axes
+    /// taken from that base; the fault plan stays in it, under the one
+    /// variant that changes nothing.
     pub spec: SweepSpec,
     /// Worker threads for the cell × seed fan-out (`None` = machine
     /// width). Results are identical at any width.
@@ -240,8 +241,10 @@ trace-ONLY:
     --out <file>          write the JSONL to a file instead of stdout
 
 sweep-ONLY:
-    --spec <s>        preset (fig5 | fig6 | fig7 | fig8 | scale) or a
-                      sweep spec file (required)
+    --spec <s>        preset (fig5 | fig6 | fig7 | fig8 | scale |
+                      ablation-factors | ablation-broadcast |
+                      ablation-cache | ablation-odpm | lifetime |
+                      aodv-comparison) or a sweep spec file (required)
     --threads <n>     worker threads across cells x seeds [machine width]
                       (artifacts are byte-identical at any width)
     --out <dir>       write <name>.json + <name>.csv here [stdout JSON]
@@ -402,7 +405,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
                 }
             }
             let spec = spec.ok_or_else(|| {
-                err("sweep needs --spec <fig5|fig6|fig7|fig8|scale|file>")
+                err("sweep needs --spec <preset|file>")
             })?;
             Ok(Command::Sweep(SweepArgs {
                 spec,
@@ -450,16 +453,13 @@ pub fn parse(args: &[String]) -> Result<Command, ParseCliError> {
                 return Err(err(format!("unknown option '{e}'")));
             }
             let spec = SweepSpec {
-                name: "compare".to_string(),
                 schemes,
                 rates,
                 pauses: vec![base.waypoint.pause_secs],
                 nodes: vec![base.nodes],
-                faults: vec![base.faults.clone()],
                 seeds,
-                pairing: Pairing::Common,
-                per_node: false,
                 base,
+                ..SweepSpec::paper_default("compare")
             }
             .normalized()
             .map_err(err)?;
@@ -556,6 +556,7 @@ mod tests {
     use super::*;
     use crate::core::RoutingKind;
     use crate::engine::SimDuration;
+    use crate::sweep::{Pairing, Variant, PRESETS};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -678,8 +679,8 @@ mod tests {
         // Single-valued axes come from the base configuration.
         assert_eq!(spec.pauses, vec![600.0]);
         assert_eq!(spec.nodes, vec![30]);
-        assert_eq!(spec.faults.len(), 1);
-        assert!(spec.faults[0].is_none());
+        assert_eq!(spec.variants, vec![Variant::default()]);
+        assert!(spec.base.faults.is_none());
         assert_eq!(spec.base.nodes, 30);
         assert_eq!(spec.expand().len(), 4);
         assert_eq!(c.threads, None);
@@ -714,6 +715,7 @@ mod tests {
         };
         assert_eq!(c.spec.pauses, vec![30.0]);
         assert_eq!(c.spec.nodes, vec![20]);
+        assert_eq!(c.spec.base.faults.crash_prob, 0.1);
     }
 
     #[test]
@@ -912,6 +914,13 @@ mod tests {
             USAGE, golden,
             "USAGE changed; update tests/golden/help.txt (see comment)"
         );
+    }
+
+    #[test]
+    fn usage_lists_every_sweep_preset() {
+        for name in PRESETS {
+            assert!(USAGE.contains(name), "{name} missing from the sweep --spec help");
+        }
     }
 
     #[test]

@@ -212,10 +212,8 @@ fn report_order_follows_seed_order() {
 #[test]
 fn aggregate_from_parallel_matches_from_runs() {
     let cfg = smoke(Scheme::Rcast);
-    let serial = randomcast::AggregateReport::from_runs(
-        &run_seeds(&cfg, SEEDS).expect("valid config"),
-        cfg.traffic.packet_bytes,
-    );
+    let serial =
+        randomcast::AggregateReport::from_runs(&run_seeds(&cfg, SEEDS).expect("valid config"));
     for threads in WIDTHS {
         let parallel = randomcast::AggregateReport::from_parallel(&cfg, &SEEDS, threads)
             .expect("valid config");
