@@ -33,6 +33,10 @@ else
     echo "NOTICE: clippy component unavailable; skipping clippy gate"
 fi
 
+echo "==> cargo doc --offline (rustdoc warnings are errors)"
+# Broken or private intra-doc links fail here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 

@@ -180,7 +180,7 @@ fn run_cell_once(workload: &'static str, cfg: SimConfig) -> BenchResult {
 }
 
 /// Runs the suite: every scheme at every workload (smoke = the small
-/// workload only), plus one [`sweep_point`] tracking campaign-engine
+/// workload only), plus one `sweep_point` tracking campaign-engine
 /// throughput. The per-scheme cells are serial on purpose — each
 /// measures single-run latency, which thread contention would pollute;
 /// the sweep point deliberately runs machine-wide, because cross-cell
@@ -424,7 +424,7 @@ fn timing_config() -> SimConfig {
 /// Measures the ledger's cost.
 ///
 /// *Wall overhead* comes from `rounds` interleaved off/on pairs of
-/// [`timing_config`], keeping the pair with the smallest on/off ratio:
+/// `timing_config`, keeping the pair with the smallest on/off ratio:
 /// the two halves of a pair run back-to-back, so machine-load drift
 /// between rounds cancels instead of counting against the budget,
 /// while a real regression shows up in every round — including the

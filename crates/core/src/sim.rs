@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use rcast_aodv::AodvCounters;
 use rcast_dsr::DsrCounters;
-use rcast_engine::pool::{shard_range, ScopedPool};
+use rcast_engine::pool::ScopedPool;
 use rcast_engine::rng::StreamRng;
 use rcast_engine::{NodeId, SimDuration, SimTime};
 use rcast_mac::{
@@ -187,8 +187,6 @@ struct Scratch {
     /// Fan-out buffer for the immediate (active-mode) channel path —
     /// holds one transmission's recipients/overhearers at a time.
     imm_fanout: Vec<NodeId>,
-    /// Per-shard link-churn counts for the sharded neighbor scan.
-    churn: Vec<Vec<usize>>,
     /// `committed_awake` substitute for the non-PSM (802.11) path: every
     /// node awake for the full beacon interval. Built once.
     flat_committed: Vec<SimDuration>,
@@ -200,11 +198,11 @@ struct Scratch {
 /// per-state energy-seconds lanes and the battery lanes, each one flat
 /// array indexed by node id.
 ///
-/// The interval phases walk nodes in index order (serially or in
-/// contiguous shards); holding this state as lanes instead of
-/// per-node structs (`Vec<EnergyMeter>` + `Vec<Battery>` + `Vec<bool>`)
-/// turns the energy integration, fault scan and battery drain into
-/// sequential streams over small contiguous arrays. The arithmetic
+/// The interval phases walk nodes in index order; holding this state
+/// as lanes instead of per-node structs (`Vec<EnergyMeter>` +
+/// `Vec<Battery>` + `Vec<bool>`) turns the energy integration, fault
+/// scan and battery drain into sequential streams over small
+/// contiguous arrays. The arithmetic
 /// mirrors `EnergyMeter::accumulate`/`total_joules` and
 /// `Battery::drain` operation-for-operation — same adds, same order,
 /// same comparisons — so reports and ledger replays (which replay
@@ -341,11 +339,6 @@ pub struct Simulation {
     /// Incrementally maintained neighbor index (current + previous
     /// table, double-buffered).
     neighbors: NeighborIndex,
-    /// The run's one intra-interval shard pool, shared by the churn
-    /// scan and the MAC's prepass/post-pass. Width 1 (the default)
-    /// runs every pass as one lane on the caller's thread;
-    /// [`set_shard_width`](Self::set_shard_width) widens it.
-    pool: ScopedPool,
     scratch: Scratch,
     /// The next beacon interval to execute.
     k: u64,
@@ -429,7 +422,6 @@ impl Simulation {
             fault_counters: FaultCounters::default(),
             snap,
             neighbors,
-            pool: ScopedPool::new(1),
             scratch,
             k: 0,
             next_arrival,
@@ -443,21 +435,10 @@ impl Simulation {
         &self.cfg
     }
 
-    /// Sets the intra-interval shard width: how many node shards the
-    /// MAC resolver's prepass/post-pass and the neighbor-churn scan are
-    /// split into. Runtime-only — it is deliberately *not* part of
-    /// [`SimConfig`], because results are byte-identical at every width
-    /// (the shard merge re-serializes in canonical node/delivery
-    /// order); only wall-clock time changes. Width 1 (the default)
-    /// runs each pass as a single lane on the caller's thread.
-    pub fn set_shard_width(&mut self, width: usize) {
-        self.pool = ScopedPool::new(width);
-    }
-
-    /// The current intra-interval shard width.
-    pub fn shard_width(&self) -> usize {
-        self.pool.threads()
-    }
+    /// Does nothing: a beacon interval always runs on the caller's
+    /// thread, and results never depended on this width. Kept only so
+    /// existing callers still build; it will be removed.
+    pub fn set_shard_width(&mut self, _: usize) {}
 
     /// Runs the simulation to completion and reports.
     pub fn run(mut self) -> SimReport {
@@ -493,31 +474,21 @@ impl Simulation {
             self.apply_faults(t, &mut neighbors, &mut obs);
         }
         if k > 0 {
-            // The per-node link-churn scan is pure reads over the
-            // double-buffered tables; shard it, then feed the decider
-            // serially in node order so its state evolves identically
-            // at every width.
+            // Feed the decider every node's link churn in node order.
             // Carried-forward lists (byte-equal to the previous
             // interval's, no fault mutation since) have zero churn, so
             // the symmetric-difference merge runs only for lists that
             // actually changed — the decider still sees every node (its
             // EWMA decays on 0).
-            let shards = self.pool.threads().min(n.max(1));
-            scratch.churn.resize_with(shards, Vec::new);
             let (cur, prev) = (neighbors.current(), neighbors.previous());
-            self.pool.map_shards(&mut scratch.churn, |s, lane| {
-                lane.clear();
-                lane.extend(shard_range(s, shards, n).map(|i| {
-                    let id = NodeId::new(i as u32);
-                    if neighbors.carried_forward(id) {
-                        0
-                    } else {
-                        cur.link_changes_since(prev, id)
-                    }
-                }));
-            });
-            for (i, &changes) in scratch.churn.iter().flatten().enumerate() {
-                self.rcast.note_link_changes(NodeId::new(i as u32), changes);
+            for i in 0..n {
+                let id = NodeId::new(i as u32);
+                let changes = if neighbors.carried_forward(id) {
+                    0
+                } else {
+                    cur.link_changes_since(prev, id)
+                };
+                self.rcast.note_link_changes(id, changes);
             }
         }
         let nt = neighbors.current();
@@ -559,18 +530,13 @@ impl Simulation {
                             t,
                             nt,
                             &mut policy,
-                            self.pool,
                             &mut scratch.outcome,
                             &mut tap,
                         );
                     }
-                    None => self.mac.run_interval_into(
-                        t,
-                        nt,
-                        &mut policy,
-                        self.pool,
-                        &mut scratch.outcome,
-                    ),
+                    None => self
+                        .mac
+                        .run_interval_into(t, nt, &mut policy, &mut scratch.outcome),
                 }
             }
             for d in scratch.outcome.deliveries.drain(..) {

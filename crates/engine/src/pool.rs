@@ -15,20 +15,17 @@
 //! * `std::thread::scope` keeps everything borrow-checked with no
 //!   `'static` bounds and no channels; worker panics propagate to the
 //!   caller on scope exit.
-//! * One worker loop serves every entry point: [`map_shards`]
-//!   (in-place lanes), [`map`] (one lane per item) and [`map_grid`]
-//!   (one lane per `(cell, repeat)` pair). Items are claimed one at a
-//!   time (no chunking), so the schedule stays balanced even when run
-//!   times differ wildly across seeds or schemes.
+//! * One worker loop serves both entry points: [`map`] (one claim-once
+//!   slot per item) and [`map_grid`] (one item per `(cell, repeat)`
+//!   pair, run through [`map`]). Items are claimed one at a time (no
+//!   chunking), so the schedule stays balanced even when run times
+//!   differ wildly across seeds or schemes.
 //! * One thread-count policy: the servicing width is clamped to
 //!   `[1, items]` and capped at the machine's available parallelism
 //!   (floor two, so any requested width above one still exercises the
 //!   real cross-thread path). One thread short-circuits to a plain
 //!   serial loop on the caller's thread.
-//! * [`shard_range`] is the one shard geometry: every intra-interval
-//!   pass splits its node (or delivery) index space with it.
 //!
-//! [`map_shards`]: ScopedPool::map_shards
 //! [`map`]: ScopedPool::map
 //! [`map_grid`]: ScopedPool::map_grid
 //!
@@ -41,7 +38,6 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -72,82 +68,43 @@ impl ScopedPool {
 
     /// Applies `f` to every item, in parallel, returning outputs **in
     /// input order** regardless of thread count. `f` receives the item's
-    /// index alongside the item. Each item is one
-    /// [`map_shards`](Self::map_shards) lane.
+    /// index alongside the item. This is the pool's one worker loop.
     ///
     /// Determinism: for a pure `f`, `map` returns the same `Vec` as the
     /// serial `items.into_iter().enumerate().map(|(i, x)| f(i, x))`.
+    /// `F: Fn(..) + Sync` rules out shared writes at compile time, up
+    /// to interior mutability — rcast-lint D008 walks these closures.
+    /// The pool only decides how many OS threads service the items (see
+    /// the module docs' thread-count policy), which is invisible to the
+    /// result.
     ///
     /// # Panics
     ///
-    /// Re-raises a panic from `f` when the scope joins.
+    /// Re-raises a panic from `f`, with its original payload.
     pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send,
         U: Send,
         F: Fn(usize, T) -> U + Sync,
     {
-        // Each lane's input is taken exactly once by the worker that
-        // claims its index; its output is written exactly once.
-        let mut lanes: Vec<(Option<T>, Option<U>)> =
-            items.into_iter().map(|x| (Some(x), None)).collect();
-        self.map_shards(&mut lanes, |i, (item, out)| {
-            *out = Some(f(i, item.take().expect("each item is claimed once")));
-        });
-        lanes
-            .into_iter()
-            .map(|(_, out)| out.expect("every lane filled"))
-            .collect()
-    }
-
-    /// Runs `f(shard_index, &mut lane)` once per lane, in parallel,
-    /// mutating each lane in place. This is the pool's one worker loop.
-    /// Within a simulation, one interval's node-indexed work is split
-    /// into `lanes.len()` shards (ranges from [`shard_range`]), each
-    /// shard writes only into its own lane, and the caller merges lanes
-    /// serially in shard order afterwards; width 1 is the same seam with
-    /// one lane.
-    ///
-    /// Determinism: `f` must derive everything it writes from
-    /// `shard_index` plus captured immutable state (`F: Fn(..) + Sync`
-    /// and `&mut`-disjoint lanes enforce the no-shared-writes part at
-    /// compile time, up to interior mutability — rcast-lint D008 walks
-    /// these closures). Under that contract the lane contents are a pure
-    /// function of the shard index, so the merged result is identical
-    /// for any thread count — the differential tests in
-    /// `tests/parallel_interval.rs` pin this byte-for-byte.
-    ///
-    /// Shard *count* is chosen by the caller via `lanes.len()` and is
-    /// what fixes the output layout; this pool only decides how many OS
-    /// threads service the lanes (see the module docs' thread-count
-    /// policy), which is invisible to the result. Width 1 short-circuits
-    /// to a plain serial loop with zero allocations, which keeps the
-    /// quiet-interval zero-alloc contract intact at the default width.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from `f` when the scope joins.
-    pub fn map_shards<S, F>(&self, lanes: &mut [S], f: F)
-    where
-        S: Send,
-        F: Fn(usize, &mut S) + Sync,
-    {
-        let n = lanes.len();
+        let n = items.len();
         // Serial short-circuit first: width-1 pools must not even probe
-        // the machine (the probe reads cgroup files, which allocates —
-        // it would break the quiet-interval zero-alloc contract).
+        // the machine (the probe reads cgroup files, which allocates).
         if self.threads.min(n) <= 1 {
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                f(i, lane);
-            }
-            return;
+            return items
+                .into_iter()
+                .enumerate()
+                .map(|(i, x)| f(i, x))
+                .collect();
         }
         let width = self.threads.min(n).min(available_threads().max(2));
 
-        // Each slot wraps a disjoint `&mut` borrow and is taken exactly
-        // once by the worker that claims its index off the cursor.
-        let slots: Vec<Mutex<Option<&mut S>>> =
-            lanes.iter_mut().map(|l| Mutex::new(Some(l))).collect();
+        // Each slot's input is taken exactly once by the worker that
+        // claims its index off the cursor; its output is written once.
+        let slots: Vec<Mutex<(Option<T>, Option<U>)>> = items
+            .into_iter()
+            .map(|x| Mutex::new((Some(x), None)))
+            .collect();
         let cursor = AtomicUsize::new(0);
 
         std::thread::scope(|scope| {
@@ -158,12 +115,10 @@ impl ScopedPool {
                         if i >= n {
                             break;
                         }
-                        let lane = slots[i]
-                            .lock()
-                            .expect("shard slot poisoned")
-                            .take()
-                            .expect("each shard is claimed once");
-                        f(i, lane);
+                        let slot = &slots[i];
+                        let item = slot.lock().expect("slot poisoned").0.take();
+                        let out = f(i, item.expect("each item is claimed once"));
+                        slot.lock().expect("slot poisoned").1 = Some(out);
                     })
                 })
                 .collect();
@@ -175,6 +130,13 @@ impl ScopedPool {
                 }
             }
         });
+        slots
+            .into_iter()
+            .map(|slot| {
+                let (_, out) = slot.into_inner().expect("slot poisoned");
+                out.expect("every item computed")
+            })
+            .collect()
     }
 
     /// Applies `f` across the whole `outer × inner` grid — every
@@ -211,27 +173,10 @@ impl ScopedPool {
     }
 }
 
-/// Shard `shard`'s slice of the index space `0..len` when it is split
-/// into `shards` contiguous, ascending, disjoint ranges that cover it
-/// exactly. Sizes differ by at most one, so with `shards <= len` every
-/// range is non-empty; with more shards than items the surplus ranges
-/// are empty. Consuming lanes in shard order is therefore index order,
-/// which is what makes every sharded pass byte-identical at every width.
-///
-/// # Panics
-///
-/// Debug builds assert `shard < shards`.
-pub fn shard_range(shard: usize, shards: usize, len: usize) -> Range<usize> {
-    debug_assert!(shard < shards, "shard {shard} out of {shards}");
-    let bound = |s: usize| s * len / shards;
-    bound(shard)..bound(shard + 1)
-}
-
 /// The machine's available parallelism, defaulting to 1 when unknown.
 ///
 /// Probed once and cached: the std probe reads cgroup quota files on
-/// Linux (open/parse/allocate), far too heavy for the per-interval shard
-/// passes that consult this on every call.
+/// Linux (open/parse/allocate), so repeated pool calls probe only once.
 pub fn available_threads() -> usize {
     static CACHED: AtomicUsize = AtomicUsize::new(0);
     match CACHED.load(Ordering::Relaxed) {
@@ -359,104 +304,12 @@ mod tests {
     }
 
     #[test]
-    fn map_shards_matches_the_serial_loop() {
-        let run = |threads: usize| {
-            let mut lanes: Vec<Vec<u64>> = vec![Vec::new(); 8];
-            ScopedPool::new(threads).map_shards(&mut lanes, |shard, lane| {
-                for k in 0..=(shard as u64) {
-                    lane.push(shard as u64 * 100 + k);
-                }
-            });
-            lanes
-        };
-        let serial = run(1);
-        for threads in [2, 3, 8, 64] {
-            assert_eq!(run(threads), serial, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn map_shards_reuses_lane_capacity_serially() {
-        // Width 1 must not allocate: lanes are cleared, not rebuilt.
-        let mut lanes: Vec<Vec<u32>> = (0..4).map(|_| Vec::with_capacity(16)).collect();
-        let caps: Vec<usize> = lanes.iter().map(Vec::capacity).collect();
-        ScopedPool::new(1).map_shards(&mut lanes, |shard, lane| {
-            lane.clear();
-            lane.push(shard as u32);
-        });
-        assert_eq!(
-            lanes.iter().map(Vec::capacity).collect::<Vec<_>>(),
-            caps,
-            "serial shard pass must reuse lane storage"
-        );
-    }
-
-    #[test]
-    fn map_shards_degenerate_shapes() {
-        let pool = ScopedPool::new(4);
-        let mut empty: Vec<u8> = Vec::new();
-        pool.map_shards(&mut empty, |_, _| unreachable!());
-        let mut one = [0u32];
-        pool.map_shards(&mut one, |shard, lane| *lane = shard as u32 + 7);
-        assert_eq!(one, [7]);
-    }
-
-    #[test]
-    fn map_shards_claims_every_lane_once() {
-        let calls = AtomicU32::new(0);
-        let mut lanes = vec![0u8; 23];
-        ScopedPool::new(8).map_shards(&mut lanes, |_, lane| {
-            // det: shared-ok — commutative counter: the test asserts coverage, not order
-            calls.fetch_add(1, Ordering::Relaxed);
-            *lane += 1;
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 23);
-        assert!(lanes.iter().all(|&l| l == 1));
-    }
-
-    #[test]
-    fn map_shards_spawns_real_threads_at_width_above_one() {
-        // The differential suite relies on width > 1 exercising the
-        // threaded path even on a single-core machine.
+    fn map_spawns_real_threads_at_width_above_one() {
+        // Width > 1 must exercise the threaded path even on a
+        // single-core machine.
         let main_id = std::thread::current().id();
-        let mut seen = vec![None; 4];
-        ScopedPool::new(4).map_shards(&mut seen, |_, lane| {
-            *lane = Some(std::thread::current().id());
-        });
-        assert!(seen.iter().all(|id| id.is_some_and(|id| id != main_id)));
-    }
-
-    #[test]
-    fn shard_ranges_tile_the_index_space() {
-        // len 0, len < width, len = width and uneven splits.
-        for (width, len) in [(1, 0), (4, 0), (8, 3), (4, 4), (3, 10), (4, 7), (2, 1200), (1, 5)] {
-            let shards = width.min(len);
-            let ranges: Vec<Range<usize>> =
-                (0..shards).map(|s| shard_range(s, shards, len)).collect();
-            assert_eq!(ranges.len(), width.min(len), "width {width}, len {len}");
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next, "contiguous and disjoint: {ranges:?}");
-                assert!(r.start < r.end, "ascending and non-empty: {ranges:?}");
-                next = r.end;
-            }
-            assert_eq!(next, len, "covers exactly 0..{len}: {ranges:?}");
-        }
-        // More shards than items: the surplus ranges are empty, and the
-        // union still covers the index space in order.
-        let covered: Vec<usize> = (0..8).flat_map(|s| shard_range(s, 8, 3)).collect();
-        assert_eq!(covered, vec![0, 1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard boom")]
-    fn map_shards_panics_propagate() {
-        let mut lanes = vec![0u8; 2];
-        ScopedPool::new(2).map_shards(&mut lanes, |shard, _| {
-            if shard == 1 {
-                panic!("shard boom");
-            }
-        });
+        let seen = ScopedPool::new(4).map(vec![(); 4], |_, ()| std::thread::current().id());
+        assert!(seen.iter().all(|&id| id != main_id));
     }
 
     #[test]

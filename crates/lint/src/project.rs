@@ -89,7 +89,7 @@ pub fn classify(rel: &str) -> FileClass {
 }
 
 /// Walks `root` and returns every `.rs` file as a workspace-relative,
-/// `/`-separated path, sorted. Skips [`SKIP_DIRS`] and hidden entries,
+/// `/`-separated path, sorted. Skips `SKIP_DIRS` and hidden entries,
 /// so the linter's fixture corpus and build artifacts are never linted.
 pub fn collect_rust_files(root: &Path) -> io::Result<Vec<String>> {
     let mut out = Vec::new();

@@ -27,7 +27,6 @@
 //! energy layer can integrate `P_awake × awake + P_sleep × sleep` —
 //! exactly the arithmetic the paper uses in Figure 5.
 
-use rcast_engine::pool::{shard_range, ScopedPool};
 use rcast_engine::rng::StreamRng;
 use rcast_engine::{NodeId, SimDuration, SimTime};
 use rcast_mobility::NeighborTable;
@@ -47,7 +46,7 @@ use crate::wake::{PowerMode, WakePolicy};
 ///
 /// Keeping ranges instead of per-delivery `Vec`s removes two heap
 /// allocations per delivered frame from the hot loop and lets the
-/// sharded post-pass assemble all fanouts into one flat buffer.
+/// post-pass write all fanouts into one flat buffer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Fanout {
     /// First index of this delivery's span in the fanout buffer.
@@ -249,41 +248,17 @@ struct IntervalScratch {
     atim_budget: AirtimeBudget,
     data_budget: AirtimeBudget,
     affected: Vec<NodeId>,
-    prepass: Vec<PrepassLane>,
-    merge: Vec<MergeLane>,
-}
-
-/// One shard's output of the ATIM prepass: the per-node destination
-/// lists and advertised levels, read off the queues before phase 1
-/// mutates them. Both are pure queue reads, so shards can scan node
-/// ranges concurrently; phase 1 then consumes the lanes in shard order,
-/// which is node order for contiguous chunks.
-#[derive(Debug, Clone, Default)]
-struct PrepassLane {
     /// Per-node scratch for `destinations_into`.
     dests: Vec<Destination>,
-    /// `(sender, dest, strongest advertised level)` candidates.
-    out: Vec<(NodeId, Destination, Option<OverhearingLevel>)>,
-}
-
-/// One shard's output of the fanout/energy post-pass: concatenated
-/// recipient+overhearer ids with per-delivery counts for a contiguous
-/// delivery range, plus committed-awake durations for a contiguous node
-/// range. Everything here is a pure function of post-phase-2 `awake`
-/// and post-phase-3 doze bookkeeping, so shards run concurrently and
-/// the serial merge reassembles canonical order.
-#[derive(Debug, Clone, Default)]
-struct MergeLane {
-    fanout: Vec<NodeId>,
-    counts: Vec<(u32, u32)>,
-    committed: Vec<SimDuration>,
+    /// The ATIM prepass's `(sender, dest, strongest advertised level)`
+    /// candidates, in node order.
+    candidates: Vec<(NodeId, Destination, Option<OverhearingLevel>)>,
 }
 
 /// Appends `d`'s recipients-then-overhearers to `buf`; returns the
 /// `(recipients, overhearers)` counts. Pure in `awake`, which is final
 /// once phase 2 ends — phase 3 only advances doze bookkeeping — so the
-/// fanout can be resolved after the data phase, serially or sharded,
-/// with identical bytes.
+/// fanout can be resolved after the data phase.
 fn delivery_fanout<P>(
     d: &Delivery<P>,
     nt: &NeighborTable,
@@ -314,28 +289,6 @@ fn delivery_fanout<P>(
             }
             (rec, 0)
         }
-    }
-}
-
-/// Node `i`'s PSM-committed radio-on time for the interval — the
-/// doze-bookkeeping integration, pure in the final phase-3 state.
-#[allow(clippy::too_many_arguments)]
-fn committed_duration(
-    i: usize,
-    committed: &[bool],
-    full_wake: &[bool],
-    doze_at: &[SimTime],
-    start: SimTime,
-    aw: SimDuration,
-    bi: SimDuration,
-    doze_after_transfer: bool,
-) -> SimDuration {
-    if !committed[i] {
-        aw
-    } else if full_wake[i] || !doze_after_transfer {
-        bi
-    } else {
-        (doze_at[i] - start).max(aw).min(bi)
     }
 }
 
@@ -480,12 +433,9 @@ impl<P> MacLayer<P> {
         start: SimTime,
         nt: &NeighborTable,
         policy: &mut dyn WakePolicy,
-    ) -> IntervalOutcome<P>
-    where
-        P: Sync,
-    {
+    ) -> IntervalOutcome<P> {
         let mut out = IntervalOutcome::default();
-        self.run_interval_into(start, nt, policy, ScopedPool::new(1), &mut out);
+        self.run_interval_into(start, nt, policy, &mut out);
         out
     }
 
@@ -495,24 +445,15 @@ impl<P> MacLayer<P> {
     ///
     /// `nt` must describe node positions at `start`; `policy` supplies
     /// per-node power modes and randomized-overhearing decisions.
-    /// `pool` shards the node-indexed prepass and fanout post-pass
-    /// (`pool.threads()` lanes, at most one per node); every width
-    /// produces a byte-identical outcome, so the width is purely a
-    /// throughput knob and deliberately *not* part of [`MacConfig`]
-    /// (scenario hashing must not see it). Width 1 runs each pass as
-    /// one lane on the caller's thread, allocation-free once the lanes
-    /// have grown.
+    /// Allocation-free once the working buffers have grown.
     pub fn run_interval_into(
         &mut self,
         start: SimTime,
         nt: &NeighborTable,
         policy: &mut dyn WakePolicy,
-        pool: ScopedPool,
         out: &mut IntervalOutcome<P>,
-    ) where
-        P: Sync,
-    {
-        self.run_interval_observed(start, nt, policy, pool, out, &mut NullMacObserver);
+    ) {
+        self.run_interval_observed(start, nt, policy, out, &mut NullMacObserver);
     }
 
     /// Like [`run_interval_into`](Self::run_interval_into), but reports
@@ -524,12 +465,9 @@ impl<P> MacLayer<P> {
         start: SimTime,
         nt: &NeighborTable,
         policy: &mut dyn WakePolicy,
-        pool: ScopedPool,
         out: &mut IntervalOutcome<P>,
         obs: &mut dyn MacObserver,
-    ) where
-        P: Sync,
-    {
+    ) {
         let n = self.queues.len();
         debug_assert_eq!(nt.len(), n, "neighbor table size mismatch");
 
@@ -538,12 +476,6 @@ impl<P> MacLayer<P> {
         let failures = &mut out.failures;
         deliveries.clear();
         failures.clear();
-
-        // Shard geometry: the prepass and post-pass split nodes (and
-        // deliveries) into `shards` contiguous ascending ranges
-        // (`shard_range`), so consuming lanes in shard order is index
-        // order and the result is byte-identical for every width.
-        let shards = pool.threads().min(n.max(1));
 
         // Working state lives on `self` between intervals; detach it so
         // the resolver can borrow queues/counters/rng freely.
@@ -576,34 +508,26 @@ impl<P> MacLayer<P> {
         }
         let affected = &mut scr.affected;
 
-        // ---- Prepass: per-node advertisement candidates (sharded) ------
+        // ---- Prepass: per-node advertisement candidates ---------------
         // `destinations_into` and `strongest_level_for` are pure reads
         // of one node's queue; phase 1 only mutates the queue of the
         // node it is processing, and evicting one destination's frames
         // never changes another destination's strongest level. So the
-        // candidate lists can be read off the queues up front, shard-
-        // parallel, without changing a byte of phase 1's behavior.
-        scr.prepass.resize_with(shards, PrepassLane::default);
-        {
-            let queues = &self.queues;
-            let pending = &self.pending;
-            pool.map_shards(&mut scr.prepass, |s, lane| {
-                lane.out.clear();
-                for i in shard_range(s, shards, n) {
-                    // Idle nodes emit no candidates; the pending lane
-                    // lets the scan skip them without touching the
-                    // queue's storage at all.
-                    if !pending[i] {
-                        continue;
-                    }
-                    let q = &queues[i];
-                    let sender = NodeId::new(i as u32);
-                    q.destinations_into(&mut lane.dests);
-                    for &dest in lane.dests.iter() {
-                        lane.out.push((sender, dest, q.strongest_level_for(dest)));
-                    }
-                }
-            });
+        // candidate lists can be read off the queues up front without
+        // changing a byte of phase 1's behavior.
+        let candidates = &mut scr.candidates;
+        candidates.clear();
+        for (i, q) in self.queues.iter().enumerate() {
+            // Idle nodes emit no candidates; the pending lane lets the
+            // scan skip them without touching the queue's storage.
+            if !self.pending[i] {
+                continue;
+            }
+            let sender = NodeId::new(i as u32);
+            q.destinations_into(&mut scr.dests);
+            for &dest in scr.dests.iter() {
+                candidates.push((sender, dest, q.strongest_level_for(dest)));
+            }
         }
 
         // ---- Phase 1: ATIM window -------------------------------------
@@ -614,94 +538,90 @@ impl<P> MacLayer<P> {
         let announcements = &mut scr.announcements;
         announcements.clear();
 
-        for lane in scr.prepass.iter() {
-            for &(sender, dest, advertised) in lane.out.iter() {
-                let i = sender.index();
-                match dest {
-                    Destination::Broadcast => {
-                        Self::affected_broadcast_into(nt, sender, affected);
-                        if atim_budget
-                            .try_reserve(affected.iter().copied(), atim_bc)
-                            .is_some()
-                        {
-                            self.counters.atim_broadcast += 1;
-                            obs.atim_broadcast(start, sender);
-                            awake[i] = true;
-                            committed[i] = true;
-                            full_wake[i] = true;
-                            let level = advertised.unwrap_or(OverhearingLevel::Unconditional);
-                            for &x in nt.neighbors(sender) {
-                                // Standard PSM commits every neighbor to
-                                // the broadcast; the randomized level is
-                                // the paper's broadcast-Rcast extension.
-                                if level == OverhearingLevel::Randomized {
-                                    if !awake[x.index()]
-                                        && policy.overhear_broadcast(x, sender, nt)
-                                    {
-                                        awake[x.index()] = true;
-                                        committed[x.index()] = true;
-                                        full_wake[x.index()] = true;
-                                    }
-                                } else {
+        for &(sender, dest, advertised) in candidates.iter() {
+            let i = sender.index();
+            match dest {
+                Destination::Broadcast => {
+                    Self::affected_broadcast_into(nt, sender, affected);
+                    if atim_budget
+                        .try_reserve(affected.iter().copied(), atim_bc)
+                        .is_some()
+                    {
+                        self.counters.atim_broadcast += 1;
+                        obs.atim_broadcast(start, sender);
+                        awake[i] = true;
+                        committed[i] = true;
+                        full_wake[i] = true;
+                        let level = advertised.unwrap_or(OverhearingLevel::Unconditional);
+                        for &x in nt.neighbors(sender) {
+                            // Standard PSM commits every neighbor to
+                            // the broadcast; the randomized level is
+                            // the paper's broadcast-Rcast extension.
+                            if level == OverhearingLevel::Randomized {
+                                if !awake[x.index()] && policy.overhear_broadcast(x, sender, nt) {
                                     awake[x.index()] = true;
                                     committed[x.index()] = true;
                                     full_wake[x.index()] = true;
                                 }
+                            } else {
+                                awake[x.index()] = true;
+                                committed[x.index()] = true;
+                                full_wake[x.index()] = true;
                             }
-                            announcements.push(Announcement {
-                                sender,
-                                dest,
-                                level,
-                            });
-                        } else {
-                            self.counters.atim_deferred += 1;
-                            obs.atim_deferred(start, sender);
                         }
+                        announcements.push(Announcement {
+                            sender,
+                            dest,
+                            level,
+                        });
+                    } else {
+                        self.counters.atim_deferred += 1;
+                        obs.atim_deferred(start, sender);
                     }
-                    Destination::Unicast(r) => {
-                        if !nt.are_neighbors(sender, r) {
-                            // No ATIM-ACK: the receiver moved away.
-                            self.counters.atim_no_ack += 1;
-                            obs.atim_no_ack(start, sender, r);
-                            let attempts = self.queues[i].bump_attempts_for(dest);
-                            if attempts >= self.cfg.atim_retry_limit {
-                                self.counters.link_failures += 1;
-                                let fail_at = start + self.cfg.atim_window;
-                                obs.link_broken(fail_at, sender, r);
-                                self.queues[i].remove_all_for_with(dest, |q| {
-                                    failures.push(LinkFailure {
-                                        sender,
-                                        receiver: r,
-                                        at: fail_at,
-                                        frame: q.frame,
-                                    });
+                }
+                Destination::Unicast(r) => {
+                    if !nt.are_neighbors(sender, r) {
+                        // No ATIM-ACK: the receiver moved away.
+                        self.counters.atim_no_ack += 1;
+                        obs.atim_no_ack(start, sender, r);
+                        let attempts = self.queues[i].bump_attempts_for(dest);
+                        if attempts >= self.cfg.atim_retry_limit {
+                            self.counters.link_failures += 1;
+                            let fail_at = start + self.cfg.atim_window;
+                            obs.link_broken(fail_at, sender, r);
+                            self.queues[i].remove_all_for_with(dest, |q| {
+                                failures.push(LinkFailure {
+                                    sender,
+                                    receiver: r,
+                                    at: fail_at,
+                                    frame: q.frame,
                                 });
-                                self.pending[i] = !self.queues[i].is_empty();
-                            }
-                            continue;
-                        }
-                        Self::affected_unicast_into(nt, sender, r, affected);
-                        if atim_budget
-                            .try_reserve(affected.iter().copied(), atim_uni)
-                            .is_some()
-                        {
-                            self.counters.atim_unicast += 1;
-                            obs.atim_unicast(start, sender, r);
-                            awake[i] = true;
-                            committed[i] = true;
-                            awake[r.index()] = true;
-                            committed[r.index()] = true;
-                            self.queues[i].reset_attempts_for(dest);
-                            let level = advertised.unwrap_or(OverhearingLevel::None);
-                            announcements.push(Announcement {
-                                sender,
-                                dest,
-                                level,
                             });
-                        } else {
-                            self.counters.atim_deferred += 1;
-                            obs.atim_deferred(start, sender);
+                            self.pending[i] = !self.queues[i].is_empty();
                         }
+                        continue;
+                    }
+                    Self::affected_unicast_into(nt, sender, r, affected);
+                    if atim_budget
+                        .try_reserve(affected.iter().copied(), atim_uni)
+                        .is_some()
+                    {
+                        self.counters.atim_unicast += 1;
+                        obs.atim_unicast(start, sender, r);
+                        awake[i] = true;
+                        committed[i] = true;
+                        awake[r.index()] = true;
+                        committed[r.index()] = true;
+                        self.queues[i].reset_attempts_for(dest);
+                        let level = advertised.unwrap_or(OverhearingLevel::None);
+                        announcements.push(Announcement {
+                            sender,
+                            dest,
+                            level,
+                        });
+                    } else {
+                        self.counters.atim_deferred += 1;
+                        obs.atim_deferred(start, sender);
                     }
                 }
             }
@@ -839,54 +759,35 @@ impl<P> MacLayer<P> {
 
         // Keep on-air ordering for downstream consumers. Sorting
         // happens *before* fanout resolution so the fanout buffer is
-        // laid out in on-air order for every shard width.
+        // laid out in on-air order.
         deliveries.sort_by_key(|d| d.at);
 
-        // ---- Post-pass: fanout + committed-awake (sharded) -------------
+        // ---- Post-pass: fanout + committed-awake -----------------------
         // Both are pure functions of the settled phase-2 `awake` and
         // phase-3 doze state, computed per delivery / per node.
+        out.fanout.clear();
+        for d in deliveries.iter_mut() {
+            let off = out.fanout.len() as u32;
+            let (recipients, overhearers) = delivery_fanout(d, nt, awake, &mut out.fanout);
+            d.fanout = Fanout {
+                start: off,
+                recipients,
+                overhearers,
+            };
+        }
+        // Node `i`'s PSM-committed radio-on time for the interval.
         let bi = self.cfg.beacon_interval;
         let aw = self.cfg.atim_window;
-        let doze_after = self.cfg.doze_after_transfer;
-        let nd = deliveries.len();
-        out.fanout.clear();
         out.committed_awake.clear();
-        let awake_r: &[bool] = awake;
-        let committed_r: &[bool] = committed;
-        let full_wake_r: &[bool] = full_wake;
-        let doze_at_r: &[SimTime] = doze_at;
-        scr.merge.resize_with(shards, MergeLane::default);
-        let deliveries_r: &[Delivery<P>] = deliveries;
-        pool.map_shards(&mut scr.merge, |s, lane| {
-            lane.fanout.clear();
-            lane.counts.clear();
-            lane.committed.clear();
-            for d in &deliveries_r[shard_range(s, shards, nd)] {
-                lane.counts.push(delivery_fanout(d, nt, awake_r, &mut lane.fanout));
+        out.committed_awake.extend((0..n).map(|i| {
+            if !committed[i] {
+                aw
+            } else if full_wake[i] || !self.cfg.doze_after_transfer {
+                bi
+            } else {
+                (doze_at[i] - start).max(aw).min(bi)
             }
-            lane.committed.extend(shard_range(s, shards, n).map(|i| {
-                committed_duration(
-                    i, committed_r, full_wake_r, doze_at_r, start, aw, bi, doze_after,
-                )
-            }));
-        });
-        // Serial merge in shard order = delivery/node index order.
-        let mut di = 0usize;
-        for lane in scr.merge.iter() {
-            let mut off = out.fanout.len() as u32;
-            out.fanout.extend_from_slice(&lane.fanout);
-            for &(rec, ovh) in lane.counts.iter() {
-                deliveries[di].fanout = Fanout {
-                    start: off,
-                    recipients: rec,
-                    overhearers: ovh,
-                };
-                off += rec + ovh;
-                di += 1;
-            }
-            out.committed_awake.extend_from_slice(&lane.committed);
-        }
-        debug_assert_eq!(di, nd, "every delivery got its fanout");
+        }));
 
         out.awake.clear();
         out.awake.extend_from_slice(awake);

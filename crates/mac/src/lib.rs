@@ -38,7 +38,7 @@ pub use budget::AirtimeBudget;
 pub use channel::{Channel, ImmediateResult};
 pub use config::MacConfig;
 pub use frame::{AtimSubtype, Destination, MacFrame, OverhearingLevel};
-pub use interval::{Delivery, IntervalOutcome, LinkFailure, MacCounters, MacLayer};
+pub use interval::{Delivery, Fanout, IntervalOutcome, LinkFailure, MacCounters, MacLayer};
 pub use observe::{MacObserver, NullMacObserver};
 pub use queue::{Queued, TxQueue};
 pub use wake::{AllActive, AllPowerSave, PowerMode, WakePolicy};

@@ -85,7 +85,7 @@ const SKIN_PER_RANGE: f64 = 0.16;
 const SKIN_SLACK_M: f64 = 1e-6;
 
 /// A neighbor table maintained in place across mobility snapshots.
-/// See the [module docs](self).
+/// See the `incremental.rs` module docs.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborIndex {
     range_m: f64,

@@ -146,9 +146,36 @@ pub enum EventKind {
     },
 }
 
+/// Every [`EventKind::name`] label, in declaration order: the kinds a
+/// `--filter kind=` selector may name (besides `interval`, the
+/// per-interval series rows).
+pub const KIND_NAMES: [&str; 21] = [
+    "atim_unicast",
+    "atim_broadcast",
+    "atim_no_ack",
+    "atim_deferred",
+    "link_broken",
+    "overhear_commit",
+    "overheard",
+    "airtime",
+    "data_lost",
+    "data_deferred",
+    "span",
+    "control_tx",
+    "originated",
+    "forwarded",
+    "packet_delivered",
+    "packet_dropped",
+    "crash",
+    "rejoin",
+    "battery_dead",
+    "blackouts",
+    "bursts",
+];
+
 impl EventKind {
     /// Stable lowercase label used by `rcast-trace/v1` and the
-    /// `--filter kind=` selector.
+    /// `--filter kind=` selector; one of [`KIND_NAMES`].
     pub const fn name(self) -> &'static str {
         match self {
             EventKind::AtimUnicast { .. } => "atim_unicast",
@@ -235,6 +262,77 @@ mod tests {
             "span"
         );
         assert_eq!(PacketClass::Rerr.label(), "rerr");
+    }
+
+    #[test]
+    fn kind_names_hold_every_label_once() {
+        // Exhaustive on purpose: a new variant does not compile here
+        // until it is given its slot in `KIND_NAMES` and a sample below.
+        let slot = |k: EventKind| match k {
+            EventKind::AtimUnicast { .. } => 0,
+            EventKind::AtimBroadcast => 1,
+            EventKind::AtimNoAck { .. } => 2,
+            EventKind::AtimDeferred => 3,
+            EventKind::LinkBroken { .. } => 4,
+            EventKind::OverhearCommit { .. } => 5,
+            EventKind::Overheard { .. } => 6,
+            EventKind::Airtime { .. } => 7,
+            EventKind::DataLost { .. } => 8,
+            EventKind::DataDeferred => 9,
+            EventKind::Span { .. } => 10,
+            EventKind::ControlTx { .. } => 11,
+            EventKind::Originated { .. } => 12,
+            EventKind::Forwarded { .. } => 13,
+            EventKind::PacketDelivered { .. } => 14,
+            EventKind::PacketDropped { .. } => 15,
+            EventKind::Crash => 16,
+            EventKind::Rejoin => 17,
+            EventKind::BatteryDead => 18,
+            EventKind::Blackouts { .. } => 19,
+            EventKind::Bursts { .. } => 20,
+        };
+        let n = NodeId::new(1);
+        let samples = [
+            EventKind::AtimUnicast { to: n },
+            EventKind::AtimBroadcast,
+            EventKind::AtimNoAck { to: n },
+            EventKind::AtimDeferred,
+            EventKind::LinkBroken { to: n },
+            EventKind::OverhearCommit { sender: n },
+            EventKind::Overheard { sender: n },
+            EventKind::Airtime { nanos: 1 },
+            EventKind::DataLost { to: n },
+            EventKind::DataDeferred,
+            EventKind::Span {
+                state: PowerState::Awake,
+                nanos: 1,
+            },
+            EventKind::ControlTx {
+                class: PacketClass::Rreq,
+            },
+            EventKind::Originated {
+                flow: 0,
+                seq: 0,
+                dst: n,
+            },
+            EventKind::Forwarded {
+                flow: 0,
+                seq: 0,
+                to: n,
+            },
+            EventKind::PacketDelivered { flow: 0, seq: 0 },
+            EventKind::PacketDropped { flow: 0, seq: 0 },
+            EventKind::Crash,
+            EventKind::Rejoin,
+            EventKind::BatteryDead,
+            EventKind::Blackouts { newly: 1 },
+            EventKind::Bursts { newly: 1 },
+        ];
+        let slots: Vec<usize> = samples.iter().map(|&k| slot(k)).collect();
+        assert_eq!(slots, (0..KIND_NAMES.len()).collect::<Vec<_>>());
+        for k in samples {
+            assert_eq!(KIND_NAMES[slot(k)], k.name());
+        }
     }
 
     #[test]

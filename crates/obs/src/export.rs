@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 use rcast_engine::SimDuration;
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, KIND_NAMES};
 use crate::ledger::ObsReport;
 
 /// An event selector, parsed from `--filter node=N|flow=N|kind=K`.
@@ -31,8 +31,8 @@ pub enum TraceFilter {
     Node(u32),
     /// Keep the lifecycle events of one flow.
     Flow(u32),
-    /// Keep events of one kind (an [`EventKind::name`] label, or
-    /// `interval` for the per-interval series rows).
+    /// Keep events of one kind (one of [`KIND_NAMES`], or `interval`
+    /// for the per-interval series rows).
     Kind(String),
 }
 
@@ -41,7 +41,8 @@ impl TraceFilter {
     ///
     /// # Errors
     ///
-    /// Returns a message for an unknown selector or a malformed value.
+    /// Returns a message for an unknown selector, a malformed value, or
+    /// a kind that names no event (the message lists the kinds).
     pub fn parse(s: &str) -> Result<TraceFilter, String> {
         let Some((key, value)) = s.split_once('=') else {
             return Err(format!(
@@ -58,10 +59,13 @@ impl TraceFilter {
                 .map(TraceFilter::Flow)
                 .map_err(|_| format!("bad flow id '{value}'")),
             "kind" => {
-                if value.is_empty() {
-                    Err("empty kind".to_string())
-                } else {
+                if value == "interval" || KIND_NAMES.contains(&value) {
                     Ok(TraceFilter::Kind(value.to_string()))
+                } else {
+                    Err(format!(
+                        "unknown kind '{value}' (expected one of {}, interval)",
+                        KIND_NAMES.join(", ")
+                    ))
                 }
             }
             other => Err(format!(
@@ -296,6 +300,19 @@ mod tests {
         assert!(TraceFilter::parse("speed=1").is_err());
         assert!(TraceFilter::parse("nofilter").is_err());
         assert!(TraceFilter::parse("kind=").is_err());
+        assert_eq!(
+            TraceFilter::parse("kind=interval"),
+            Ok(TraceFilter::Kind("interval".into()))
+        );
+        let err = TraceFilter::parse("kind=atim_unicst").unwrap_err();
+        assert!(err.contains("'atim_unicst'"), "{err}");
+        for kind in KIND_NAMES {
+            assert!(err.contains(kind), "{err} lacks {kind}");
+            assert_eq!(
+                TraceFilter::parse(&format!("kind={kind}")),
+                Ok(TraceFilter::Kind(kind.into()))
+            );
+        }
     }
 
     #[test]

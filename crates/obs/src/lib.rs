@@ -27,6 +27,6 @@ mod event;
 mod export;
 mod ledger;
 
-pub use event::{Event, EventKind, PacketClass};
+pub use event::{Event, EventKind, PacketClass, KIND_NAMES};
 pub use export::{render_jsonl, TraceFilter};
 pub use ledger::{Ledger, LedgerParams, ObsReport, SERIES_COLUMNS};

@@ -51,8 +51,8 @@ fn columns(cell: &CellSummary) -> impl Iterator<Item = (&str, &SampleSummary)> {
         .chain(cell.extra.iter().map(|(name, m)| (*name, m)))
 }
 
-/// Renders the `rcast-sweep/v1` JSON document. See the
-/// [module docs](self) for the stability contract.
+/// Renders the `rcast-sweep/v1` JSON document. See the `artifact.rs`
+/// module docs for the stability contract.
 pub fn to_json(report: &SweepReport) -> String {
     let spec = &report.spec;
     let labels: Vec<String> = spec.variants.iter().map(Variant::label).collect();

@@ -102,7 +102,7 @@ fn run_cell_seed(cfg: &Arc<SimConfig>, seed: u64) -> SimReport {
         .run()
 }
 
-/// Executes a campaign. See the [module docs](self).
+/// Executes a campaign. See the `run.rs` module docs.
 ///
 /// # Errors
 ///

@@ -118,7 +118,7 @@ impl Variant {
     }
 }
 
-/// A declarative sweep campaign. See the [module docs](self).
+/// A declarative sweep campaign. See the `spec.rs` module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Campaign name; artifact files are `<name>.json` / `<name>.csv`.
@@ -388,6 +388,17 @@ pub const AXIS_KEYS: [(&str, &str); 6] = [
 /// into an error naming its line instead of an allocation failure.
 pub const MAX_SEEDS: u64 = 65_536;
 
+/// Whether `name` is safe as a campaign name: it becomes the artifact
+/// file stem under `--out` and is written unescaped into the JSON and
+/// CSV artifacts, so it may hold only `[A-Za-z0-9_.-]` and may not
+/// start with `.` (no hidden files, no `..`).
+fn is_artifact_name(name: &str) -> bool {
+    !name.starts_with('.')
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'-'))
+}
+
 /// Parses a sweep spec file.
 ///
 /// The format extends the scenario format (`rcast export-scenario`)
@@ -421,7 +432,9 @@ pub const MAX_SEEDS: u64 = 65_536;
 /// Each `variant` line appends one [`Variant`]: `;`-separated scenario
 /// assignments. `fault-plan X` is the spelling of `variant faults X`
 /// (`none` for the healthy plan). `metrics` names extra columns from
-/// [`RUN_METRICS`](rcast_core::RUN_METRICS).
+/// [`RUN_METRICS`](rcast_core::RUN_METRICS). `name` names the
+/// artifact files, so it may use only `A-Z`, `a-z`, `0-9`, `_`, `.` and
+/// `-`, and may not start with `.`.
 ///
 /// # Errors
 ///
@@ -449,6 +462,12 @@ pub fn parse_spec(text: &str) -> Result<SweepSpec, String> {
             "name" => {
                 if value.is_empty() {
                     return Err(at("'name' expects a value".into()));
+                }
+                if !is_artifact_name(value) {
+                    return Err(at(format!(
+                        "name '{value}' may use only A-Z, a-z, 0-9, '_', '.' and '-', \
+                         and may not start with '.'"
+                    )));
                 }
                 spec.name = value.to_string();
             }
@@ -800,6 +819,17 @@ mod tests {
         assert!((spec.pauses[0] - 32.0).abs() < 1e-9, "{}", spec.pauses[0]);
         assert!((spec.pauses[1] - 60.0).abs() < 1e-9);
         assert!(spec.normalized().is_ok());
+    }
+
+    #[test]
+    fn names_outside_the_artifact_set_are_rejected_with_their_line() {
+        for bad in ["my\"grid", "a,b", "../x", "a/b", "..", ".hidden", "gr\u{fc}\u{df}e", "a b"] {
+            let err = parse_spec(&format!("schemes rcast\nname {bad}\n")).unwrap_err();
+            assert!(err.starts_with("line 2: name"), "{bad}: {err}");
+        }
+        for good in ["fig7-smoke", "my_grid.v2", "A-1"] {
+            assert_eq!(parse_spec(&format!("name {good}")).expect(good).name, good);
+        }
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!
 //! And over mutated spec files (truncated, tokens swapped, values
 //! replaced by NaN, inf, −1, 1e30, 2^64, a full-width seed range, empty
-//! lists, or a variant assigning an axis key or `obs`): `parse_spec`
-//! never panics, every error names a line, and `normalized()` leaves
-//! every parsed spec as it is.
+//! lists, a variant assigning an axis key or `obs`, or a campaign name
+//! holding quotes, commas, slashes, `..`, newlines or non-ASCII text):
+//! `parse_spec` never panics, every error names a line, `normalized()`
+//! leaves every parsed spec as it is, and every accepted name is safe
+//! as an artifact file stem and as unescaped JSON/CSV text.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -212,7 +214,7 @@ fn mutated_specs_never_panic_name_their_line_and_stay_normalized() {
         let at = g.usize_range(0, lines.len());
         let key = lines[at].split(' ').next().unwrap_or("").to_string();
         let bad = BAD[g.usize_range(0, BAD.len())];
-        let mutated = match g.usize_range(0, 4) {
+        let mutated = match g.usize_range(0, 5) {
             // Truncate anywhere (the corpus is ASCII).
             0 => text[..g.usize_range(0, text.len() + 1)].to_string(),
             // Swap two tokens, possibly across lines.
@@ -227,6 +229,16 @@ fn mutated_specs_never_panic_name_their_line_and_stay_normalized() {
                 lines[at] = format!("{key} {bad}");
                 lines.join("\n")
             }
+            // Name the campaign with a hostile name.
+            3 => {
+                const PARTS: [&str; 10] =
+                    ["grid", "\"", ",", "/", "..", ".", "\n", "\u{e9}", "_-9", " "];
+                let name: String = (0..g.usize_range(1, 5))
+                    .map(|_| PARTS[g.usize_range(0, PARTS.len())])
+                    .collect();
+                lines.insert(at, format!("name {name}"));
+                lines.join("\n")
+            }
             // Add a variant that assigns a hostile value or banned key.
             _ => {
                 let assignment = if g.bool() { bad.to_string() } else { format!("broadcast_p {bad}") };
@@ -236,7 +248,15 @@ fn mutated_specs_never_panic_name_their_line_and_stay_normalized() {
         };
         match parse_caught(&mutated)? {
             Err(e) => prop_assert!(e.starts_with("line "), "error without a line: {e} for {mutated:?}"),
-            Ok(spec) => prop_assert_eq!(spec.normalized(), Ok(spec)),
+            Ok(spec) => {
+                let safe = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'-');
+                prop_assert!(
+                    !spec.name.starts_with('.') && spec.name.bytes().all(safe),
+                    "unsafe name {:?} accepted from {mutated:?}",
+                    spec.name
+                );
+                prop_assert_eq!(spec.normalized(), Ok(spec));
+            }
         }
         Ok(())
     });

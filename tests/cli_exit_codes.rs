@@ -72,6 +72,33 @@ fn sweep_reports_spec_file_errors_with_line_numbers() {
     assert!(err.contains("line 2") && err.contains("rates"), "stderr: {err}");
 }
 
+#[test]
+fn sweep_rejects_a_name_that_would_write_outside_out() {
+    let root = std::env::temp_dir().join("rcast-cli-exit-codes").join("escape");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("tmp dir");
+    let spec = root.join("escape.sweep");
+    std::fs::write(
+        &spec,
+        "name ../x\nschemes rcast\nrates 0.4\npauses 0\nnodes 10\nseeds 1\nduration 5\nflows 1\n",
+    )
+    .expect("write spec");
+    let out_dir = root.join("out");
+    let out = rcast(&[
+        "sweep",
+        "--spec",
+        spec.to_str().expect("utf-8 path"),
+        "--out",
+        out_dir.to_str().expect("utf-8 path"),
+    ]);
+    assert!(!out.status.success(), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("line 1") && err.contains("name"), "stderr: {err}");
+    for artifact in ["x.json", "x.csv"] {
+        assert!(!root.join(artifact).exists(), "{artifact} escaped --out");
+    }
+}
+
 /// Writes a one-file throwaway workspace under the temp dir and returns
 /// its root. `name` keeps concurrent tests out of each other's trees.
 fn scratch_workspace(name: &str, source: &str) -> std::path::PathBuf {

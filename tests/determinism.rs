@@ -7,7 +7,10 @@
 //! to the exact bits, so string equality here is bit equality for every
 //! float in the report, and exact equality for everything else.
 
-use randomcast::{run_seeds, run_seeds_parallel, FaultsConfig, Scheme, SimConfig, SimDuration};
+use randomcast::{
+    run_seeds, run_seeds_parallel, FaultEvent, FaultsConfig, Scheme, SimConfig, SimDuration,
+};
+use rcast_testkit::{prop_assert, Check, Gen};
 
 const SEEDS: [u64; 3] = [7, 19, 101];
 const WIDTHS: [usize; 3] = [1, 2, 8];
@@ -102,6 +105,78 @@ fn fault_matrix_parallel_is_byte_identical() {
             );
         }
     }
+}
+
+/// One seed run serially and twice at once on two workers: all three
+/// reports are byte-identical.
+fn same_seed_repeats(cfg: &SimConfig, seed: u64) -> Result<(), String> {
+    let serial = format!("{:?}", run_seeds(cfg, [seed]).expect("valid config")[0]);
+    for (i, r) in run_seeds_parallel(cfg, [seed, seed], 2)
+        .expect("valid config")
+        .iter()
+        .enumerate()
+    {
+        if format!("{r:?}") != serial {
+            return Err(format!("{}: repeat {i} of seed {seed} diverged", cfg.scheme));
+        }
+    }
+    Ok(())
+}
+
+/// The `large` bench tier's 600-node geometry (density-matched to the
+/// medium workload) repeats byte for byte. The smoke configs above
+/// never fill more than a few grid cells, so this is the only identity
+/// point where the spatial fan-out, the churn-scan skip and the
+/// per-interval RNG lane run at the populations the scaling gate
+/// measures. Short duration: enough intervals for routes, queues and
+/// wake cycles to interact, cheap enough for a debug-build CI run.
+#[test]
+fn large_network_repeats_byte_identically() {
+    let mut cfg = SimConfig::paper(Scheme::Rcast, 7, 0.4, 60.0);
+    cfg.nodes = 600;
+    cfg.area = randomcast::mobility::Area::new(3600.0, 720.0);
+    cfg.duration = SimDuration::from_secs(10);
+    cfg.traffic.flows = 30;
+    same_seed_repeats(&cfg, 7).unwrap();
+}
+
+/// Property: under *random* fault scripts and traffic loads (crashes,
+/// blackouts, corruption bursts, the ledger on or off), a seed repeats
+/// byte for byte, serially and on parallel workers.
+#[test]
+fn random_fault_and_traffic_interleavings_repeat_identically() {
+    Check::new("same-seed runs repeat under random faults/traffic")
+        .cases(6)
+        .run(|g: &mut Gen| {
+            let scheme = [Scheme::Rcast, Scheme::Psm, Scheme::Odpm, Scheme::Dot11]
+                [g.usize_range(0, 4)];
+            let mut cfg = SimConfig::smoke(scheme, 0);
+            cfg.duration = SimDuration::from_secs(g.u64_range(20, 40));
+            cfg.traffic.flows = g.u32_range(1, 12);
+            cfg.traffic.rate_pps = g.f64_range(0.5, 6.0);
+            cfg.obs = g.bool();
+            for _ in 0..g.len(0, 3) {
+                cfg.faults.script.push(FaultEvent::Crash {
+                    node: g.u32_range(0, cfg.nodes - 1),
+                    at_s: g.f64_range(1.0, 30.0),
+                    down_s: g.f64_range(0.0, 10.0),
+                });
+            }
+            cfg.faults.link_blackouts = g.u32_range(0, 4);
+            cfg.faults.blackout_s = g.f64_range(1.0, 8.0);
+            cfg.faults.corruption_bursts = g.u32_range(0, 2);
+            cfg.faults.burst_s = g.f64_range(1.0, 6.0);
+            cfg.faults.corruption_prob = g.f64_range(0.0, 0.4);
+            let repeated = same_seed_repeats(&cfg, g.u64_range(1, 1 << 40));
+            prop_assert!(
+                repeated.is_ok(),
+                "{} (flows={}, rate={})",
+                repeated.unwrap_err(),
+                cfg.traffic.flows,
+                cfg.traffic.rate_pps
+            );
+            Ok(())
+        });
 }
 
 // ---------------------------------------------------------------------
