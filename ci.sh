@@ -15,16 +15,14 @@ echo "==> rcast lint (determinism & hygiene static analysis)"
 # tree it pins the rule inventory and the output format in one shot.
 # Regenerate deliberately with
 # `cargo run -p rcast-lint -- --sarif > tests/golden/lint.sarif`.
+# Each pass prints its own `rcast-lint: wall time <n> ms` line on stderr.
 cargo build -q --offline -p rcast-lint
-lint_start_ms=$(( $(date +%s%N) / 1000000 ))
 ./target/debug/rcast-lint
 ./target/debug/rcast-lint --sarif > target/lint.sarif
-lint_end_ms=$(( $(date +%s%N) / 1000000 ))
 cmp target/lint.sarif tests/golden/lint.sarif || {
     echo "FAIL: rcast-lint --sarif diverged from tests/golden/lint.sarif" >&2
     exit 1
 }
-echo "    lint wall time: $(( lint_end_ms - lint_start_ms )) ms (text + sarif pass)"
 
 echo "==> cargo clippy --offline --workspace -- -D warnings"
 if cargo clippy --version >/dev/null 2>&1; then

@@ -8,6 +8,7 @@
 //! unless refreshed by *more flooding*.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use rcast_engine::{NodeId, SimTime};
 
@@ -112,7 +113,22 @@ struct Buffered {
     buffered_at: SimTime,
 }
 
-#[derive(Debug, Clone)]
+impl Buffered {
+    /// The packet as a `Dropped` report from source `src`.
+    fn orphan(&self, src: NodeId) -> AodvData {
+        AodvData {
+            flow: self.flow,
+            seq: self.seq,
+            src,
+            dst: self.dst,
+            payload_bytes: self.payload_bytes,
+            generated_at: self.generated_at,
+            hops: 0,
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 struct Discovery {
     round: u32,
     ttl: u8,
@@ -121,6 +137,8 @@ struct Discovery {
 
 /// The AODV protocol engine for one node.
 ///
+/// Every handler appends its actions to a caller-owned `out` buffer.
+///
 /// # Example
 ///
 /// ```
@@ -128,7 +146,8 @@ struct Discovery {
 /// use rcast_engine::{NodeId, SimTime};
 ///
 /// let mut node = AodvNode::new(NodeId::new(0), AodvConfig::default());
-/// let actions = node.originate(0, 0, NodeId::new(5), 512, SimTime::ZERO);
+/// let mut actions = Vec::new();
+/// node.originate(0, 0, NodeId::new(5), 512, SimTime::ZERO, &mut actions);
 /// assert!(matches!(
 ///     actions.as_slice(),
 ///     [AodvAction::Broadcast { packet: AodvPacket::Rreq(_) }]
@@ -248,7 +267,6 @@ impl AodvNode {
     // ------------------------------------------------------------------
 
     /// The application asks to send `payload_bytes` to `dst`.
-    // det: hot-ok — origination allocates per traffic event, not per idle interval
     pub fn originate(
         &mut self,
         flow: u32,
@@ -256,11 +274,12 @@ impl AodvNode {
         dst: NodeId,
         payload_bytes: usize,
         now: SimTime,
-    ) -> Vec<AodvAction> {
+        out: &mut Vec<AodvAction>,
+    ) {
         self.note_activity(now);
         if let Some(next_hop) = self.table.next_hop(dst, now) {
             self.counters.data_sent += 1;
-            return vec![AodvAction::Unicast {
+            out.push(AodvAction::Unicast {
                 next_hop,
                 packet: AodvPacket::Data(AodvData {
                     flow,
@@ -271,49 +290,32 @@ impl AodvNode {
                     generated_at: now,
                     hops: 0,
                 }),
-            }];
+            });
+            return;
         }
-        if self.buffer.len() >= self.cfg.buffer_capacity {
-            self.counters.data_dropped += 1;
-            return vec![AodvAction::Dropped {
-                packet: self.orphan(flow, seq, dst, payload_bytes, now),
-                reason: AodvDropReason::BufferFull,
-            }];
-        }
-        self.buffer.push(Buffered {
+        let b = Buffered {
             flow,
             seq,
             dst,
             payload_bytes,
             generated_at: now,
             buffered_at: now,
-        });
+        };
+        if self.buffer.len() >= self.cfg.buffer_capacity {
+            self.counters.data_dropped += 1;
+            out.push(AodvAction::Dropped {
+                packet: b.orphan(self.id),
+                reason: AodvDropReason::BufferFull,
+            });
+            return;
+        }
+        self.buffer.push(b);
         if !self.discoveries.contains_key(&dst) {
-            return self.start_discovery(dst, now);
-        }
-        Vec::new()
-    }
-
-    fn orphan(
-        &self,
-        flow: u32,
-        seq: u64,
-        dst: NodeId,
-        payload_bytes: usize,
-        generated_at: SimTime,
-    ) -> AodvData {
-        AodvData {
-            flow,
-            seq,
-            src: self.id,
-            dst,
-            payload_bytes,
-            generated_at,
-            hops: 0,
+            self.start_discovery(dst, now, out);
         }
     }
 
-    fn start_discovery(&mut self, target: NodeId, now: SimTime) -> Vec<AodvAction> {
+    fn start_discovery(&mut self, target: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
         let ttl = self.cfg.ttl_start;
         self.discoveries.insert(
             target,
@@ -323,7 +325,7 @@ impl AodvNode {
                 deadline: now + self.cfg.discovery_timeout,
             },
         );
-        vec![self.emit_rreq(target, ttl)]
+        out.push(self.emit_rreq(target, ttl));
     }
 
     fn emit_rreq(&mut self, target: NodeId, ttl: u8) -> AodvAction {
@@ -346,59 +348,56 @@ impl AodvNode {
         }
     }
 
+    /// Drops every buffered packet matching `dead`, in buffer order,
+    /// reporting each as `reason`.
+    fn drop_buffered(
+        &mut self,
+        dead: impl Fn(&Buffered) -> bool,
+        reason: AodvDropReason,
+        out: &mut Vec<AodvAction>,
+    ) {
+        let (id, counters) = (self.id, &mut self.counters);
+        self.buffer.retain(|b| {
+            if !dead(b) {
+                return true;
+            }
+            counters.data_dropped += 1;
+            out.push(AodvAction::Dropped {
+                packet: b.orphan(id),
+                reason,
+            });
+            false
+        });
+    }
+
     // ------------------------------------------------------------------
     // Timers
     // ------------------------------------------------------------------
 
     /// Advances protocol timers; call at least once per beacon interval.
-    // det: hot-ok — timer path: allocates only when a discovery ring or hello deadline fires
-    pub fn tick(&mut self, now: SimTime) -> Vec<AodvAction> {
-        let mut out = Vec::new();
-
+    pub fn tick(&mut self, now: SimTime, out: &mut Vec<AodvAction>) {
         // Buffer expiry.
         let timeout = self.cfg.buffer_timeout;
-        let (expired, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.buffer)
-            .into_iter()
-            .partition(|b| now.saturating_since(b.buffered_at) > timeout);
-        self.buffer = kept;
-        for b in expired {
-            self.counters.data_dropped += 1;
-            let p = self.orphan(b.flow, b.seq, b.dst, b.payload_bytes, b.generated_at);
-            out.push(AodvAction::Dropped {
-                packet: p,
-                reason: AodvDropReason::BufferTimeout,
-            });
-        }
+        self.drop_buffered(
+            |b| now.saturating_since(b.buffered_at) > timeout,
+            AodvDropReason::BufferTimeout,
+            out,
+        );
 
         // Cancel discoveries with nothing waiting.
-        let live: BTreeSet<NodeId> = self.buffer.iter().map(|b| b.dst).collect();
-        self.discoveries.retain(|t, _| live.contains(t));
+        let buffer = &self.buffer;
+        self.discoveries
+            .retain(|t, _| buffer.iter().any(|b| b.dst == *t));
 
         // Ring-search escalation / abandonment. The BTreeMap iterates
         // in NodeId order, so event order never depends on hasher state.
-        let due: Vec<NodeId> = self
-            .discoveries
-            .iter()
-            .filter(|(_, d)| d.deadline <= now)
-            .map(|(&t, _)| t)
-            .collect();
-        for target in due {
-            let d = self.discoveries[&target].clone();
+        let mut after = None;
+        while let Some((target, d)) = next_after(&self.discoveries, after, |d| d.deadline <= now) {
+            after = Some(target);
             let at_network_ttl = d.ttl >= self.cfg.net_diameter;
             if at_network_ttl && d.round >= self.cfg.rreq_retries {
                 self.discoveries.remove(&target);
-                let (dead, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.buffer)
-                    .into_iter()
-                    .partition(|b| b.dst == target);
-                self.buffer = kept;
-                for b in dead {
-                    self.counters.data_dropped += 1;
-                    let p = self.orphan(b.flow, b.seq, b.dst, b.payload_bytes, b.generated_at);
-                    out.push(AodvAction::Dropped {
-                        packet: p,
-                        reason: AodvDropReason::DiscoveryFailed,
-                    });
-                }
+                self.drop_buffered(|b| b.dst == target, AodvDropReason::DiscoveryFailed, out);
                 continue;
             }
             let next_ttl = if d.ttl >= self.cfg.ttl_threshold {
@@ -437,18 +436,15 @@ impl AodvNode {
             // Hello-based liveness, evaluated continuously: next hops
             // silent for allowed_hello_loss intervals are gone.
             let deadline = interval * u64::from(self.cfg.allowed_hello_loss);
-            let silent: Vec<NodeId> = self
-                .last_heard
-                .iter()
-                .filter(|(_, &t)| now.saturating_since(t) > deadline)
-                .map(|(&n, _)| n)
-                .collect();
-            for neighbor in silent {
+            let mut after = None;
+            while let Some((neighbor, _)) = next_after(&self.last_heard, after, |&t| {
+                now.saturating_since(t) > deadline
+            }) {
+                after = Some(neighbor);
                 self.last_heard.remove(&neighbor);
-                out.extend(self.break_link(neighbor, now));
+                self.break_link(neighbor, now, out);
             }
         }
-        out
     }
 
     /// Emits a RERR unless the RFC's RERR_RATELIMIT window is exhausted.
@@ -470,7 +466,7 @@ impl AodvNode {
     }
 
     // det: hot-ok — link-breakage repair path, driven by MAC failure events
-    fn break_link(&mut self, neighbor: NodeId, now: SimTime) -> Vec<AodvAction> {
+    fn break_link(&mut self, neighbor: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
         let broken = self.table.invalidate_via(neighbor, now);
         // RFC 3561 §6.11: a RERR advertises only routes *in use* —
         // those with precursors (upstream nodes forwarding through us).
@@ -482,9 +478,9 @@ impl AodvNode {
             .map(|&(d, s, _)| (d, s))
             .collect();
         if unreachable.is_empty() {
-            return Vec::new();
+            return;
         }
-        self.emit_rerr(unreachable, now).into_iter().collect()
+        out.extend(self.emit_rerr(unreachable, now));
     }
 
     // ------------------------------------------------------------------
@@ -492,13 +488,19 @@ impl AodvNode {
     // ------------------------------------------------------------------
 
     /// Handles a packet addressed to this node (or a received broadcast).
-    pub fn receive(&mut self, packet: AodvPacket, from: NodeId, now: SimTime) -> Vec<AodvAction> {
+    pub fn receive(
+        &mut self,
+        packet: AodvPacket,
+        from: NodeId,
+        now: SimTime,
+        out: &mut Vec<AodvAction>,
+    ) {
         self.note_neighbor(from, now);
         match packet {
-            AodvPacket::Rreq(r) => self.receive_rreq(r, from, now),
-            AodvPacket::Rrep(r) => self.receive_rrep(r, from, now),
-            AodvPacket::Rerr(e) => self.receive_rerr(e, from, now),
-            AodvPacket::Data(d) => self.receive_data(d, from, now),
+            AodvPacket::Rreq(r) => self.receive_rreq(r, from, now, out),
+            AodvPacket::Rrep(r) => self.receive_rrep(r, from, now, out),
+            AodvPacket::Rerr(e) => self.receive_rerr(e, from, now, out),
+            AodvPacket::Data(d) => self.receive_data(d, from, now, out),
         }
     }
 
@@ -512,16 +514,15 @@ impl AodvNode {
         packet: &AodvPacket,
         from: NodeId,
         now: SimTime,
-    ) -> Vec<AodvAction> {
+        out: &mut Vec<AodvAction>,
+    ) {
         // det: hot-ok — fixed-size packets; the clone is a plain memcpy
-        self.receive(packet.clone(), from, now)
+        self.receive(packet.clone(), from, now, out)
     }
 
-    // det: hot-ok — route-discovery control path, absent from the settled steady state
-    fn receive_rreq(&mut self, r: AodvRreq, from: NodeId, now: SimTime) -> Vec<AodvAction> {
-        let mut out = Vec::new();
+    fn receive_rreq(&mut self, r: AodvRreq, from: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
         if r.origin == self.id || !self.seen_rreq.insert((r.origin, r.id)) {
-            return out;
+            return;
         }
         // Reverse route to the origin through the previous hop.
         self.table
@@ -545,7 +546,7 @@ impl AodvNode {
                     hop_count: 0,
                 }),
             });
-            return out;
+            return;
         }
 
         // Intermediate reply when we know a fresh-enough route.
@@ -569,7 +570,7 @@ impl AodvNode {
                             hop_count: hops,
                         }),
                     });
-                    return out;
+                    return;
                 }
             }
         }
@@ -584,17 +585,14 @@ impl AodvNode {
                 }),
             });
         }
-        out
     }
 
-    // det: hot-ok — route-discovery control path, absent from the settled steady state
-    fn receive_rrep(&mut self, r: AodvRrep, from: NodeId, now: SimTime) -> Vec<AodvAction> {
-        let mut out = Vec::new();
+    fn receive_rrep(&mut self, r: AodvRrep, from: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
         if r.is_hello() {
             // note_neighbor already refreshed the 1-hop route; upgrade
             // its sequence number.
             self.table.update(from, from, 1, r.target_seq, now);
-            return out;
+            return;
         }
         // Forward route to the target via the reply's sender.
         self.table
@@ -602,8 +600,8 @@ impl AodvNode {
 
         if r.origin == self.id {
             self.discoveries.remove(&r.target);
-            out.extend(self.drain_buffer(now));
-            return out;
+            self.drain_buffer(now, out);
+            return;
         }
         // Relay toward the origin along the reverse route.
         if let Some(back) = self.table.next_hop(r.origin, now) {
@@ -619,11 +617,10 @@ impl AodvNode {
                 }),
             });
         }
-        out
     }
 
     // det: hot-ok — error-propagation path, driven by link-failure events
-    fn receive_rerr(&mut self, e: AodvRerr, from: NodeId, now: SimTime) -> Vec<AodvAction> {
+    fn receive_rerr(&mut self, e: AodvRerr, from: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
         let mut cascaded = Vec::new();
         for &(dst, seq) in &e.unreachable {
             let via_sender = self
@@ -640,19 +637,18 @@ impl AodvNode {
             }
         }
         if cascaded.is_empty() {
-            return Vec::new();
+            return;
         }
-        self.emit_rerr(cascaded, now).into_iter().collect()
+        out.extend(self.emit_rerr(cascaded, now));
     }
 
     // det: hot-ok — per-packet data-plane event, outside the quiet-interval zero-alloc contract (crates/bench/tests/zero_alloc.rs)
-    fn receive_data(&mut self, d: AodvData, from: NodeId, now: SimTime) -> Vec<AodvAction> {
-        let mut out = Vec::new();
+    fn receive_data(&mut self, d: AodvData, from: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
         if d.dst == self.id {
             self.note_activity(now);
             self.counters.data_delivered += 1;
             out.push(AodvAction::Delivered { packet: d });
-            return out;
+            return;
         }
         match self.table.next_hop(d.dst, now) {
             Some(next_hop) => {
@@ -681,7 +677,6 @@ impl AodvNode {
                 out.extend(self.emit_rerr(vec![(d.dst, seq)], now));
             }
         }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -694,11 +689,12 @@ impl AodvNode {
         next_hop: NodeId,
         packet: AodvPacket,
         now: SimTime,
-    ) -> Vec<AodvAction> {
-        let mut out = self.break_link(next_hop, now);
+        out: &mut Vec<AodvAction>,
+    ) {
+        self.break_link(next_hop, now, out);
         self.last_heard.remove(&next_hop);
         let AodvPacket::Data(d) = packet else {
-            return out;
+            return;
         };
         if d.src == self.id {
             // Re-enter discovery.
@@ -712,7 +708,7 @@ impl AodvNode {
                     buffered_at: now,
                 });
                 if !self.discoveries.contains_key(&d.dst) {
-                    out.extend(self.start_discovery(d.dst, now));
+                    self.start_discovery(d.dst, now, out);
                 }
             } else {
                 self.counters.data_dropped += 1;
@@ -728,37 +724,47 @@ impl AodvNode {
                 reason: AodvDropReason::LinkBroken,
             });
         }
-        out
     }
 
-    // det: hot-ok — flushes buffered packets when a route materializes, a discovery-completion event
-    fn drain_buffer(&mut self, now: SimTime) -> Vec<AodvAction> {
-        let mut out = Vec::new();
-        let mut remaining = Vec::with_capacity(self.buffer.len());
-        for b in std::mem::take(&mut self.buffer) {
-            match self.table.next_hop(b.dst, now) {
-                Some(next_hop) => {
-                    self.counters.data_sent += 1;
-                    self.discoveries.remove(&b.dst);
-                    out.push(AodvAction::Unicast {
-                        next_hop,
-                        packet: AodvPacket::Data(AodvData {
-                            flow: b.flow,
-                            seq: b.seq,
-                            src: self.id,
-                            dst: b.dst,
-                            payload_bytes: b.payload_bytes,
-                            generated_at: b.generated_at,
-                            hops: 0,
-                        }),
-                    });
-                }
-                None => remaining.push(b),
-            }
+    /// Sends every buffered packet that now has a route, in buffer
+    /// order, keeping the rest in place.
+    fn drain_buffer(&mut self, now: SimTime, out: &mut Vec<AodvAction>) {
+        let mut i = 0;
+        while i < self.buffer.len() {
+            let Some(next_hop) = self.table.next_hop(self.buffer[i].dst, now) else {
+                i += 1;
+                continue;
+            };
+            let b = self.buffer.remove(i);
+            self.counters.data_sent += 1;
+            self.discoveries.remove(&b.dst);
+            out.push(AodvAction::Unicast {
+                next_hop,
+                packet: AodvPacket::Data(AodvData {
+                    flow: b.flow,
+                    seq: b.seq,
+                    src: self.id,
+                    dst: b.dst,
+                    payload_bytes: b.payload_bytes,
+                    generated_at: b.generated_at,
+                    hops: 0,
+                }),
+            });
         }
-        self.buffer = remaining;
-        out
     }
+}
+
+/// The first entry of `map` after key `after` (from the start when
+/// `None`), in key order, whose value passes `due`.
+fn next_after<V: Copy>(
+    map: &BTreeMap<NodeId, V>,
+    after: Option<NodeId>,
+    due: impl Fn(&V) -> bool,
+) -> Option<(NodeId, V)> {
+    let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
+    map.range((lower, Bound::Unbounded))
+        .find(|(_, v)| due(v))
+        .map(|(&k, &v)| (k, v))
 }
 
 #[cfg(test)]
@@ -768,6 +774,13 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// Runs one handler call into a fresh out-buffer and returns it.
+    fn acts(call: impl FnOnce(&mut Vec<AodvAction>)) -> Vec<AodvAction> {
+        let mut out = Vec::new();
+        call(&mut out);
+        out
     }
 
     fn node(i: u32) -> AodvNode {
@@ -785,7 +798,7 @@ mod tests {
     #[test]
     fn originate_without_route_ring_searches() {
         let mut s = node(0);
-        let actions = s.originate(0, 0, n(9), 512, SimTime::ZERO);
+        let actions = acts(|o| s.originate(0, 0, n(9), 512, SimTime::ZERO, o));
         match &actions[..] {
             [AodvAction::Broadcast { packet: AodvPacket::Rreq(r) }] => {
                 assert_eq!(r.origin, n(0));
@@ -812,7 +825,7 @@ mod tests {
             hop_count: 1,
             ttl: 14,
         };
-        let actions = t.receive(AodvPacket::Rreq(rreq), n(1), SimTime::ZERO);
+        let actions = acts(|o| t.receive(AodvPacket::Rreq(rreq), n(1), SimTime::ZERO, o));
         match &actions[..] {
             [AodvAction::Unicast { next_hop, packet: AodvPacket::Rrep(r) }] => {
                 assert_eq!(*next_hop, n(1));
@@ -840,7 +853,7 @@ mod tests {
             hop_count: 0,
             ttl: 5,
         };
-        let first = m.receive(AodvPacket::Rreq(rreq), n(0), SimTime::ZERO);
+        let first = acts(|o| m.receive(AodvPacket::Rreq(rreq), n(0), SimTime::ZERO, o));
         match &first[..] {
             [AodvAction::Broadcast { packet: AodvPacket::Rreq(f) }] => {
                 assert_eq!(f.ttl, 4);
@@ -848,15 +861,11 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(m
-            .receive(AodvPacket::Rreq(rreq), n(5), SimTime::ZERO)
-            .is_empty());
+        assert!(acts(|o| m.receive(AodvPacket::Rreq(rreq), n(5), SimTime::ZERO, o)).is_empty());
         // TTL 1 dies here.
         let mut m2 = node(4);
         let dying = AodvRreq { ttl: 1, id: 9, ..rreq };
-        assert!(m2
-            .receive(AodvPacket::Rreq(dying), n(0), SimTime::ZERO)
-            .is_empty());
+        assert!(acts(|o| m2.receive(AodvPacket::Rreq(dying), n(0), SimTime::ZERO, o)).is_empty());
     }
 
     #[test]
@@ -873,7 +882,7 @@ mod tests {
             hop_count: 0,
             ttl: 10,
         };
-        let actions = m.receive(AodvPacket::Rreq(rreq), n(0), SimTime::ZERO);
+        let actions = acts(|o| m.receive(AodvPacket::Rreq(rreq), n(0), SimTime::ZERO, o));
         match &actions[..] {
             [AodvAction::Unicast { next_hop, packet: AodvPacket::Rrep(r) }] => {
                 assert_eq!(*next_hop, n(0));
@@ -887,7 +896,7 @@ mod tests {
         let mut m2 = node(2);
         m2.table.update(n(9), n(5), 2, 4, SimTime::ZERO);
         let picky = AodvRreq { target_seq: Some(6), id: 1, ..rreq };
-        let actions = m2.receive(AodvPacket::Rreq(picky), n(0), SimTime::ZERO);
+        let actions = acts(|o| m2.receive(AodvPacket::Rreq(picky), n(0), SimTime::ZERO, o));
         assert!(matches!(
             &actions[..],
             [AodvAction::Broadcast { packet: AodvPacket::Rreq(_) }]
@@ -897,14 +906,14 @@ mod tests {
     #[test]
     fn rrep_installs_forward_route_and_drains_buffer() {
         let mut s = no_hello(0);
-        s.originate(3, 0, n(2), 512, SimTime::ZERO);
+        acts(|o| s.originate(3, 0, n(2), 512, SimTime::ZERO, o));
         let rrep = AodvRrep {
             target: n(2),
             target_seq: 5,
             origin: n(0),
             hop_count: 0,
         };
-        let actions = s.receive(AodvPacket::Rrep(rrep), n(1), SimTime::from_secs(1));
+        let actions = acts(|o| s.receive(AodvPacket::Rrep(rrep), n(1), SimTime::from_secs(1), o));
         let sent = actions.iter().find_map(|a| match a {
             AodvAction::Unicast { next_hop, packet: AodvPacket::Data(d) } => {
                 Some((*next_hop, *d))
@@ -931,14 +940,14 @@ mod tests {
             generated_at: SimTime::ZERO,
             hops: 0,
         };
-        let actions = relay.receive(AodvPacket::Data(d), n(0), SimTime::ZERO);
+        let actions = acts(|o| relay.receive(AodvPacket::Data(d), n(0), SimTime::ZERO, o));
         assert!(actions.iter().any(|a| matches!(
             a,
             AodvAction::Unicast { next_hop, packet: AodvPacket::Data(x) }
                 if *next_hop == n(2) && x.hops == 1
         )));
         let mut dest = no_hello(2);
-        let actions = dest.receive(AodvPacket::Data(d), n(1), SimTime::ZERO);
+        let actions = acts(|o| dest.receive(AodvPacket::Data(d), n(1), SimTime::ZERO, o));
         assert!(actions
             .iter()
             .any(|a| matches!(a, AodvAction::Delivered { .. })));
@@ -956,7 +965,7 @@ mod tests {
             generated_at: SimTime::ZERO,
             hops: 0,
         };
-        let actions = relay.receive(AodvPacket::Data(d), n(0), SimTime::ZERO);
+        let actions = acts(|o| relay.receive(AodvPacket::Data(d), n(0), SimTime::ZERO, o));
         assert!(actions
             .iter()
             .any(|a| matches!(a, AodvAction::Dropped { reason: AodvDropReason::NoRoute, .. })));
@@ -979,7 +988,7 @@ mod tests {
             generated_at: SimTime::ZERO,
             hops: 0,
         };
-        let actions = s.link_failure(n(1), AodvPacket::Data(d), SimTime::from_secs(1));
+        let actions = acts(|o| s.link_failure(n(1), AodvPacket::Data(d), SimTime::from_secs(1), o));
         // The source has no upstream precursors, so no RERR goes out —
         // it simply rediscovers.
         assert!(!actions.iter().any(|a| matches!(
@@ -1008,7 +1017,8 @@ mod tests {
             generated_at: SimTime::ZERO,
             hops: 1,
         };
-        let actions = relay.link_failure(n(2), AodvPacket::Data(d), SimTime::from_secs(1));
+        let actions =
+            acts(|o| relay.link_failure(n(2), AodvPacket::Data(d), SimTime::from_secs(1), o));
         assert!(actions.iter().any(|a| matches!(
             a,
             AodvAction::Broadcast { packet: AodvPacket::Rerr(e) }
@@ -1030,7 +1040,7 @@ mod tests {
         let rerr = AodvRerr {
             unreachable: vec![(n(9), 4), (n(8), 4)],
         };
-        let actions = m.receive(AodvPacket::Rerr(rerr), n(2), SimTime::ZERO);
+        let actions = acts(|o| m.receive(AodvPacket::Rerr(rerr), n(2), SimTime::ZERO, o));
         match &actions[..] {
             [AodvAction::Broadcast { packet: AodvPacket::Rerr(e) }] => {
                 assert_eq!(e.unreachable, vec![(n(9), 4)], "only the route via the sender dies");
@@ -1045,10 +1055,10 @@ mod tests {
         let mut m = node(1);
         // Idle node: no hello.
         let t1 = SimTime::from_secs(1);
-        assert!(m.tick(t1).is_empty());
+        assert!(acts(|o| m.tick(t1, o)).is_empty());
         // Activity enables hellos.
-        m.originate(0, 0, n(9), 64, t1); // buffers + RREQ, marks activity
-        let actions = m.tick(SimTime::from_secs(2));
+        acts(|o| m.originate(0, 0, n(9), 64, t1, o)); // buffers + RREQ, marks activity
+        let actions = acts(|o| m.tick(SimTime::from_secs(2), o));
         assert!(
             actions.iter().any(|a| matches!(
                 a,
@@ -1059,22 +1069,19 @@ mod tests {
         // A neighbor heard once and then silent for > 2 intervals breaks.
         let mut x = node(3);
         x.note_activity(SimTime::ZERO);
-        x.receive(
-            AodvPacket::Rrep(AodvRrep {
-                target: n(7),
-                target_seq: 1,
-                origin: n(7),
-                hop_count: 0,
-            }),
-            n(7),
-            SimTime::ZERO,
-        );
+        let hello = AodvPacket::Rrep(AodvRrep {
+            target: n(7),
+            target_seq: 1,
+            origin: n(7),
+            hop_count: 0,
+        });
+        acts(|o| x.receive(hello, n(7), SimTime::ZERO, o));
         assert!(x.table().peek(n(7)).is_some());
         // Someone upstream routes through us via 7, making it "in use".
         x.table.add_precursor(n(7), n(5));
         let mut broke = false;
         for half_s in 1..12u64 {
-            let actions = x.tick(SimTime::from_millis(half_s * 500));
+            let actions = acts(|o| x.tick(SimTime::from_millis(half_s * 500), o));
             if actions.iter().any(|a| matches!(
                 a,
                 AodvAction::Broadcast { packet: AodvPacket::Rerr(_) }
@@ -1089,13 +1096,13 @@ mod tests {
     fn ring_search_escalates_to_network_and_gives_up() {
         let cfg = AodvConfig::default();
         let mut s = no_hello(0);
-        s.originate(0, 0, n(9), 64, SimTime::ZERO);
+        acts(|o| s.originate(0, 0, n(9), 64, SimTime::ZERO, o));
         let mut t = SimTime::ZERO;
         let mut ttls = Vec::new();
         let mut dropped = false;
         for _ in 0..12 {
             t += SimDuration::from_secs(5);
-            for a in s.tick(t) {
+            for a in acts(|o| s.tick(t, o)) {
                 match a {
                     AodvAction::Broadcast { packet: AodvPacket::Rreq(r) } => ttls.push(r.ttl),
                     AodvAction::Dropped { reason: AodvDropReason::DiscoveryFailed, .. } => {

@@ -54,7 +54,7 @@ pub use overhearing::{OverhearFactors, RcastDecider};
 pub use report::{AggregateReport, RunMetric, SimReport, FIGURE_METRICS, RUN_METRICS};
 pub use routing::{
     DataInfo, NetPacket, PacketArena, PacketHandle, PacketHeader, PacketKind, RouteAction,
-    RouterNode, RoutingKind,
+    RouteOut, RouterNode, RoutingKind,
 };
 pub use rcast_mobility::Area;
 pub use scenario::{parse_scenario, set_key, write_scenario};

@@ -137,8 +137,8 @@ pub enum RouteAction {
     Dropped(DataInfo),
 }
 
-fn from_dsr(a: DsrAction) -> Option<RouteAction> {
-    Some(match a {
+fn from_dsr(a: DsrAction) -> RouteAction {
+    match a {
         DsrAction::Unicast { next_hop, packet } => RouteAction::Unicast {
             next_hop,
             packet: NetPacket::Dsr(packet),
@@ -158,12 +158,11 @@ fn from_dsr(a: DsrAction) -> Option<RouteAction> {
             generated_at: packet.generated_at,
             hops: packet.route.hop_count(),
         }),
-        DsrAction::RouteCached { .. } => return None,
-    })
+    }
 }
 
-fn from_aodv(a: AodvAction) -> Option<RouteAction> {
-    Some(match a {
+fn from_aodv(a: AodvAction) -> RouteAction {
+    match a {
         AodvAction::Unicast { next_hop, packet } => RouteAction::Unicast {
             next_hop,
             packet: NetPacket::Aodv(packet),
@@ -186,7 +185,32 @@ fn from_aodv(a: AodvAction) -> Option<RouteAction> {
             generated_at: packet.generated_at,
             hops: packet.hops as usize,
         }),
-    })
+    }
+}
+
+/// Caller-owned output of the [`RouterNode`] handlers. Every handler
+/// appends its protocol-agnostic actions to
+/// [`actions`](Self::actions), which the caller drains; the
+/// protocol-level buffers are staging space reused from call to call,
+/// so once the capacities settle a handler call allocates nothing.
+#[derive(Debug, Default)]
+pub struct RouteOut {
+    /// The handlers' actions, in emission order.
+    pub actions: Vec<RouteAction>,
+    dsr: Vec<DsrAction>,
+    aodv: Vec<AodvAction>,
+}
+
+impl RouteOut {
+    /// Moves the staged DSR actions into `actions`.
+    fn flush_dsr(&mut self) {
+        self.actions.extend(self.dsr.drain(..).map(from_dsr));
+    }
+
+    /// Moves the staged AODV actions into `actions`.
+    fn flush_aodv(&mut self) {
+        self.actions.extend(self.aodv.drain(..).map(from_aodv));
+    }
 }
 
 /// One node's routing engine, either protocol.
@@ -202,13 +226,7 @@ impl RouterNode {
     /// Creates the engine of the configured kind.
     pub fn new(kind: RoutingKind, id: NodeId, dsr: DsrConfig, aodv: AodvConfig) -> Self {
         match kind {
-            RoutingKind::Dsr => {
-                let mut node = DsrNode::new(id, dsr);
-                // `from_dsr` drops RouteCached actions (role numbers
-                // sample the cache directly), so don't build them.
-                node.set_route_cached_reports(false);
-                RouterNode::Dsr(node)
-            }
+            RoutingKind::Dsr => RouterNode::Dsr(DsrNode::new(id, dsr)),
             RoutingKind::Aodv => RouterNode::Aodv(AodvNode::new(id, aodv)),
         }
     }
@@ -221,18 +239,17 @@ impl RouterNode {
         dst: NodeId,
         bytes: usize,
         now: SimTime,
-    ) -> Vec<RouteAction> {
+        out: &mut RouteOut,
+    ) {
         match self {
-            RouterNode::Dsr(n) => n
-                .originate(flow, seq, dst, bytes, now)
-                .into_iter()
-                .filter_map(from_dsr)
-                .collect(),
-            RouterNode::Aodv(n) => n
-                .originate(flow, seq, dst, bytes, now)
-                .into_iter()
-                .filter_map(from_aodv)
-                .collect(),
+            RouterNode::Dsr(n) => {
+                n.originate(flow, seq, dst, bytes, now, &mut out.dsr);
+                out.flush_dsr();
+            }
+            RouterNode::Aodv(n) => {
+                n.originate(flow, seq, dst, bytes, now, &mut out.aodv);
+                out.flush_aodv();
+            }
         }
     }
 
@@ -242,13 +259,15 @@ impl RouterNode {
     ///
     /// Panics if the packet's protocol does not match the engine's
     /// (a wiring bug in the simulation core).
-    pub fn receive(&mut self, packet: NetPacket, from: NodeId, now: SimTime) -> Vec<RouteAction> {
+    pub fn receive(&mut self, packet: NetPacket, from: NodeId, now: SimTime, out: &mut RouteOut) {
         match (self, packet) {
             (RouterNode::Dsr(n), NetPacket::Dsr(p)) => {
-                n.receive(p, from, now).into_iter().filter_map(from_dsr).collect()
+                n.receive(p, from, now, &mut out.dsr);
+                out.flush_dsr();
             }
             (RouterNode::Aodv(n), NetPacket::Aodv(p)) => {
-                n.receive(p, from, now).into_iter().filter_map(from_aodv).collect()
+                n.receive(p, from, now, &mut out.aodv);
+                out.flush_aodv();
             }
             _ => panic!("routing protocol mismatch"),
         }
@@ -268,18 +287,17 @@ impl RouterNode {
         packet: &NetPacket,
         from: NodeId,
         now: SimTime,
-    ) -> Vec<RouteAction> {
+        out: &mut RouteOut,
+    ) {
         match (self, packet) {
-            (RouterNode::Dsr(n), NetPacket::Dsr(p)) => n
-                .receive_ref(p, from, now)
-                .into_iter()
-                .filter_map(from_dsr)
-                .collect(),
-            (RouterNode::Aodv(n), NetPacket::Aodv(p)) => n
-                .receive_ref(p, from, now)
-                .into_iter()
-                .filter_map(from_aodv)
-                .collect(),
+            (RouterNode::Dsr(n), NetPacket::Dsr(p)) => {
+                n.receive_ref(p, from, now, &mut out.dsr);
+                out.flush_dsr();
+            }
+            (RouterNode::Aodv(n), NetPacket::Aodv(p)) => {
+                n.receive_ref(p, from, now, &mut out.aodv);
+                out.flush_aodv();
+            }
             _ => panic!("routing protocol mismatch"),
         }
     }
@@ -295,14 +313,14 @@ impl RouterNode {
         packet: &NetPacket,
         transmitter: NodeId,
         now: SimTime,
-    ) -> Vec<RouteAction> {
+        out: &mut RouteOut,
+    ) {
         match (self, packet) {
-            (RouterNode::Dsr(n), NetPacket::Dsr(p)) => n
-                .overhear(p, transmitter, now)
-                .into_iter()
-                .filter_map(from_dsr)
-                .collect(),
-            (RouterNode::Aodv(_), NetPacket::Aodv(_)) => Vec::new(), // det: hot-ok — empty Vec literal, never touches the allocator
+            (RouterNode::Dsr(n), NetPacket::Dsr(p)) => {
+                n.overhear(p, transmitter, now, &mut out.dsr);
+                out.flush_dsr();
+            }
+            (RouterNode::Aodv(_), NetPacket::Aodv(_)) => {}
             _ => panic!("routing protocol mismatch"),
         }
     }
@@ -317,18 +335,17 @@ impl RouterNode {
         next_hop: NodeId,
         packet: NetPacket,
         now: SimTime,
-    ) -> Vec<RouteAction> {
+        out: &mut RouteOut,
+    ) {
         match (self, packet) {
-            (RouterNode::Dsr(n), NetPacket::Dsr(p)) => n
-                .link_failure(next_hop, p, now)
-                .into_iter()
-                .filter_map(from_dsr)
-                .collect(),
-            (RouterNode::Aodv(n), NetPacket::Aodv(p)) => n
-                .link_failure(next_hop, p, now)
-                .into_iter()
-                .filter_map(from_aodv)
-                .collect(),
+            (RouterNode::Dsr(n), NetPacket::Dsr(p)) => {
+                n.link_failure(next_hop, p, now, &mut out.dsr);
+                out.flush_dsr();
+            }
+            (RouterNode::Aodv(n), NetPacket::Aodv(p)) => {
+                n.link_failure(next_hop, p, now, &mut out.aodv);
+                out.flush_aodv();
+            }
             _ => panic!("routing protocol mismatch"),
         }
     }
@@ -346,10 +363,16 @@ impl RouterNode {
     }
 
     /// Timer tick.
-    pub fn tick(&mut self, now: SimTime) -> Vec<RouteAction> {
+    pub fn tick(&mut self, now: SimTime, out: &mut RouteOut) {
         match self {
-            RouterNode::Dsr(n) => n.tick(now).into_iter().filter_map(from_dsr).collect(),
-            RouterNode::Aodv(n) => n.tick(now).into_iter().filter_map(from_aodv).collect(),
+            RouterNode::Dsr(n) => {
+                n.tick(now, &mut out.dsr);
+                out.flush_dsr();
+            }
+            RouterNode::Aodv(n) => {
+                n.tick(now, &mut out.aodv);
+                out.flush_aodv();
+            }
         }
     }
 
@@ -576,6 +599,14 @@ mod tests {
         NodeId::new(i)
     }
 
+    /// Runs one handler call into a fresh out-buffer and returns its
+    /// actions.
+    fn acts(call: impl FnOnce(&mut RouteOut)) -> Vec<RouteAction> {
+        let mut out = RouteOut::default();
+        call(&mut out);
+        out.actions
+    }
+
     #[test]
     fn kind_labels() {
         assert_eq!(RoutingKind::Dsr.to_string(), "DSR");
@@ -587,7 +618,7 @@ mod tests {
     fn both_engines_flood_on_unknown_destination() {
         for kind in [RoutingKind::Dsr, RoutingKind::Aodv] {
             let mut r = RouterNode::new(kind, n(0), DsrConfig::default(), AodvConfig::default());
-            let actions = r.originate(0, 0, n(9), 512, SimTime::ZERO);
+            let actions = acts(|o| r.originate(0, 0, n(9), 512, SimTime::ZERO, o));
             assert!(
                 actions
                     .iter()
@@ -615,8 +646,8 @@ mod tests {
             generated_at: SimTime::ZERO,
             salvage_count: 0,
         }));
-        // DSR learns silently (RouteCached actions are internal).
-        let _ = dsr.overhear(&pkt, n(1), SimTime::ZERO);
+        // DSR learns silently: no action reports a cached route.
+        let _ = acts(|o| dsr.overhear(&pkt, n(1), SimTime::ZERO, o));
         assert!(!dsr.cached_paths().is_empty(), "DSR must learn from overhearing");
 
         let mut aodv = RouterNode::new(
@@ -634,7 +665,7 @@ mod tests {
             generated_at: SimTime::ZERO,
             hops: 1,
         }));
-        assert!(aodv.overhear(&apkt, n(1), SimTime::ZERO).is_empty());
+        assert!(acts(|o| aodv.overhear(&apkt, n(1), SimTime::ZERO, o)).is_empty());
         assert!(aodv.cached_paths().is_empty());
     }
 
@@ -653,6 +684,6 @@ mod tests {
             broken_to: n(2),
             path: SourceRoute::new(vec![n(1), n(0)]).expect("valid"),
         }));
-        let _ = aodv.receive(rerr, n(1), SimTime::ZERO);
+        let _ = acts(|o| aodv.receive(rerr, n(1), SimTime::ZERO, o));
     }
 }

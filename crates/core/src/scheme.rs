@@ -175,7 +175,7 @@ mod tests {
             target: NodeId::new(2),
             id: 0,
             ttl: 16,
-            record: vec![NodeId::new(0)],
+            record: rcast_dsr::NodePath::from_slice(&[NodeId::new(0)]),
         })
     }
 

@@ -52,7 +52,9 @@ use rcast_traffic::{Arrival, FlowSchedule};
 use crate::config::SimConfig;
 use crate::faults::{FaultCounters, FaultPlan};
 use crate::odpm::OdpmState;
-use crate::routing::{NetPacket, PacketArena, PacketHandle, PacketKind, RouteAction, RouterNode};
+use crate::routing::{
+    NetPacket, PacketArena, PacketHandle, PacketKind, RouteAction, RouteOut, RouterNode,
+};
 use crate::overhearing::RcastDecider;
 use crate::report::SimReport;
 use crate::scheme::Scheme;
@@ -340,6 +342,12 @@ pub struct Simulation {
     /// table, double-buffered).
     neighbors: NeighborIndex,
     scratch: Scratch,
+    /// The routers' caller-owned action buffer: each handler call fills
+    /// it and the caller drains it into the work queue straight away.
+    /// Scratch storage like [`Scratch`], but kept on `self` because
+    /// every dispatch path (timers, arrivals, deliveries, link failures)
+    /// calls a router.
+    route_out: RouteOut,
     /// The next beacon interval to execute.
     k: u64,
     next_arrival: Option<Arrival>,
@@ -423,6 +431,7 @@ impl Simulation {
             snap,
             neighbors,
             scratch,
+            route_out: RouteOut::default(),
             k: 0,
             next_arrival,
             seed,
@@ -499,9 +508,8 @@ impl Simulation {
                 continue;
             }
             let id = NodeId::new(i as u32);
-            for a in self.routers[i].tick(t) {
-                work.push_back((id, t, a));
-            }
+            self.routers[i].tick(t, &mut self.route_out);
+            work.extend(self.route_out.actions.drain(..).map(|a| (id, t, a)));
         }
         self.dispatch(work, batch, imm_fanout, nt, &mut obs);
 
@@ -588,11 +596,20 @@ impl Simulation {
                 // A generating source is an endpoint event.
                 self.odpm.on_data(a.src, a.at);
             }
-            let actions =
-                self.routers[a.src.index()].originate(a.flow, a.seq, a.dst, a.bytes, a.at);
-            for act in actions {
-                work.push_back((a.src, a.at, act));
-            }
+            self.routers[a.src.index()].originate(
+                a.flow,
+                a.seq,
+                a.dst,
+                a.bytes,
+                a.at,
+                &mut self.route_out,
+            );
+            work.extend(
+                self.route_out
+                    .actions
+                    .drain(..)
+                    .map(|act| (a.src, a.at, act)),
+            );
             self.dispatch(work, batch, imm_fanout, nt, &mut obs);
             self.next_arrival = self.schedule.next();
         }
@@ -912,10 +929,13 @@ impl Simulation {
             self.fault_counters.rerrs_triggered += 1;
         }
         let packet = self.arena.take(f.frame.payload);
-        let actions = self.routers[f.sender.index()].link_failure(f.receiver, packet, f.at);
-        for a in actions {
-            work.push_back((f.sender, f.at, a));
-        }
+        self.routers[f.sender.index()].link_failure(f.receiver, packet, f.at, &mut self.route_out);
+        work.extend(
+            self.route_out
+                .actions
+                .drain(..)
+                .map(|a| (f.sender, f.at, a)),
+        );
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1039,30 +1059,24 @@ impl Simulation {
             self.rcast.note_heard(x, d.sender, d.at);
         }
         // Overhearers first (they only borrow the interned packet).
-        let (routers, arena) = (&mut self.routers, &self.arena);
+        let (routers, arena, out) = (&mut self.routers, &self.arena, &mut self.route_out);
         for &o in overhearers {
-            let actions = routers[o.index()].overhear(arena.get(h), d.sender, d.at);
-            for a in actions {
-                work.push_back((o, d.at, a));
-            }
+            routers[o.index()].overhear(arena.get(h), d.sender, d.at, out);
+            work.extend(out.actions.drain(..).map(|a| (o, d.at, a)));
         }
         // Then the addressed receiver(s).
         match d.receiver {
             Some(r) => {
                 let packet = self.arena.take(h);
-                let actions = self.routers[r.index()].receive(packet, d.sender, d.at);
-                for a in actions {
-                    work.push_back((r, d.at, a));
-                }
+                self.routers[r.index()].receive(packet, d.sender, d.at, &mut self.route_out);
+                work.extend(self.route_out.actions.drain(..).map(|a| (r, d.at, a)));
             }
             None => {
                 let is_rreq = h.kind() == PacketKind::Rreq;
                 batch.clear();
                 for &r in recipients {
-                    let actions = routers[r.index()].receive_ref(arena.get(h), d.sender, d.at);
-                    for a in actions {
-                        batch.push((r, d.at, a));
-                    }
+                    routers[r.index()].receive_ref(arena.get(h), d.sender, d.at, out);
+                    batch.extend(out.actions.drain(..).map(|a| (r, d.at, a)));
                 }
                 self.arena.release(h);
                 if is_rreq {

@@ -141,11 +141,10 @@ impl PathCache {
     }
 
     /// Slice form of [`insert`](Self::insert): observes a path without
-    /// a materialized [`SourceRoute`], touching the allocator only when
-    /// a **new** entry is actually stored. The duplicate case — the
-    /// steady state of a settled network, where every flood arrival
-    /// re-teaches known topology — costs a linear scan and an LRU stamp,
-    /// nothing more (DESIGN.md §10).
+    /// a materialized [`SourceRoute`]. The duplicate case — the steady
+    /// state of a settled network, where every flood arrival re-teaches
+    /// known topology — costs a linear scan and an LRU stamp; a new
+    /// entry is an inline copy (DESIGN.md §10).
     pub fn observe_path(&mut self, nodes: &[NodeId], now: SimTime) -> bool {
         // Normalize to start at the owner (truncating any prefix);
         // paths not containing the owner are rejected.
@@ -187,30 +186,20 @@ impl PathCache {
             return false;
         }
         if self.entries.len() >= self.cfg.capacity {
-            // Evict the least recently used entry — and recycle its
-            // storage for the new path, so a saturated cache (the
-            // steady state of an active node) learns without touching
-            // the allocator.
+            // Evict the least recently used entry; the new path takes
+            // the last slot.
             let (idx, _) = self
                 .entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.last_used)
                 .expect("capacity > 0 so entries is non-empty");
-            let mut recycled = self.entries.swap_remove(idx);
+            self.entries.swap_remove(idx);
             self.keys.swap_remove(idx);
             self.masks.swap_remove(idx);
-            recycled.path.refill(slice);
-            recycled.inserted_at = now;
-            recycled.last_used = now;
-            self.entries.push(recycled);
-            self.keys.push(key);
-            self.masks.push(node_mask(slice));
-            return true;
         }
         self.entries.push(Entry {
-            // det: hot-ok — materializes the route only while the cache is below capacity
-            path: SourceRoute::new(slice.to_vec()).expect("slice was just validated"),
+            path: SourceRoute::from_slice(slice).expect("slice was just validated"),
             inserted_at: now,
             last_used: now,
         });
@@ -258,10 +247,9 @@ impl PathCache {
     /// Invalidates the (undirected) link `a ↔ b`: every path using it is
     /// truncated just before the break; prefixes that still form a route
     /// (≥ 2 nodes) survive. Returns the number of affected entries.
-    // det: hot-ok — link-breakage repair path, driven by failure events
     pub fn remove_link(&mut self, a: NodeId, b: NodeId) -> usize {
         // Most caches don't hold the broken link at all; the mask
-        // prefilter lets those return without rebuilding anything.
+        // prefilter lets those return without touching any entry.
         let ab = (1u64 << (a.index() & 63)) | (1u64 << (b.index() & 63));
         let any_hit = self
             .masks
@@ -271,34 +259,34 @@ impl PathCache {
         if !any_hit {
             return 0;
         }
+        // Order-preserving compaction over the parallel arrays: an
+        // entry using the link becomes its prefix up to the first use
+        // (or goes, when that prefix is a single node).
         let mut affected = 0;
-        let mut kept = Vec::with_capacity(self.entries.len());
-        for mut e in self.entries.drain(..) {
-            if !e.path.uses_link(a, b) {
-                kept.push(e);
-                continue;
-            }
-            affected += 1;
-            // Truncate at the first use of the broken link.
-            let nodes = e.path.nodes();
-            let cut = nodes
+        let mut kept = 0;
+        for i in 0..self.entries.len() {
+            let path = &self.entries[i].path;
+            let cut = path
+                .nodes()
                 .windows(2)
-                .position(|w| (w[0] == a && w[1] == b) || (w[0] == b && w[1] == a))
-                .expect("uses_link implies a cut point");
-            if cut + 1 >= 2 {
-                if let Some(prefix) = SourceRoute::new(nodes[..=cut].to_vec()) {
-                    e.path = prefix;
-                    kept.push(e);
-                }
+                .position(|w| (w[0] == a && w[1] == b) || (w[0] == b && w[1] == a));
+            if let Some(cut) = cut {
+                affected += 1;
+                let Some(prefix) = path.prefix_to(path.nodes()[cut]) else {
+                    continue;
+                };
+                self.keys[i] = path_key(prefix.nodes());
+                self.masks[i] = node_mask(prefix.nodes());
+                self.entries[i].path = prefix;
             }
+            self.entries.swap(kept, i);
+            self.keys.swap(kept, i);
+            self.masks.swap(kept, i);
+            kept += 1;
         }
-        self.entries = kept;
-        self.keys.clear();
-        self.keys
-            .extend(self.entries.iter().map(|e| path_key(e.path.nodes())));
-        self.masks.clear();
-        self.masks
-            .extend(self.entries.iter().map(|e| node_mask(e.path.nodes())));
+        self.entries.truncate(kept);
+        self.keys.truncate(kept);
+        self.masks.truncate(kept);
         affected
     }
 
@@ -417,21 +405,18 @@ impl RouteCache {
         }
     }
 
-    /// Slice form of [`insert`](Self::insert), allocating only when the
-    /// path cache actually stores a new entry. The link strategy has no
+    /// Slice form of [`insert`](Self::insert). The link strategy has no
     /// slice-level fast path; it materializes the route as `insert`
     /// does.
     pub fn observe_path(&mut self, nodes: &[NodeId], now: SimTime) -> bool {
         match self {
             RouteCache::Path(c) => c.observe_path(nodes, now),
-            // det: hot-ok — the link strategy is off the paper's default configuration
             RouteCache::Link(c) => {
                 let owner = c.owner();
                 let Some(pos) = nodes.iter().position(|&n| n == owner) else {
                     return false;
                 };
-                // det: hot-ok — the link strategy is off the paper's default configuration
-                match SourceRoute::new(nodes[pos..].to_vec()) {
+                match SourceRoute::from_slice(&nodes[pos..]) {
                     Some(r) => c.insert(r, now),
                     None => false,
                 }

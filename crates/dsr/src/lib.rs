@@ -5,7 +5,8 @@
 //! **overhearing** rather than periodic control broadcasts. This crate
 //! implements the protocol slice the evaluation exercises:
 //!
-//! * [`SourceRoute`] — loop-free full-path routes,
+//! * [`SourceRoute`] — loop-free full-path routes, stored inline in a
+//!   [`NodePath`] up to [`INLINE_IDS`] nodes,
 //! * [`RouteCache`] — the per-node path cache with LRU capacity,
 //!   link-based invalidation (with prefix truncation), and an optional
 //!   timeout for the cache-strategy ablation,
@@ -37,4 +38,4 @@ pub use link_cache::LinkCache;
 pub use config::DsrConfig;
 pub use node::{DropReason, DsrAction, DsrCounters, DsrNode};
 pub use packet::{DataPacket, DsrPacket, Rerr, Rreq, Rrep};
-pub use route::SourceRoute;
+pub use route::{NodePath, SourceRoute, INLINE_IDS};

@@ -3,18 +3,19 @@
 //! [`DsrNode`] is a pure protocol engine: events come in (packet
 //! receptions, overhearings, link failures, timer ticks, application
 //! sends) and [`DsrAction`]s come out (transmissions, deliveries,
-//! drops, cache-insertion notifications). It owns no clock, radio or
-//! queue — the simulation core wires it to the MAC — which makes every
-//! protocol rule unit-testable in isolation.
+//! drops). It owns no clock, radio or queue — the simulation core
+//! wires it to the MAC — which makes every protocol rule unit-testable
+//! in isolation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use rcast_engine::{NodeId, SimTime};
 
 use crate::cache::RouteCache;
 use crate::config::DsrConfig;
 use crate::packet::{DataPacket, DsrPacket, Rerr, Rreq, Rrep};
-use crate::route::SourceRoute;
+use crate::route::{NodePath, SourceRoute};
 
 /// Why a data packet was abandoned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,12 +58,6 @@ pub enum DsrAction {
         packet: DataPacket,
         /// Why it was abandoned.
         reason: DropReason,
-    },
-    /// A *new* route entered this node's cache (drives the paper's
-    /// role-number metric).
-    RouteCached {
-        /// The cached path, starting at this node.
-        route: SourceRoute,
     },
 }
 
@@ -132,6 +127,22 @@ impl Buffered {
             salvage_count: 0,
         }
     }
+
+    /// The packet as a `Dropped` report from source `src`: it never had
+    /// a valid route, so it carries the direct `src → dst` pair.
+    fn orphan(&self, src: NodeId) -> DataPacket {
+        DataPacket {
+            flow: self.flow,
+            seq: self.seq,
+            route: SourceRoute::from_slice(&[src, self.dst]).unwrap_or_else(|| {
+                // dst == src can't occur for traffic, but stay total.
+                SourceRoute::from_slice(&[src, NodeId::new(u32::MAX)]).expect("distinct ids")
+            }),
+            payload_bytes: self.payload_bytes,
+            generated_at: self.generated_at,
+            salvage_count: 0,
+        }
+    }
 }
 
 /// An in-progress route discovery for one target.
@@ -141,77 +152,65 @@ struct Discovery {
     deadline: SimTime,
 }
 
-/// Duplicate-RREQ filter: per-origin sets of seen request ids, stored
-/// as sorted, disjoint, inclusive ranges.
+/// Duplicate-RREQ filter: the seen `(origin, id)` pairs as one flat
+/// `Vec` of inclusive `(origin, lo, hi)` runs, sorted by `(origin, lo)`,
+/// disjoint and never adjacent within an origin.
 ///
 /// Request ids are monotone per origin and never reused (a reboot
 /// preserves `next_rreq_id`), so the ids a node has seen from any one
-/// origin compress to a handful of contiguous runs. Membership checks
-/// touch one small sorted `Vec` instead of walking a tree that grows
-/// by one node per flood — the dominant lookup in `receive_rreq`.
+/// origin compress to a handful of runs. A lookup is one binary search
+/// over a flat array — the dominant operation in `receive_rreq` — and
+/// a new run shifts the array in place, so once its capacity settles
+/// an insertion never allocates.
 ///
-/// Ordered collections only: iteration never depends on hasher state
+/// Ordered storage only: iteration never depends on hasher state
 /// (rcast-lint D002), and the exact "ever inserted" semantics of the
-/// `BTreeSet<(NodeId, u32)>` it replaces are preserved. Origins live in
-/// a `Vec` sorted by id — binary-searched, cheaper per lookup than
-/// walking tree nodes, and bounded by the network's node count.
+/// `BTreeSet<(NodeId, u32)>` it replaces are preserved.
 #[derive(Debug, Clone, Default)]
 struct SeenRreq {
-    origins: Vec<(NodeId, Vec<(u32, u32)>)>,
+    runs: Vec<(NodeId, u32, u32)>,
 }
 
 impl SeenRreq {
-    fn new() -> Self {
-        SeenRreq::default()
-    }
-
     fn clear(&mut self) {
-        self.origins.clear();
+        self.runs.clear();
     }
 
     /// Inserts `(origin, id)`; returns `true` when it was not already
     /// present (mirrors `BTreeSet::insert`).
     fn insert(&mut self, origin: NodeId, id: u32) -> bool {
-        use std::cmp::Ordering;
-        let oi = match self.origins.binary_search_by_key(&origin, |&(o, _)| o) {
-            Ok(oi) => oi,
-            Err(oi) => {
-                // det: hot-ok — one slot per RREQ origin (bounded by the node count), not per flood
-                self.origins.insert(oi, (origin, vec![(id, id)]));
-                return true;
-            }
-        };
-        let rs = &mut self.origins[oi].1;
-        let pos = match rs.binary_search_by(|&(lo, hi)| {
-            if id < lo {
-                Ordering::Greater
-            } else if id > hi {
-                Ordering::Less
-            } else {
-                Ordering::Equal
-            }
-        }) {
-            Ok(_) => return false, // inside an existing range: duplicate
-            Err(pos) => pos,
-        };
-        let joins_prev = pos > 0 && rs[pos - 1].1.checked_add(1) == Some(id);
-        let joins_next = pos < rs.len() && id.checked_add(1) == Some(rs[pos].0);
+        // `pos` is the first run starting after `(origin, id)`; only the
+        // run before it can contain `id` or end right below it.
+        let pos = self
+            .runs
+            .partition_point(|&(o, lo, _)| (o, lo) <= (origin, id));
+        let prev = pos.checked_sub(1).filter(|&p| self.runs[p].0 == origin);
+        if prev.is_some_and(|p| id <= self.runs[p].2) {
+            return false; // inside an existing run: duplicate
+        }
+        let joins_prev = prev.is_some_and(|p| self.runs[p].2.checked_add(1) == Some(id));
+        let joins_next = pos < self.runs.len()
+            && self.runs[pos].0 == origin
+            && id.checked_add(1) == Some(self.runs[pos].1);
         match (joins_prev, joins_next) {
             (true, true) => {
                 // Bridges the gap between two runs: merge them.
-                rs[pos - 1].1 = rs[pos].1;
-                rs.remove(pos);
+                self.runs[pos - 1].2 = self.runs[pos].2;
+                self.runs.remove(pos);
             }
-            (true, false) => rs[pos - 1].1 = id,
-            (false, true) => rs[pos].0 = id,
-            // det: hot-ok — a new disjoint run; runs per origin stay near one in practice
-            (false, false) => rs.insert(pos, (id, id)),
+            (true, false) => self.runs[pos - 1].2 = id,
+            (false, true) => self.runs[pos].1 = id,
+            (false, false) => self.runs.insert(pos, (origin, id, id)),
         }
         true
     }
 }
 
 /// The DSR protocol engine for one node.
+///
+/// Every handler appends its actions to a caller-owned `out` buffer, so
+/// an embedder that clears and reuses one buffer handles events without
+/// allocating per call.
 ///
 /// # Example
 ///
@@ -221,7 +220,8 @@ impl SeenRreq {
 ///
 /// let mut node = DsrNode::new(NodeId::new(0), DsrConfig::default());
 /// // No route yet: the node buffers the packet and floods a request.
-/// let actions = node.originate(0, 0, NodeId::new(5), 512, SimTime::ZERO);
+/// let mut actions = Vec::new();
+/// node.originate(0, 0, NodeId::new(5), 512, SimTime::ZERO, &mut actions);
 /// assert!(matches!(
 ///     actions.as_slice(),
 ///     [DsrAction::Broadcast { packet: DsrPacket::Rreq(_) }]
@@ -242,17 +242,6 @@ pub struct DsrNode {
     discoveries: BTreeMap<NodeId, Discovery>,
     next_rreq_id: u32,
     counters: DsrCounters,
-    /// Reusable buffer for candidate paths (reversed RREQ records,
-    /// overheard-route splices) observed into the cache by slice —
-    /// always left empty between calls. Keeps the dominant
-    /// duplicate-flood-arrival path off the allocator (DESIGN.md §10).
-    path_scratch: Vec<NodeId>,
-    /// Whether cache insertions materialize [`DsrAction::RouteCached`]
-    /// notifications (the default). The simulation core filters those
-    /// actions out and samples the cache directly for the role-number
-    /// metric, so it disables reporting — which keeps steady-state
-    /// route learning off the allocator.
-    report_cached: bool,
 }
 
 impl DsrNode {
@@ -270,25 +259,13 @@ impl DsrNode {
             cfg,
             cache: RouteCache::new(id, cfg.cache),
             send_buffer: Vec::new(),
-            seen_rreq: SeenRreq::new(),
+            seen_rreq: SeenRreq::default(),
             replies_sent: BTreeMap::new(),
             recent_rerrs: BTreeMap::new(),
             discoveries: BTreeMap::new(),
             next_rreq_id: 0,
             counters: DsrCounters::default(),
-            path_scratch: Vec::new(),
-            report_cached: true,
         }
-    }
-
-    /// Enables or disables [`DsrAction::RouteCached`] notifications.
-    /// Cache behavior — contents, normalization, LRU order — is
-    /// identical either way; only the materialized action is skipped.
-    /// Embedders that ignore those actions (the simulation core reads
-    /// the cache directly) turn them off so route learning does not
-    /// allocate notification routes it will immediately drop.
-    pub fn set_route_cached_reports(&mut self, enabled: bool) {
-        self.report_cached = enabled;
     }
 
     /// This node's id.
@@ -340,42 +317,18 @@ impl DsrNode {
     // Cache plumbing
     // ------------------------------------------------------------------
 
-    /// Observes `nodes` as a candidate path; when the cache stores a
-    /// genuinely new entry, reports the stored (owner-normalized) route.
-    // det: hot-ok — materializes a route only when new topology information appears
-    fn observe_and_report(&mut self, nodes: &[NodeId], now: SimTime, out: &mut Vec<DsrAction>) {
-        if self.cache.observe_path(nodes, now) && self.report_cached {
-            let pos = nodes
-                .iter()
-                .position(|&n| n == self.id)
-                .expect("a stored path contains its owner");
-            out.push(DsrAction::RouteCached {
-                route: SourceRoute::new(nodes[pos..].to_vec())
-                    .expect("the cache validated this path"),
-            });
-        }
-    }
-
     /// Learns `route` (which must start at or contain this node) and its
-    /// reverse; emits `RouteCached` for new entries and drains any
-    /// now-routable buffered packets.
-    // det: hot-ok — caches a route only when new topology information appears
+    /// reverse, and drains any now-routable buffered packets.
     fn learn_route(&mut self, route: &SourceRoute, now: SimTime, out: &mut Vec<DsrAction>) {
         // RouteCache::observe_path normalizes to start at the owner and
         // rejects paths that don't contain it.
-        self.observe_and_report(route.nodes(), now, out);
-        let mut rev = std::mem::take(&mut self.path_scratch);
-        rev.clear();
-        rev.extend(route.nodes().iter().rev().copied());
-        self.observe_and_report(&rev, now, out);
-        rev.clear();
-        self.path_scratch = rev;
+        self.cache.observe_path(route.nodes(), now);
+        self.cache.observe_path(route.reversed().nodes(), now);
         self.drain_send_buffer(now, out);
     }
 
     /// Learns from an *overheard* route the node is not on: extend it
     /// through the overheard transmitter, which is known reachable.
-    // det: hot-ok — caches a route only when new topology information appears
     fn learn_via_transmitter(
         &mut self,
         transmitter: NodeId,
@@ -392,23 +345,20 @@ impl DsrNode {
             self.drain_send_buffer(now, out);
             return;
         };
-        let mut scratch = std::mem::take(&mut self.path_scratch);
         // Toward the route's destination: self → transmitter → … → dst.
         if pos + 1 < nodes.len() {
-            scratch.clear();
-            scratch.push(self.id);
-            scratch.extend_from_slice(&nodes[pos..]);
-            self.observe_and_report(&scratch, now, out);
+            let path: NodePath = std::iter::once(self.id)
+                .chain(nodes[pos..].iter().copied())
+                .collect();
+            self.cache.observe_path(&path, now);
         }
         // Toward the route's origin: self → transmitter → … → origin.
         if pos >= 1 {
-            scratch.clear();
-            scratch.push(self.id);
-            scratch.extend(nodes[..=pos].iter().rev().copied());
-            self.observe_and_report(&scratch, now, out);
+            let path: NodePath = std::iter::once(self.id)
+                .chain(nodes[..=pos].iter().rev().copied())
+                .collect();
+            self.cache.observe_path(&path, now);
         }
-        scratch.clear();
-        self.path_scratch = scratch;
         self.drain_send_buffer(now, out);
     }
 
@@ -416,7 +366,6 @@ impl DsrNode {
     /// discoveries whose target became reachable. Works in place: the
     /// common no-op drain (empty buffer, or no new routes) never
     /// rebuilds the buffer.
-    // det: hot-ok — flushes buffered packets when a route materializes, a discovery-completion event
     fn drain_send_buffer(&mut self, now: SimTime, out: &mut Vec<DsrAction>) {
         let mut i = 0;
         while i < self.send_buffer.len() {
@@ -439,12 +388,33 @@ impl DsrNode {
         }
     }
 
+    /// Drops every buffered packet matching `dead`, in buffer order,
+    /// reporting each as `reason`.
+    fn drop_buffered(
+        &mut self,
+        dead: impl Fn(&Buffered) -> bool,
+        reason: DropReason,
+        out: &mut Vec<DsrAction>,
+    ) {
+        let (id, counters) = (self.id, &mut self.counters);
+        self.send_buffer.retain(|b| {
+            if !dead(b) {
+                return true;
+            }
+            counters.data_dropped += 1;
+            out.push(DsrAction::Dropped {
+                packet: b.orphan(id),
+                reason,
+            });
+            false
+        });
+    }
+
     // ------------------------------------------------------------------
     // Application interface
     // ------------------------------------------------------------------
 
     /// The application asks to send `payload_bytes` to `dst`.
-    // det: hot-ok — origination allocates per traffic event, not per idle interval
     pub fn originate(
         &mut self,
         flow: u32,
@@ -452,70 +422,41 @@ impl DsrNode {
         dst: NodeId,
         payload_bytes: usize,
         now: SimTime,
-    ) -> Vec<DsrAction> {
-        let mut out = Vec::new();
-        if let Some(route) = self.cache.find_route(dst, now) {
-            let next_hop = route.next_hop_after(self.id).expect("non-trivial route");
-            self.counters.data_sent += 1;
-            out.push(DsrAction::Unicast {
-                next_hop,
-                packet: DsrPacket::Data(DataPacket {
-                    flow,
-                    seq,
-                    route,
-                    payload_bytes,
-                    generated_at: now,
-                    salvage_count: 0,
-                }),
-            });
-            return out;
-        }
-        // Buffer and (maybe) start a discovery.
-        if self.send_buffer.len() >= self.cfg.send_buffer_capacity {
-            self.counters.data_dropped += 1;
-            out.push(DsrAction::Dropped {
-                packet: self.orphan_packet(flow, seq, dst, payload_bytes, now),
-                reason: DropReason::SendBufferFull,
-            });
-            return out;
-        }
-        self.send_buffer.push(Buffered {
+        out: &mut Vec<DsrAction>,
+    ) {
+        let b = Buffered {
             flow,
             seq,
             dst,
             payload_bytes,
             generated_at: now,
             buffered_at: now,
-        });
+        };
+        if let Some(route) = self.cache.find_route(dst, now) {
+            let next_hop = route.next_hop_after(self.id).expect("non-trivial route");
+            self.counters.data_sent += 1;
+            out.push(DsrAction::Unicast {
+                next_hop,
+                packet: DsrPacket::Data(b.into_packet(route)),
+            });
+            return;
+        }
+        // Buffer and (maybe) start a discovery.
+        if self.send_buffer.len() >= self.cfg.send_buffer_capacity {
+            self.counters.data_dropped += 1;
+            out.push(DsrAction::Dropped {
+                packet: b.orphan(self.id),
+                reason: DropReason::SendBufferFull,
+            });
+            return;
+        }
+        self.send_buffer.push(b);
         if !self.discoveries.contains_key(&dst) {
-            out.extend(self.start_discovery(dst, now));
-        }
-        out
-    }
-
-    /// A data packet with no valid route, used only in `Dropped` reports.
-    fn orphan_packet(
-        &self,
-        flow: u32,
-        seq: u64,
-        dst: NodeId,
-        payload_bytes: usize,
-        now: SimTime,
-    ) -> DataPacket {
-        DataPacket {
-            flow,
-            seq,
-            route: SourceRoute::new(vec![self.id, dst]).unwrap_or_else(|| {
-                // dst == self can't occur for traffic, but stay total.
-                SourceRoute::new(vec![self.id, NodeId::new(u32::MAX)]).expect("distinct ids")
-            }),
-            payload_bytes,
-            generated_at: now,
-            salvage_count: 0,
+            self.start_discovery(dst, now, out);
         }
     }
 
-    fn start_discovery(&mut self, target: NodeId, now: SimTime) -> Vec<DsrAction> {
+    fn start_discovery(&mut self, target: NodeId, now: SimTime, out: &mut Vec<DsrAction>) {
         let ttl = if self.cfg.ring_search {
             1
         } else {
@@ -533,7 +474,7 @@ impl DsrNode {
                 deadline: now + timeout,
             },
         );
-        vec![self.emit_rreq(target, ttl)]
+        out.push(self.emit_rreq(target, ttl));
     }
 
     fn emit_rreq(&mut self, target: NodeId, ttl: u8) -> DsrAction {
@@ -547,7 +488,7 @@ impl DsrNode {
                 target,
                 id,
                 ttl,
-                record: vec![self.id],
+                record: NodePath::from_slice(&[self.id]),
             }),
         }
     }
@@ -557,54 +498,29 @@ impl DsrNode {
     // ------------------------------------------------------------------
 
     /// Advances protocol timers (call at least once per beacon interval).
-    // det: hot-ok — timer path: allocates only when a ring-search deadline fires
-    pub fn tick(&mut self, now: SimTime) -> Vec<DsrAction> {
-        let mut out = Vec::new();
-
+    pub fn tick(&mut self, now: SimTime, out: &mut Vec<DsrAction>) {
         // Expire buffered packets.
         let timeout = self.cfg.send_buffer_timeout;
-        let (expired, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.send_buffer)
-            .into_iter()
-            .partition(|b| now - b.buffered_at > timeout);
-        self.send_buffer = kept;
-        for b in expired {
-            self.counters.data_dropped += 1;
-            let p = self.orphan_packet(b.flow, b.seq, b.dst, b.payload_bytes, b.generated_at);
-            out.push(DsrAction::Dropped {
-                packet: p,
-                reason: DropReason::SendBufferTimeout,
-            });
-        }
+        self.drop_buffered(
+            |b| now - b.buffered_at > timeout,
+            DropReason::SendBufferTimeout,
+            out,
+        );
 
         // Cancel discoveries with nothing left to send.
-        let live_targets: BTreeSet<NodeId> = self.send_buffer.iter().map(|b| b.dst).collect();
-        self.discoveries.retain(|t, _| live_targets.contains(t));
+        let buffer = &self.send_buffer;
+        self.discoveries
+            .retain(|t, _| buffer.iter().any(|b| b.dst == *t));
 
         // Retry or abandon due discoveries. The BTreeMap iterates in
         // NodeId order, so event order never depends on hasher state.
-        let due: Vec<NodeId> = self
-            .discoveries
-            .iter()
-            .filter(|(_, d)| d.deadline <= now)
-            .map(|(&t, _)| t)
-            .collect();
-        for target in due {
+        let mut after = None;
+        while let Some(target) = self.next_due(after, now) {
+            after = Some(target);
             let round = self.discoveries[&target].round;
             if round >= self.cfg.max_discovery_retries {
                 self.discoveries.remove(&target);
-                let (dead, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.send_buffer)
-                    .into_iter()
-                    .partition(|b| b.dst == target);
-                self.send_buffer = kept;
-                for b in dead {
-                    self.counters.data_dropped += 1;
-                    let p =
-                        self.orphan_packet(b.flow, b.seq, b.dst, b.payload_bytes, b.generated_at);
-                    out.push(DsrAction::Dropped {
-                        packet: p,
-                        reason: DropReason::DiscoveryFailed,
-                    });
-                }
+                self.drop_buffered(|b| b.dst == target, DropReason::DiscoveryFailed, out);
                 continue;
             }
             // Escalate: network-wide flood with exponential backoff.
@@ -621,7 +537,16 @@ impl DsrNode {
         }
 
         self.cache.purge_expired(now);
-        out
+    }
+
+    /// The first discovery target after `after`, in NodeId order, whose
+    /// deadline has passed.
+    fn next_due(&self, after: Option<NodeId>, now: SimTime) -> Option<NodeId> {
+        let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
+        self.discoveries
+            .range((lower, Bound::Unbounded))
+            .find(|(_, d)| d.deadline <= now)
+            .map(|(&t, _)| t)
     }
 
     // ------------------------------------------------------------------
@@ -630,58 +555,62 @@ impl DsrNode {
 
     /// Handles a packet addressed to this node (or a broadcast it
     /// received). `from` is the transmitting neighbor.
-    pub fn receive(&mut self, packet: DsrPacket, from: NodeId, now: SimTime) -> Vec<DsrAction> {
+    pub fn receive(
+        &mut self,
+        packet: DsrPacket,
+        from: NodeId,
+        now: SimTime,
+        out: &mut Vec<DsrAction>,
+    ) {
         match packet {
-            DsrPacket::Rreq(r) => self.receive_rreq(&r, from, now),
-            DsrPacket::Rrep(r) => self.receive_rrep(r, now),
-            DsrPacket::Rerr(e) => self.receive_rerr(e, now),
-            DsrPacket::Data(d) => self.receive_data(d, now),
+            DsrPacket::Rreq(r) => self.receive_rreq(&r, from, now, out),
+            DsrPacket::Rrep(r) => self.receive_rrep(r, now, out),
+            DsrPacket::Rerr(e) => self.receive_rerr(e, now, out),
+            DsrPacket::Data(d) => self.receive_data(d, now, out),
         }
     }
 
     /// Borrowing variant of [`receive`](Self::receive) for broadcast
     /// fan-out: one interned packet is handed to every recipient without
-    /// cloning it per receiver. RREQs — the only packet kind that
+    /// copying it per receiver. RREQs — the only packet kind that
     /// actually floods — are processed entirely by reference; the rare
-    /// non-RREQ broadcast falls back to a clone.
-    pub fn receive_ref(&mut self, packet: &DsrPacket, from: NodeId, now: SimTime) -> Vec<DsrAction> {
+    /// non-RREQ broadcast falls back to a copy.
+    pub fn receive_ref(
+        &mut self,
+        packet: &DsrPacket,
+        from: NodeId,
+        now: SimTime,
+        out: &mut Vec<DsrAction>,
+    ) {
         match packet {
-            DsrPacket::Rreq(r) => self.receive_rreq(r, from, now),
-            // det: hot-ok — non-RREQ broadcasts are rare (see doc above)
-            other => self.receive(other.clone(), from, now),
+            DsrPacket::Rreq(r) => self.receive_rreq(r, from, now, out),
+            // det: hot-ok — inline copy; allocates only past 17 hops
+            other => self.receive(other.clone(), from, now, out),
         }
     }
 
     /// The extended record of `r` as seen from this node: `r.record`
     /// plus our own id. Only built on the paths that transmit it.
-    fn extended_record(&self, r: &Rreq) -> Vec<NodeId> {
-        let mut record = Vec::with_capacity(r.record.len() + 1);
-        record.extend_from_slice(&r.record);
-        record.push(self.id);
-        record
+    fn extended_record(&self, r: &Rreq) -> NodePath {
+        r.record.iter().copied().chain([self.id]).collect()
     }
 
-    // det: hot-ok — route-discovery control path; the dominant duplicate-arrival case stays off the allocator
-    fn receive_rreq(&mut self, r: &Rreq, from: NodeId, now: SimTime) -> Vec<DsrAction> {
-        let mut out = Vec::new();
+    fn receive_rreq(&mut self, r: &Rreq, from: NodeId, now: SimTime, out: &mut Vec<DsrAction>) {
         if r.origin == self.id || r.record.contains(&self.id) {
-            return out; // our own flood, or a loop
+            return; // our own flood, or a loop
         }
 
         // The accumulated record teaches us the path back to the
         // origin. In a flood, every neighbor's rebroadcast re-delivers
-        // the same record; observing it through the reusable scratch
-        // keeps those duplicate arrivals allocation-free.
-        let mut back = std::mem::take(&mut self.path_scratch);
-        back.clear();
-        back.push(self.id);
-        back.extend(r.record.iter().rev().copied());
+        // the same record; the cache's duplicate check keeps those
+        // arrivals to a key scan.
+        let back: NodePath = std::iter::once(self.id)
+            .chain(r.record.iter().rev().copied())
+            .collect();
         if SourceRoute::is_valid_path(&back) {
-            self.observe_and_report(&back, now, &mut out);
-            self.drain_send_buffer(now, &mut out);
+            self.cache.observe_path(&back, now);
+            self.drain_send_buffer(now, out);
         }
-        back.clear();
-        self.path_scratch = back;
 
         if r.target == self.id {
             // Answer every distinct arrival (up to the cap): DSR offers
@@ -689,7 +618,7 @@ impl DsrNode {
             let sent = self.replies_sent.entry((r.origin, r.id)).or_insert(0);
             if *sent < self.cfg.max_replies_per_request {
                 *sent += 1;
-                if let Some(full) = SourceRoute::new(self.extended_record(r)) {
+                if let Some(full) = SourceRoute::from_path(self.extended_record(r)) {
                     self.counters.rrep_from_target += 1;
                     out.push(DsrAction::Unicast {
                         next_hop: from,
@@ -701,17 +630,17 @@ impl DsrNode {
                     });
                 }
             }
-            return out;
+            return;
         }
 
         if !self.seen_rreq.insert(r.origin, r.id) {
-            return out; // duplicate: already forwarded or answered
+            return; // duplicate: already forwarded or answered
         }
 
         // Cached reply by an intermediate node.
         if self.cfg.reply_from_cache {
             if let Some(tail) = self.cache.find_route(r.target, now) {
-                if let Some(prefix) = SourceRoute::new(self.extended_record(r)) {
+                if let Some(prefix) = SourceRoute::from_path(self.extended_record(r)) {
                     if let Some(full) = prefix.spliced_with(&tail) {
                         self.counters.rrep_from_cache += 1;
                         out.push(DsrAction::Unicast {
@@ -722,7 +651,7 @@ impl DsrNode {
                                 from_cache: true,
                             }),
                         });
-                        return out; // reply suppresses propagation here
+                        return; // reply suppresses propagation here
                     }
                 }
             }
@@ -740,17 +669,14 @@ impl DsrNode {
                 }),
             });
         }
-        out
     }
 
-    // det: hot-ok — route-discovery control path, absent from the settled steady state
-    fn receive_rrep(&mut self, r: Rrep, now: SimTime) -> Vec<DsrAction> {
-        let mut out = Vec::new();
-        self.learn_route(&r.route, now, &mut out);
+    fn receive_rrep(&mut self, r: Rrep, now: SimTime, out: &mut Vec<DsrAction>) {
+        self.learn_route(&r.route, now, out);
         if r.origin() == self.id {
             // Discovery complete; drain already happened in learn_route.
             self.discoveries.remove(&r.target());
-            return out;
+            return;
         }
         // Relay toward the origin.
         if let Some(next_hop) = r.route.prev_hop_before(self.id) {
@@ -760,16 +686,13 @@ impl DsrNode {
                 packet: DsrPacket::Rrep(r),
             });
         }
-        out
     }
 
-    // det: hot-ok — error-propagation path, driven by link-failure events
-    fn receive_rerr(&mut self, e: Rerr, now: SimTime) -> Vec<DsrAction> {
-        let mut out = Vec::new();
+    fn receive_rerr(&mut self, e: Rerr, now: SimTime, out: &mut Vec<DsrAction>) {
         self.cache.remove_link(e.broken_from, e.broken_to);
         let _ = now;
         if e.destination() == self.id {
-            return out;
+            return;
         }
         if let Some(next_hop) = e.path.next_hop_after(self.id) {
             self.counters.rerr_forwarded += 1;
@@ -778,21 +701,18 @@ impl DsrNode {
                 packet: DsrPacket::Rerr(e),
             });
         }
-        out
     }
 
-    // det: hot-ok — per-packet data-plane event, outside the quiet-interval zero-alloc contract (crates/bench/tests/zero_alloc.rs)
-    fn receive_data(&mut self, d: DataPacket, now: SimTime) -> Vec<DsrAction> {
-        let mut out = Vec::new();
+    fn receive_data(&mut self, d: DataPacket, now: SimTime, out: &mut Vec<DsrAction>) {
         if d.dst() == self.id {
             // Destination also learns the (reverse) route.
-            self.learn_route(&d.route, now, &mut out);
+            self.learn_route(&d.route, now, out);
             self.counters.data_delivered += 1;
             out.push(DsrAction::Delivered { packet: d });
-            return out;
+            return;
         }
         // Relays learn the route they carry.
-        self.learn_route(&d.route, now, &mut out);
+        self.learn_route(&d.route, now, out);
         match d.route.next_hop_after(self.id) {
             Some(next_hop) => {
                 self.counters.data_forwarded += 1;
@@ -809,7 +729,6 @@ impl DsrNode {
                 });
             }
         }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -819,27 +738,26 @@ impl DsrNode {
     /// Handles a packet this node overheard from `transmitter` without
     /// being addressed. This is where DSR's eavesdropping-based route
     /// learning — the subject of the paper — happens.
-    // det: hot-ok — promiscuous overhearing allocates per packet event, outside the quiet-interval zero-alloc contract
     pub fn overhear(
         &mut self,
         packet: &DsrPacket,
         transmitter: NodeId,
         now: SimTime,
-    ) -> Vec<DsrAction> {
-        let mut out = Vec::new();
+        out: &mut Vec<DsrAction>,
+    ) {
         match packet {
             DsrPacket::Data(d) => {
                 if d.route.contains(self.id) {
-                    self.learn_route(&d.route, now, &mut out);
+                    self.learn_route(&d.route, now, out);
                 } else {
-                    self.learn_via_transmitter(transmitter, &d.route, now, &mut out);
+                    self.learn_via_transmitter(transmitter, &d.route, now, out);
                 }
             }
             DsrPacket::Rrep(r) => {
                 if r.route.contains(self.id) {
-                    self.learn_route(&r.route, now, &mut out);
+                    self.learn_route(&r.route, now, out);
                 } else {
-                    self.learn_via_transmitter(transmitter, &r.route, now, &mut out);
+                    self.learn_via_transmitter(transmitter, &r.route, now, out);
                 }
             }
             DsrPacket::Rerr(e) => {
@@ -851,7 +769,6 @@ impl DsrNode {
                 // Broadcasts are received, not overheard.
             }
         }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -860,19 +777,18 @@ impl DsrNode {
 
     /// The MAC reports that `next_hop` is unreachable and returns the
     /// undeliverable packet.
-    // det: hot-ok — link-breakage repair path, driven by MAC failure events
     pub fn link_failure(
         &mut self,
         next_hop: NodeId,
         packet: DsrPacket,
         now: SimTime,
-    ) -> Vec<DsrAction> {
-        let mut out = Vec::new();
+        out: &mut Vec<DsrAction>,
+    ) {
         self.cache.remove_link(self.id, next_hop);
         let DsrPacket::Data(mut d) = packet else {
             // Lost control packets are not retried: DSR regenerates them
             // through its normal timeout machinery.
-            return out;
+            return;
         };
 
         // Report the break to the source (unless we are the source).
@@ -926,7 +842,7 @@ impl DsrNode {
                         next_hop: hop,
                         packet: DsrPacket::Data(d),
                     });
-                    return out;
+                    return;
                 }
             }
         }
@@ -944,7 +860,7 @@ impl DsrNode {
                     buffered_at: now,
                 });
                 if !self.discoveries.contains_key(&dst) {
-                    out.extend(self.start_discovery(dst, now));
+                    self.start_discovery(dst, now, out);
                 }
             } else {
                 self.counters.data_dropped += 1;
@@ -960,7 +876,6 @@ impl DsrNode {
                 reason: DropReason::SalvageFailed,
             });
         }
-        out
     }
 }
 
@@ -975,6 +890,13 @@ mod tests {
 
     fn route(ids: &[u32]) -> SourceRoute {
         SourceRoute::new(ids.iter().copied().map(NodeId::new).collect()).unwrap()
+    }
+
+    /// Runs one handler call into a fresh out-buffer and returns it.
+    fn acts(call: impl FnOnce(&mut Vec<DsrAction>)) -> Vec<DsrAction> {
+        let mut out = Vec::new();
+        call(&mut out);
+        out
     }
 
     fn node(id: u32) -> DsrNode {
@@ -997,7 +919,7 @@ mod tests {
         let mut s = node(0);
         let mut scratch = Vec::new();
         s.learn_route(&route(&[0, 1, 2]), SimTime::ZERO, &mut scratch);
-        let actions = s.originate(7, 3, n(2), 512, SimTime::from_secs(1));
+        let actions = acts(|o| s.originate(7, 3, n(2), 512, SimTime::from_secs(1), o));
         match &actions[..] {
             [DsrAction::Unicast { next_hop, packet: DsrPacket::Data(d) }] => {
                 assert_eq!(*next_hop, n(1));
@@ -1013,20 +935,20 @@ mod tests {
     #[test]
     fn originate_without_route_starts_ring_search() {
         let mut s = node(0);
-        let actions = s.originate(0, 0, n(9), 512, SimTime::ZERO);
+        let actions = acts(|o| s.originate(0, 0, n(9), 512, SimTime::ZERO, o));
         match &actions[..] {
             [DsrAction::Broadcast { packet: DsrPacket::Rreq(r) }] => {
                 assert_eq!(r.origin, n(0));
                 assert_eq!(r.target, n(9));
                 assert_eq!(r.ttl, 1, "ring search starts non-propagating");
-                assert_eq!(r.record, vec![n(0)]);
+                assert_eq!(r.record.as_slice(), [n(0)]);
             }
             other => panic!("unexpected {other:?}"),
         }
         assert!(s.discovering(n(9)));
         assert_eq!(s.send_buffer_len(), 1);
         // A second packet to the same target does not re-flood.
-        let again = s.originate(0, 1, n(9), 512, SimTime::from_millis(100));
+        let again = acts(|o| s.originate(0, 1, n(9), 512, SimTime::from_millis(100), o));
         assert!(again.is_empty());
         assert_eq!(s.send_buffer_len(), 2);
     }
@@ -1039,9 +961,9 @@ mod tests {
             target: n(2),
             id: 0,
             ttl: 16,
-            record: vec![n(0), n(1)],
+            record: NodePath::from_slice(&[n(0), n(1)]),
         };
-        let actions = t.receive(DsrPacket::Rreq(rreq), n(1), SimTime::ZERO);
+        let actions = acts(|o| t.receive(DsrPacket::Rreq(rreq), n(1), SimTime::ZERO, o));
         let rrep = actions.iter().find_map(|a| match a {
             DsrAction::Unicast { next_hop, packet: DsrPacket::Rrep(r) } => {
                 Some((*next_hop, r.clone()))
@@ -1069,9 +991,9 @@ mod tests {
                 id: 0,
                 ttl: 16,
                 // Distinct arrival paths.
-                record: vec![n(0), n(10 + k)],
+                record: NodePath::from_slice(&[n(0), n(10 + k)]),
             };
-            let actions = t.receive(DsrPacket::Rreq(rreq), n(10 + k), SimTime::ZERO);
+            let actions = acts(|o| t.receive(DsrPacket::Rreq(rreq), n(10 + k), SimTime::ZERO, o));
             replies += actions
                 .iter()
                 .filter(|a| matches!(a, DsrAction::Unicast { packet: DsrPacket::Rrep(_), .. }))
@@ -1088,18 +1010,18 @@ mod tests {
             target: n(9),
             id: 4,
             ttl: 16,
-            record: vec![n(0)],
+            record: NodePath::from_slice(&[n(0)]),
         };
-        let first = m.receive(DsrPacket::Rreq(rreq.clone()), n(0), SimTime::ZERO);
+        let first = acts(|o| m.receive(DsrPacket::Rreq(rreq.clone()), n(0), SimTime::ZERO, o));
         let fwd = first.iter().find_map(|a| match a {
             DsrAction::Broadcast { packet: DsrPacket::Rreq(r) } => Some(r.clone()),
             _ => None,
         });
         let r = fwd.expect("must rebroadcast");
         assert_eq!(r.ttl, 15);
-        assert_eq!(r.record, vec![n(0), n(1)]);
+        assert_eq!(r.record.as_slice(), [n(0), n(1)]);
         // Duplicate suppressed.
-        let second = m.receive(DsrPacket::Rreq(rreq), n(5), SimTime::ZERO);
+        let second = acts(|o| m.receive(DsrPacket::Rreq(rreq), n(5), SimTime::ZERO, o));
         assert!(!second
             .iter()
             .any(|a| matches!(a, DsrAction::Broadcast { .. })));
@@ -1114,9 +1036,9 @@ mod tests {
             target: n(9),
             id: 4,
             ttl: 1,
-            record: vec![n(0)],
+            record: NodePath::from_slice(&[n(0)]),
         };
-        let actions = m.receive(DsrPacket::Rreq(rreq), n(0), SimTime::ZERO);
+        let actions = acts(|o| m.receive(DsrPacket::Rreq(rreq), n(0), SimTime::ZERO, o));
         assert!(!actions
             .iter()
             .any(|a| matches!(a, DsrAction::Broadcast { .. })));
@@ -1132,9 +1054,9 @@ mod tests {
             target: n(9),
             id: 4,
             ttl: 16,
-            record: vec![n(0)],
+            record: NodePath::from_slice(&[n(0)]),
         };
-        let actions = m.receive(DsrPacket::Rreq(rreq), n(0), SimTime::ZERO);
+        let actions = acts(|o| m.receive(DsrPacket::Rreq(rreq), n(0), SimTime::ZERO, o));
         let rrep = actions.iter().find_map(|a| match a {
             DsrAction::Unicast { packet: DsrPacket::Rrep(r), .. } => Some(r.clone()),
             _ => None,
@@ -1159,9 +1081,9 @@ mod tests {
             target: n(9),
             id: 4,
             ttl: 16,
-            record: vec![n(0)],
+            record: NodePath::from_slice(&[n(0)]),
         };
-        let actions = m.receive(DsrPacket::Rreq(rreq), n(0), SimTime::ZERO);
+        let actions = acts(|o| m.receive(DsrPacket::Rreq(rreq), n(0), SimTime::ZERO, o));
         assert!(
             actions
                 .iter()
@@ -1179,7 +1101,8 @@ mod tests {
             replier: n(2),
             from_cache: false,
         };
-        let actions = relay.receive(DsrPacket::Rrep(rrep.clone()), n(2), SimTime::ZERO);
+        let actions =
+            acts(|o| relay.receive(DsrPacket::Rrep(rrep.clone()), n(2), SimTime::ZERO, o));
         assert!(actions.iter().any(|a| matches!(
             a,
             DsrAction::Unicast { next_hop, packet: DsrPacket::Rrep(_) } if *next_hop == n(0)
@@ -1188,9 +1111,10 @@ mod tests {
 
         // Origin 0 was waiting on a buffered packet to 2.
         let mut origin = node(0);
-        let start = origin.originate(3, 0, n(2), 512, SimTime::ZERO);
+        let start = acts(|o| origin.originate(3, 0, n(2), 512, SimTime::ZERO, o));
         assert!(matches!(start[0], DsrAction::Broadcast { .. }));
-        let actions = origin.receive(DsrPacket::Rrep(rrep), n(1), SimTime::from_millis(600));
+        let actions =
+            acts(|o| origin.receive(DsrPacket::Rrep(rrep), n(1), SimTime::from_millis(600), o));
         let sent = actions.iter().find_map(|a| match a {
             DsrAction::Unicast { next_hop, packet: DsrPacket::Data(d) } => {
                 Some((*next_hop, d.clone()))
@@ -1207,7 +1131,14 @@ mod tests {
     #[test]
     fn data_forwarding_and_delivery() {
         let mut relay = node(1);
-        let actions = relay.receive(DsrPacket::Data(data(&[0, 1, 2], 0, 0)), n(0), SimTime::ZERO);
+        let actions = acts(|o| {
+            relay.receive(
+                DsrPacket::Data(data(&[0, 1, 2], 0, 0)),
+                n(0),
+                SimTime::ZERO,
+                o,
+            )
+        });
         assert!(actions.iter().any(|a| matches!(
             a,
             DsrAction::Unicast { next_hop, packet: DsrPacket::Data(_) } if *next_hop == n(2)
@@ -1218,7 +1149,14 @@ mod tests {
         assert!(relay.cache().has_route(n(2)));
 
         let mut dest = node(2);
-        let actions = dest.receive(DsrPacket::Data(data(&[0, 1, 2], 0, 5)), n(1), SimTime::ZERO);
+        let actions = acts(|o| {
+            dest.receive(
+                DsrPacket::Data(data(&[0, 1, 2], 0, 5)),
+                n(1),
+                SimTime::ZERO,
+                o,
+            )
+        });
         assert!(actions
             .iter()
             .any(|a| matches!(a, DsrAction::Delivered { packet } if packet.seq == 5)));
@@ -1230,14 +1168,8 @@ mod tests {
         // Node 7 overhears node 1 relaying 0→1→2 data.
         let mut x = node(7);
         let pkt = DsrPacket::Data(data(&[0, 1, 2], 0, 0));
-        let actions = x.overhear(&pkt, n(1), SimTime::ZERO);
-        let cached: Vec<_> = actions
-            .iter()
-            .filter_map(|a| match a {
-                DsrAction::RouteCached { route } => Some(route.clone()),
-                _ => None,
-            })
-            .collect();
+        acts(|o| x.overhear(&pkt, n(1), SimTime::ZERO, o));
+        let cached = x.cache().paths();
         assert!(cached.contains(&route(&[7, 1, 2])), "toward destination");
         assert!(cached.contains(&route(&[7, 1, 0])), "toward source");
     }
@@ -1254,7 +1186,7 @@ mod tests {
             broken_to: n(5),
             path: route(&[3, 2, 0]),
         });
-        x.overhear(&rerr, n(3), SimTime::ZERO);
+        acts(|o| x.overhear(&rerr, n(3), SimTime::ZERO, o));
         assert!(!x.cache().has_route(n(5)), "stale tail invalidated");
         assert!(x.cache().has_route(n(4)), "prefix survives");
     }
@@ -1265,11 +1197,14 @@ mod tests {
         let mut scratch = Vec::new();
         relay.learn_route(&route(&[1, 5, 3]), SimTime::ZERO, &mut scratch);
         // Relaying 0→1→2→3 data; link 1→2 fails.
-        let actions = relay.link_failure(
-            n(2),
-            DsrPacket::Data(data(&[0, 1, 2, 3], 0, 0)),
-            SimTime::ZERO,
-        );
+        let actions = acts(|o| {
+            relay.link_failure(
+                n(2),
+                DsrPacket::Data(data(&[0, 1, 2, 3], 0, 0)),
+                SimTime::ZERO,
+                o,
+            )
+        });
         let rerr = actions.iter().find_map(|a| match a {
             DsrAction::Unicast { next_hop, packet: DsrPacket::Rerr(e) } => {
                 Some((*next_hop, e.clone()))
@@ -1296,11 +1231,14 @@ mod tests {
     #[test]
     fn link_failure_without_alternative_drops_at_relay() {
         let mut relay = node(1);
-        let actions = relay.link_failure(
-            n(2),
-            DsrPacket::Data(data(&[0, 1, 2], 0, 0)),
-            SimTime::ZERO,
-        );
+        let actions = acts(|o| {
+            relay.link_failure(
+                n(2),
+                DsrPacket::Data(data(&[0, 1, 2], 0, 0)),
+                SimTime::ZERO,
+                o,
+            )
+        });
         assert!(actions
             .iter()
             .any(|a| matches!(a, DsrAction::Dropped { reason: DropReason::SalvageFailed, .. })));
@@ -1309,8 +1247,14 @@ mod tests {
     #[test]
     fn link_failure_at_source_rediscovers() {
         let mut src = node(0);
-        let actions =
-            src.link_failure(n(1), DsrPacket::Data(data(&[0, 1, 2], 0, 0)), SimTime::ZERO);
+        let actions = acts(|o| {
+            src.link_failure(
+                n(1),
+                DsrPacket::Data(data(&[0, 1, 2], 0, 0)),
+                SimTime::ZERO,
+                o,
+            )
+        });
         assert!(actions
             .iter()
             .any(|a| matches!(a, DsrAction::Broadcast { packet: DsrPacket::Rreq(_) })));
@@ -1325,7 +1269,7 @@ mod tests {
         relay.learn_route(&route(&[1, 5, 3]), SimTime::ZERO, &mut scratch);
         let mut d = data(&[0, 1, 2, 3], 0, 0);
         d.salvage_count = DsrConfig::default().max_salvage;
-        let actions = relay.link_failure(n(2), DsrPacket::Data(d), SimTime::ZERO);
+        let actions = acts(|o| relay.link_failure(n(2), DsrPacket::Data(d), SimTime::ZERO, o));
         assert!(
             actions
                 .iter()
@@ -1338,14 +1282,14 @@ mod tests {
     fn discovery_escalates_then_gives_up() {
         let cfg = DsrConfig::default();
         let mut s = node(0);
-        let first = s.originate(0, 0, n(9), 512, SimTime::ZERO);
+        let first = acts(|o| s.originate(0, 0, n(9), 512, SimTime::ZERO, o));
         assert!(matches!(
             &first[..],
             [DsrAction::Broadcast { packet: DsrPacket::Rreq(r) }] if r.ttl == 1
         ));
         // After the non-propagating timeout, a network-wide flood goes out.
         let t1 = SimTime::ZERO + cfg.nonprop_timeout + SimDuration::from_millis(1);
-        let retry = s.tick(t1);
+        let retry = acts(|o| s.tick(t1, o));
         assert!(matches!(
             &retry[..],
             [DsrAction::Broadcast { packet: DsrPacket::Rreq(r) }] if r.ttl == cfg.network_ttl
@@ -1357,7 +1301,7 @@ mod tests {
         let mut dropped = false;
         for _ in 0..cfg.max_discovery_retries + 2 {
             t += SimDuration::from_secs(120);
-            let actions = s.tick(t);
+            let actions = acts(|o| s.tick(t, o));
             if actions.iter().any(|a| {
                 matches!(
                     a,
@@ -1379,10 +1323,10 @@ mod tests {
     #[test]
     fn send_buffer_times_out() {
         let mut s = node(0);
-        s.originate(0, 0, n(9), 512, SimTime::ZERO);
+        acts(|o| s.originate(0, 0, n(9), 512, SimTime::ZERO, o));
         let late = SimTime::ZERO + DsrConfig::default().send_buffer_timeout
             + SimDuration::from_secs(1);
-        let actions = s.tick(late);
+        let actions = acts(|o| s.tick(late, o));
         assert!(actions
             .iter()
             .any(|a| matches!(a, DsrAction::Dropped { reason: DropReason::SendBufferTimeout, .. })));
@@ -1394,22 +1338,53 @@ mod tests {
         let cfg = DsrConfig::default();
         let mut s = node(0);
         for seq in 0..cfg.send_buffer_capacity as u64 {
-            s.originate(0, seq, n(9), 512, SimTime::ZERO);
+            acts(|o| s.originate(0, seq, n(9), 512, SimTime::ZERO, o));
         }
-        let actions = s.originate(0, 999, n(9), 512, SimTime::ZERO);
+        let actions = acts(|o| s.originate(0, 999, n(9), 512, SimTime::ZERO, o));
         assert!(actions
             .iter()
             .any(|a| matches!(a, DsrAction::Dropped { reason: DropReason::SendBufferFull, .. })));
+    }
+
+    /// The flat run list answers exactly like the ordered set of pairs
+    /// it replaces, including id 0 and `u32::MAX` at the run edges.
+    #[test]
+    fn seen_rreq_matches_a_btreeset_model() {
+        use rcast_testkit::{prop_assert, prop_assert_eq, Check};
+        use std::collections::BTreeSet;
+        Check::new("seen_rreq_matches_a_btreeset_model").run(|g| {
+            let mut seen = SeenRreq::default();
+            let mut model = BTreeSet::new();
+            let base = if g.bool() { 0 } else { u32::MAX - 40 };
+            for _ in 0..g.usize_range(1, 300) {
+                let origin = NodeId::new(g.u32_range(0, 6));
+                let id = base + g.u32_range(0, 41);
+                prop_assert_eq!(seen.insert(origin, id), model.insert((origin, id)));
+            }
+            let runs: Vec<_> = seen
+                .runs
+                .iter()
+                .flat_map(|&(o, lo, hi)| (lo..=hi).map(move |id| (o, id)))
+                .collect();
+            prop_assert_eq!(runs, model.iter().copied().collect::<Vec<_>>());
+            // Runs are disjoint and never adjacent within an origin.
+            for w in seen.runs.windows(2) {
+                if w[0].0 == w[1].0 {
+                    prop_assert!(w[0].2.checked_add(1) < Some(w[1].1));
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]
     fn overheard_route_flushes_waiting_traffic() {
         // The Rcast premise: an overheard route substitutes for a flood.
         let mut s = node(0);
-        s.originate(0, 0, n(2), 512, SimTime::ZERO);
+        acts(|o| s.originate(0, 0, n(2), 512, SimTime::ZERO, o));
         assert_eq!(s.send_buffer_len(), 1);
         let pkt = DsrPacket::Data(data(&[5, 1, 2], 9, 9));
-        let actions = s.overhear(&pkt, n(1), SimTime::from_millis(300));
+        let actions = acts(|o| s.overhear(&pkt, n(1), SimTime::from_millis(300), o));
         assert!(
             actions.iter().any(|a| matches!(
                 a,

@@ -8,7 +8,7 @@
 
 use rcast_engine::{NodeId, SimTime};
 
-use crate::route::SourceRoute;
+use crate::route::{NodePath, SourceRoute};
 
 /// IPv4 header length, octets.
 const IP_HEADER: usize = 20;
@@ -30,7 +30,7 @@ pub struct Rreq {
     /// search sends a non-propagating request with `ttl = 1` first).
     pub ttl: u8,
     /// The accumulated route record: origin through the latest forwarder.
-    pub record: Vec<NodeId>,
+    pub record: NodePath,
 }
 
 impl Rreq {
@@ -203,7 +203,7 @@ mod tests {
             target: NodeId::new(5),
             id: 1,
             ttl: 16,
-            record: vec![NodeId::new(0)],
+            record: NodePath::from_slice(&[NodeId::new(0)]),
         });
         assert!(rreq.is_control());
         assert_eq!(rreq.kind(), "RREQ");
@@ -250,7 +250,7 @@ mod tests {
             target: NodeId::new(9),
             id: 7,
             ttl: 1,
-            record: vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)],
+            record: NodePath::from_slice(&[NodeId::new(0), NodeId::new(1), NodeId::new(2)]),
         };
         assert_eq!(r.wire_bytes(), 20 + 8 + 12);
     }

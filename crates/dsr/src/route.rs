@@ -1,6 +1,124 @@
 //! Source routes: ordered node sequences with hop-lookup helpers.
+//!
+//! A route's nodes live in a [`NodePath`], which holds up to
+//! [`INLINE_IDS`] ids inline, so building, copying, reversing and
+//! splicing the routes DSR learns never touches the heap (DESIGN.md §10).
+
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 use rcast_engine::NodeId;
+
+/// Ids a [`NodePath`] stores inline: DSR's default 16-hop TTL plus the
+/// origin. Longer paths spill to one boxed slice; no length is capped.
+pub const INLINE_IDS: usize = 17;
+
+/// An ordered node sequence (a route, or an RREQ's route record).
+///
+/// Up to [`INLINE_IDS`] ids live inline, so a copy is a `memcpy`;
+/// longer paths spill to the heap. Equality, hashing, `Debug` and
+/// [`Deref`] see only the live ids, never stale inline slots.
+///
+/// # Example
+///
+/// ```
+/// use rcast_engine::NodeId;
+/// use rcast_dsr::NodePath;
+///
+/// let p: NodePath = (0..3).map(NodeId::new).rev().collect();
+/// assert_eq!(p.len(), 3);
+/// assert_eq!(p[0], NodeId::new(2));
+/// ```
+#[derive(Clone)]
+pub struct NodePath(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        ids: [NodeId; INLINE_IDS],
+    },
+    /// Always longer than [`INLINE_IDS`].
+    Spilled(Box<[NodeId]>),
+}
+
+impl NodePath {
+    /// A copy of `nodes`.
+    pub fn from_slice(nodes: &[NodeId]) -> Self {
+        nodes.iter().copied().collect()
+    }
+
+    /// The live ids.
+    pub fn as_slice(&self) -> &[NodeId] {
+        match &self.0 {
+            Repr::Inline { len, ids } => &ids[..usize::from(*len)],
+            Repr::Spilled(ids) => ids,
+        }
+    }
+}
+
+impl Deref for NodePath {
+    type Target = [NodeId];
+
+    fn deref(&self) -> &[NodeId] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for NodePath {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for NodePath {}
+
+impl Hash for NodePath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl std::fmt::Debug for NodePath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+/// Fills the inline slots element by element (no `memcpy` call for
+/// the short paths that dominate) and spills only what does not fit.
+impl FromIterator<NodeId> for NodePath {
+    fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let mut ids = [NodeId::new(0); INLINE_IDS];
+        for (len, slot) in ids.iter_mut().enumerate() {
+            match iter.next() {
+                Some(id) => *slot = id,
+                None => {
+                    return NodePath(Repr::Inline {
+                        len: len as u8,
+                        ids,
+                    })
+                }
+            }
+        }
+        match iter.next() {
+            None => NodePath(Repr::Inline {
+                len: INLINE_IDS as u8,
+                ids,
+            }),
+            Some(id) => {
+                // Sized from the hint, so an exact-size source (a slice,
+                // its reverse, a chain of them) allocates exactly once.
+                let mut spilled = Vec::with_capacity(INLINE_IDS + 1 + iter.size_hint().0);
+                spilled.extend_from_slice(&ids);
+                spilled.push(id);
+                spilled.extend(iter);
+                NodePath(Repr::Spilled(spilled.into_boxed_slice()))
+            }
+        }
+    }
+}
 
 /// A loop-free source route: the full node sequence from origin to
 /// destination, inclusive.
@@ -18,7 +136,7 @@ use rcast_engine::NodeId;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SourceRoute {
-    nodes: Vec<NodeId>,
+    nodes: NodePath,
 }
 
 impl SourceRoute {
@@ -27,15 +145,21 @@ impl SourceRoute {
     /// Returns `None` when the sequence is shorter than two nodes or
     /// contains a repeated node (routes must be loop-free).
     pub fn new(nodes: Vec<NodeId>) -> Option<Self> {
-        if !Self::is_valid_path(&nodes) {
-            return None;
-        }
-        Some(SourceRoute { nodes })
+        Self::from_slice(&nodes)
+    }
+
+    /// [`new`](Self::new) on a borrowed slice, copied into the route.
+    pub fn from_slice(nodes: &[NodeId]) -> Option<Self> {
+        Self::from_path(NodePath::from_slice(nodes))
+    }
+
+    /// [`new`](Self::new) on an owned [`NodePath`].
+    pub fn from_path(nodes: NodePath) -> Option<Self> {
+        Self::is_valid_path(&nodes).then_some(SourceRoute { nodes })
     }
 
     /// `true` when `nodes` would form a valid route (≥ 2 nodes,
-    /// loop-free) — [`new`](Self::new)'s precondition, checkable on a
-    /// borrowed slice without materializing the `Vec`.
+    /// loop-free) — [`new`](Self::new)'s precondition.
     pub fn is_valid_path(nodes: &[NodeId]) -> bool {
         if nodes.len() < 2 {
             return false;
@@ -46,20 +170,6 @@ impl SourceRoute {
             }
         }
         true
-    }
-
-    /// Replaces the node sequence in place, reusing the existing
-    /// allocation — the recycling counterpart of [`new`](Self::new) for
-    /// storage pools like the route cache's eviction slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `nodes` fails [`is_valid_path`](Self::is_valid_path).
-    pub fn refill(&mut self, nodes: &[NodeId]) {
-        assert!(Self::is_valid_path(nodes), "invalid route");
-        self.nodes.clear();
-        // det: hot-ok — reuses the existing storage; grows only when the new path is longer than any predecessor
-        self.nodes.extend_from_slice(nodes);
     }
 
     /// The origin (first node).
@@ -115,27 +225,28 @@ impl SourceRoute {
 
     /// The reversed route (valid under DSR's bidirectional-link
     /// assumption).
-    // det: hot-ok — route surgery materializes a new path on repair/learning events only
     pub fn reversed(&self) -> SourceRoute {
-        let mut nodes = self.nodes.clone();
-        nodes.reverse();
-        SourceRoute { nodes }
+        SourceRoute {
+            nodes: self.nodes.iter().rev().copied().collect(),
+        }
     }
 
     /// The sub-route from `node` to the destination, if `node` is on the
     /// route and not the destination itself.
-    // det: hot-ok — route surgery materializes a new path on repair/learning events only
     pub fn suffix_from(&self, node: NodeId) -> Option<SourceRoute> {
         let i = self.position_of(node)?;
-        SourceRoute::new(self.nodes[i..].to_vec())
+        (i + 1 < self.nodes.len()).then(|| SourceRoute {
+            nodes: NodePath::from_slice(&self.nodes[i..]),
+        })
     }
 
     /// The sub-route from the origin to `node`, if `node` is on the
     /// route and not the origin itself.
-    // det: hot-ok — route surgery materializes a new path on repair/learning events only
     pub fn prefix_to(&self, node: NodeId) -> Option<SourceRoute> {
         let i = self.position_of(node)?;
-        SourceRoute::new(self.nodes[..=i].to_vec())
+        (i > 0).then(|| SourceRoute {
+            nodes: NodePath::from_slice(&self.nodes[..=i]),
+        })
     }
 
     /// `true` when the route uses the directed link `a → b` or `b → a`.
@@ -147,21 +258,24 @@ impl SourceRoute {
 
     /// Concatenates `self` with `tail`, which must start where `self`
     /// ends. Returns `None` when the splice would introduce a loop.
-    // det: hot-ok — route surgery materializes a new path on repair/learning events only
     pub fn spliced_with(&self, tail: &SourceRoute) -> Option<SourceRoute> {
         if self.destination() != tail.origin() {
             return None;
         }
-        let mut nodes = self.nodes.clone();
-        nodes.extend_from_slice(&tail.nodes()[1..]);
-        SourceRoute::new(nodes)
+        let nodes = self
+            .nodes()
+            .iter()
+            .chain(&tail.nodes()[1..])
+            .copied()
+            .collect();
+        SourceRoute::from_path(nodes)
     }
 }
 
 impl std::fmt::Display for SourceRoute {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut first = true;
-        for n in &self.nodes {
+        for n in self.nodes.iter() {
             if !first {
                 write!(f, "→")?;
             }
@@ -246,5 +360,70 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(route(&[0, 1, 2]).to_string(), "n0→n1→n2");
+    }
+
+    /// FNV-1a: a fixed-key hasher, so equal inputs hash equal in any
+    /// process.
+    struct Fnv(u64);
+
+    impl Hasher for Fnv {
+        fn finish(&self) -> u64 {
+            self.0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    fn hash_of<T: Hash + ?Sized>(x: &T) -> u64 {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        x.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn eq_and_hash_see_only_live_ids() {
+        let live = [NodeId::new(0), NodeId::new(1)];
+        let fresh = NodePath::from_slice(&live);
+        // The same two live ids with different contents in the slots
+        // behind them.
+        let mut ids = [NodeId::new(9); INLINE_IDS];
+        ids[..2].copy_from_slice(&live);
+        let stale = NodePath(Repr::Inline { len: 2, ids });
+        assert_eq!(stale, fresh);
+        assert_eq!(hash_of(&stale), hash_of(&fresh));
+        assert_eq!(format!("{stale:?}"), format!("{fresh:?}"));
+        assert_ne!(stale, NodePath::from_slice(&live[..1]), "length counts");
+        // Routes inherit it, and hash like the node slice they hold.
+        let r = SourceRoute::from_path(stale).unwrap();
+        assert_eq!(r, route(&[0, 1]));
+        assert_eq!(hash_of(&r.nodes), hash_of(&live[..]));
+    }
+
+    #[test]
+    fn routes_stay_small_enough_to_cache_inline() {
+        // A cache entry holds one route inline; growing it would grow
+        // every node's cache (and peak RSS) with it.
+        assert!(std::mem::size_of::<SourceRoute>() <= 72);
+        assert_eq!(
+            std::mem::size_of::<NodePath>(),
+            std::mem::size_of::<SourceRoute>()
+        );
+    }
+
+    #[test]
+    fn paths_spill_only_past_the_inline_limit() {
+        let ids: Vec<NodeId> = (0..40).map(NodeId::new).collect();
+        for n in [0, 1, INLINE_IDS - 1, INLINE_IDS, INLINE_IDS + 1, 40] {
+            let sliced = NodePath::from_slice(&ids[..n]);
+            let reversed: NodePath = ids[..n].iter().rev().copied().collect();
+            assert_eq!(sliced.as_slice(), &ids[..n]);
+            assert!(reversed.iter().eq(ids[..n].iter().rev()));
+            for p in [&sliced, &reversed] {
+                assert_eq!(matches!(p.0, Repr::Spilled(_)), n > INLINE_IDS, "len {n}");
+            }
+        }
     }
 }

@@ -1,14 +1,16 @@
 //! Property-based tests for DSR's route cache and source routes, on the
 //! in-tree `rcast-testkit` harness (hermetic: no proptest).
 
-use rcast_dsr::{CacheConfig, RouteCache, SourceRoute};
+use rcast_dsr::{CacheConfig, NodePath, RouteCache, SourceRoute, INLINE_IDS};
 use rcast_engine::{NodeId, SimTime};
 use rcast_testkit::{prop_assert, prop_assert_eq, Check, Gen};
 
-/// Generator: a loop-free route of 2..=8 nodes drawn from ids 0..20.
+/// Generator: a loop-free route of 2..=40 nodes drawn from ids 0..96,
+/// so routes cross the inline/spill boundary ([`INLINE_IDS`]) and reach
+/// ids ≥ 64, where the cache's 64-bit node mask aliases.
 /// Returns `None` when the draw collapses below two distinct nodes.
 fn route(g: &mut Gen) -> Option<SourceRoute> {
-    let ids = g.vec(2, 8, |g| g.u32_range(0, 20));
+    let ids = g.vec(2, 41, |g| g.u32_range(0, 96));
     let mut seen = std::collections::HashSet::new();
     let nodes: Vec<NodeId> = ids
         .into_iter()
@@ -152,6 +154,91 @@ fn shortest_route_preferred() {
             .find_route(dst, SimTime::from_secs(2))
             .expect("direct route cached");
         prop_assert_eq!(found.hop_count(), 1);
+        Ok(())
+    });
+}
+
+/// `len` distinct ids drawn from 0..96.
+fn distinct_ids(g: &mut Gen, len: usize) -> Vec<NodeId> {
+    let mut ids = Vec::with_capacity(len);
+    while ids.len() < len {
+        let id = NodeId::new(g.u32_range(0, 96));
+        if !ids.contains(&id) {
+            ids.push(id);
+        }
+    }
+    ids
+}
+
+/// A length in 2..=40 that lands on the inline/spill boundary (one below,
+/// at or one past [`INLINE_IDS`]) in about half the cases.
+fn boundary_len(g: &mut Gen) -> usize {
+    if g.bool() {
+        g.usize_range(INLINE_IDS - 1, INLINE_IDS + 2)
+    } else {
+        g.usize_range(2, 41)
+    }
+}
+
+/// Every route operation agrees with the same operation on a plain
+/// `Vec<NodeId>`, for routes on both sides of the inline/spill boundary.
+#[test]
+fn route_operations_match_a_vec_model() {
+    Check::new("route_operations_match_a_vec_model").run(|g| {
+        let len = boundary_len(g);
+        let v = distinct_ids(g, len);
+        let n = v.len();
+        let path = NodePath::from_slice(&v);
+        prop_assert_eq!(path.as_slice(), &v[..]);
+        prop_assert_eq!(&path, &v.iter().copied().collect::<NodePath>());
+        let r = SourceRoute::from_path(path).expect("distinct ids form a route");
+        prop_assert_eq!(r.nodes(), &v[..]);
+        prop_assert_eq!(SourceRoute::new(v.clone()), Some(r.clone()));
+        prop_assert_eq!(r.origin(), v[0]);
+        prop_assert_eq!(r.destination(), v[n - 1]);
+        prop_assert_eq!(r.hop_count(), n - 1);
+        prop_assert_eq!(r.intermediates(), &v[1..n - 1]);
+        let rev: Vec<NodeId> = v.iter().rev().copied().collect();
+        let reversed = r.reversed();
+        prop_assert_eq!(reversed.nodes(), &rev[..]);
+        // Every member, plus one id that is not on the route.
+        let outsider = NodeId::new(96);
+        for (i, &x) in v.iter().chain([&outsider]).enumerate() {
+            let on = i < n;
+            prop_assert_eq!(r.position_of(x), on.then_some(i));
+            prop_assert_eq!(r.contains(x), on);
+            prop_assert_eq!(r.next_hop_after(x), v.get(i + 1).copied().filter(|_| on));
+            prop_assert_eq!(r.prev_hop_before(x), (on && i > 0).then(|| v[i - 1]));
+            let suffix = r.suffix_from(x);
+            prop_assert_eq!(
+                suffix.as_ref().map(|s| s.nodes()),
+                (on && i + 1 < n).then(|| &v[i..])
+            );
+            let prefix = r.prefix_to(x);
+            prop_assert_eq!(
+                prefix.as_ref().map(|p| p.nodes()),
+                (on && i > 0).then(|| &v[..=i])
+            );
+        }
+        let (a, b) = (v[g.usize_range(0, n)], v[g.usize_range(0, n)]);
+        let model_uses = v
+            .windows(2)
+            .any(|w| (w[0] == a && w[1] == b) || (w[0] == b && w[1] == a));
+        prop_assert_eq!(r.uses_link(a, b), model_uses);
+        // Splicing any split back together rebuilds the route; a tail
+        // that revisits the head is rejected.
+        let k = g.usize_range(1, n);
+        let head = SourceRoute::from_slice(&v[..=k]).expect("prefix");
+        if k + 1 < n {
+            let tail = SourceRoute::from_slice(&v[k..]).expect("suffix");
+            prop_assert_eq!(head.spliced_with(&tail), Some(r.clone()));
+        }
+        let looped = SourceRoute::from_slice(&[v[k], v[0]]).expect("two distinct ids");
+        prop_assert_eq!(head.spliced_with(&looped), None);
+        // A repeated id makes the sequence invalid, whatever its length.
+        let mut dup = v.clone();
+        dup.push(v[g.usize_range(0, n)]);
+        prop_assert!(SourceRoute::from_slice(&dup).is_none());
         Ok(())
     });
 }

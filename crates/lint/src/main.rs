@@ -8,10 +8,13 @@
 //! cargo run -p rcast-lint -- --root /path/to/workspace
 //! ```
 //!
-//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error. Every
+//! completed pass ends with a `rcast-lint: wall time <n> ms` line on
+//! stderr.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use rcast_lint::{
     apply_baseline, find_workspace_root, lint_workspace, parse_baseline, render_json,
@@ -118,6 +121,7 @@ fn main() -> ExitCode {
             }
         }
     };
+    let started = Instant::now();
     match lint_workspace(&root) {
         Ok(findings) => {
             let (findings, stale) = apply_baseline(findings, &baseline);
@@ -139,6 +143,7 @@ fn main() -> ExitCode {
                     eprintln!("rcast-lint: {} finding(s)", findings.len());
                 }
             }
+            eprintln!("rcast-lint: wall time {} ms", started.elapsed().as_millis());
             if findings.is_empty() {
                 ExitCode::SUCCESS
             } else {

@@ -2,8 +2,8 @@
 //!
 //! Rules fire (or not) depending on *where* a file sits: the simulation
 //! crates carry the strictest determinism rules, the report/CLI layers
-//! are allowed to print, and the bench/testkit crates may read the wall
-//! clock. This module turns a path relative to the workspace root into
+//! are allowed to print, and the bench/testkit/lint crates may read the
+//! wall clock. This module turns a path relative to the workspace root into
 //! that classification, and walks the tree collecting every `.rs` file
 //! in a deterministic (sorted) order.
 
@@ -19,9 +19,11 @@ pub const SIM_CRATES: &[&str] = &[
     "traffic",
 ];
 
-/// Crates allowed to read the wall clock (D001): the timing harness and
-/// the property-test harness (which reports elapsed time per check).
-pub const WALL_CLOCK_ALLOWED: &[&str] = &["bench", "testkit"];
+/// Crates allowed to read the wall clock (D001): the timing harness, the
+/// property-test harness (which reports elapsed time per check) and the
+/// analyzer itself (which reports its own pass time). None of them runs
+/// inside a simulation.
+pub const WALL_CLOCK_ALLOWED: &[&str] = &["bench", "testkit", "lint"];
 
 /// Directory names never descended into. `fixtures` holds the linter's
 /// own deliberately-violating test inputs.

@@ -6,7 +6,8 @@
 //!
 //! * **D001** — wall-clock reads (`std::time::Instant`/`SystemTime`)
 //!   make results depend on the host. Only the `bench`/`testkit`
-//!   harness crates may time things.
+//!   harness crates and the analyzer itself (`lint`, which times its
+//!   own pass) may time things.
 //! * **D002** — iterating a `HashMap`/`HashSet` in a simulation crate
 //!   visits entries in `RandomState` order, which differs per process.
 //!   Sites that restore order explicitly carry a
@@ -1182,7 +1183,7 @@ fn h002_missing_docs(
 /// Rule ids in report order, for `--explain`-style listings, SARIF
 /// metadata and tests.
 pub const RULES: &[(&str, &str)] = &[
-    ("D001", "no wall-clock time sources outside bench/testkit"),
+    ("D001", "no wall-clock time sources outside bench/testkit/lint"),
     ("D002", "no unordered HashMap/HashSet iteration in simulation crates"),
     ("D003", "no environment-seeded hashing or external RNGs"),
     ("D004", "forbid(unsafe_code) at every crate root; no unsafe anywhere"),

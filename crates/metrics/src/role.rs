@@ -3,10 +3,9 @@
 //! Section 4.2 defines a node's *role number* as "a measure of the
 //! extent to which the node lies on the paths between others",
 //! calculated by examining every node's route cache and counting the
-//! intermediate nodes stored there. We accumulate the counts as routes
-//! enter caches (each `RouteCached` event from the DSR layer), which
-//! integrates cache contents over all packet transmissions exactly as
-//! the paper describes.
+//! intermediate nodes stored there. The simulation core samples every
+//! node's cache once a simulated second and accumulates the counts,
+//! which integrates cache contents over the run as the paper describes.
 
 use rcast_engine::NodeId;
 

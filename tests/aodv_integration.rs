@@ -9,6 +9,13 @@ use randomcast::mac::{AllPowerSave, MacConfig, MacFrame, MacLayer, OverhearingLe
 use randomcast::mobility::{Area, NeighborTable, Snapshot, Vec2};
 use randomcast::radio::Phy;
 
+/// Runs one handler call into a fresh out-buffer and returns it.
+fn acts(call: impl FnOnce(&mut Vec<AodvAction>)) -> Vec<AodvAction> {
+    let mut out = Vec::new();
+    call(&mut out);
+    out
+}
+
 fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
@@ -86,7 +93,7 @@ impl Net {
         };
         let t = self.now;
         for i in 0..self.nodes.len() {
-            let actions = self.nodes[i].tick(t);
+            let actions = acts(|buf| self.nodes[i].tick(t, buf));
             self.apply(n(i as u32), actions);
         }
         let out = self.mac.run_interval(t, &self.nt, &mut policy);
@@ -95,21 +102,25 @@ impl Net {
             let payload = &d.frame.payload;
             match d.receiver {
                 Some(r) => {
-                    let actions = self.nodes[r.index()].receive(payload.clone(), sender, d.at);
+                    let actions = acts(|buf| {
+                        self.nodes[r.index()].receive(payload.clone(), sender, d.at, buf)
+                    });
                     self.apply(r, actions);
                 }
                 None => {
                     for &r in d.fanout.recipients(&out.fanout) {
-                        let actions =
-                            self.nodes[r.index()].receive(payload.clone(), sender, d.at);
+                        let actions = acts(|buf| {
+                            self.nodes[r.index()].receive(payload.clone(), sender, d.at, buf)
+                        });
                         self.apply(r, actions);
                     }
                 }
             }
         }
         for f in out.failures {
-            let actions =
-                self.nodes[f.sender.index()].link_failure(f.receiver, f.frame.payload, f.at);
+            let actions = acts(|buf| {
+                self.nodes[f.sender.index()].link_failure(f.receiver, f.frame.payload, f.at, buf)
+            });
             self.apply(f.sender, actions);
         }
         self.now += SimDuration::from_millis(250);
@@ -121,7 +132,7 @@ impl Net {
 #[test]
 fn aodv_discovery_and_delivery_across_a_chain() {
     let mut net = Net::new(4, false);
-    let actions = net.nodes[0].originate(1, 0, n(3), 512, SimTime::ZERO);
+    let actions = acts(|buf| net.nodes[0].originate(1, 0, n(3), 512, SimTime::ZERO, buf));
     net.apply(n(0), actions);
     for _ in 0..60 {
         net.step();
@@ -143,7 +154,7 @@ fn aodv_discovery_and_delivery_across_a_chain() {
 #[test]
 fn aodv_route_reuse_without_reflooding() {
     let mut net = Net::new(3, false);
-    let actions = net.nodes[0].originate(0, 0, n(2), 512, SimTime::ZERO);
+    let actions = acts(|buf| net.nodes[0].originate(0, 0, n(2), 512, SimTime::ZERO, buf));
     net.apply(n(0), actions);
     for _ in 0..40 {
         net.step();
@@ -155,7 +166,7 @@ fn aodv_route_reuse_without_reflooding() {
     // Send nine more packets, paced one per interval.
     for seq in 1..10u64 {
         let t = net.now;
-        let actions = net.nodes[0].originate(0, seq, n(2), 512, t);
+        let actions = acts(|buf| net.nodes[0].originate(0, seq, n(2), 512, t, buf));
         net.apply(n(0), actions);
         net.step();
         net.step();
@@ -176,7 +187,7 @@ fn aodv_route_reuse_without_reflooding() {
 #[test]
 fn aodv_break_detection_and_rediscovery() {
     let mut net = Net::new(4, false);
-    let actions = net.nodes[0].originate(0, 0, n(3), 512, SimTime::ZERO);
+    let actions = acts(|buf| net.nodes[0].originate(0, 0, n(3), 512, SimTime::ZERO, buf));
     net.apply(n(0), actions);
     for _ in 0..60 {
         net.step();
@@ -199,7 +210,7 @@ fn aodv_break_detection_and_rediscovery() {
     );
     net.nt = NeighborTable::build(&snap, 250.0);
     let t = net.now;
-    let actions = net.nodes[0].originate(0, 1, n(3), 512, t);
+    let actions = acts(|buf| net.nodes[0].originate(0, 1, n(3), 512, t, buf));
     net.apply(n(0), actions);
     for _ in 0..20 {
         net.step();
@@ -216,7 +227,7 @@ fn aodv_break_detection_and_rediscovery() {
     // Node 3 comes back; traffic resumes after rediscovery.
     net.nt = chain(4);
     let t = net.now;
-    let actions = net.nodes[0].originate(0, 2, n(3), 512, t);
+    let actions = acts(|buf| net.nodes[0].originate(0, 2, n(3), 512, t, buf));
     net.apply(n(0), actions);
     for _ in 0..80 {
         net.step();
@@ -237,7 +248,7 @@ fn aodv_break_detection_and_rediscovery() {
 fn aodv_hellos_flow_through_psm_broadcasts() {
     let mut net = Net::new(3, true);
     // Make node 1 active so it beacons.
-    let actions = net.nodes[1].originate(0, 0, n(2), 64, SimTime::ZERO);
+    let actions = acts(|buf| net.nodes[1].originate(0, 0, n(2), 64, SimTime::ZERO, buf));
     net.apply(n(1), actions);
     for _ in 0..20 {
         net.step();

@@ -10,6 +10,13 @@ use rcast_mac::{AllPowerSave, MacConfig, MacFrame, MacLayer, OverhearingLevel};
 use rcast_mobility::{Area, NeighborTable, Snapshot, Vec2};
 use rcast_radio::Phy;
 
+/// Runs one handler call into a fresh out-buffer and returns it.
+fn acts(call: impl FnOnce(&mut Vec<DsrAction>)) -> Vec<DsrAction> {
+    let mut out = Vec::new();
+    call(&mut out);
+    out
+}
+
 fn n(i: u32) -> NodeId {
     NodeId::new(i)
 }
@@ -73,7 +80,7 @@ impl Net {
                 DsrAction::Delivered { packet } => {
                     self.delivered.push((packet.flow, packet.seq));
                 }
-                DsrAction::Dropped { .. } | DsrAction::RouteCached { .. } => {}
+                DsrAction::Dropped { .. } => {}
             }
         }
     }
@@ -85,7 +92,7 @@ impl Net {
         };
         let t = self.now;
         for i in 0..self.dsr.len() {
-            let actions = self.dsr[i].tick(t);
+            let actions = acts(|buf| self.dsr[i].tick(t, buf));
             self.apply(n(i as u32), actions);
         }
         let out = self.mac.run_interval(t, &self.nt, &mut policy);
@@ -93,26 +100,29 @@ impl Net {
             let sender = d.sender;
             let payload = &d.frame.payload;
             for &o in d.fanout.overhearers(&out.fanout) {
-                let actions = self.dsr[o.index()].overhear(payload, sender, d.at);
+                let actions = acts(|buf| self.dsr[o.index()].overhear(payload, sender, d.at, buf));
                 self.apply(o, actions);
             }
             match d.receiver {
                 Some(r) => {
-                    let actions = self.dsr[r.index()].receive(payload.clone(), sender, d.at);
+                    let actions =
+                        acts(|buf| self.dsr[r.index()].receive(payload.clone(), sender, d.at, buf));
                     self.apply(r, actions);
                 }
                 None => {
                     for &r in d.fanout.recipients(&out.fanout) {
-                        let actions =
-                            self.dsr[r.index()].receive(payload.clone(), sender, d.at);
+                        let actions = acts(|buf| {
+                            self.dsr[r.index()].receive(payload.clone(), sender, d.at, buf)
+                        });
                         self.apply(r, actions);
                     }
                 }
             }
         }
         for f in out.failures {
-            let actions =
-                self.dsr[f.sender.index()].link_failure(f.receiver, f.frame.payload, f.at);
+            let actions = acts(|buf| {
+                self.dsr[f.sender.index()].link_failure(f.receiver, f.frame.payload, f.at, buf)
+            });
             self.apply(f.sender, actions);
         }
         self.now += SimDuration::from_millis(250);
@@ -125,7 +135,7 @@ impl Net {
 #[test]
 fn discovery_and_delivery_across_a_chain() {
     let mut net = Net::new(4);
-    let actions = net.dsr[0].originate(1, 0, n(3), 512, SimTime::ZERO);
+    let actions = acts(|buf| net.dsr[0].originate(1, 0, n(3), 512, SimTime::ZERO, buf));
     net.apply(n(0), actions);
     for _ in 0..40 {
         net.step();
@@ -151,8 +161,7 @@ fn psm_path_pays_one_interval_per_hop() {
     let route = rcast_dsr::SourceRoute::new(vec![n(0), n(1), n(2), n(3)]).unwrap();
     let mut scratch = Vec::new();
     for i in 0..4 {
-        let _ = scratch;
-        scratch = net.dsr[i].overhear(
+        net.dsr[i].overhear(
             &DsrPacket::Data(rcast_dsr::DataPacket {
                 flow: 0,
                 seq: 999,
@@ -165,9 +174,10 @@ fn psm_path_pays_one_interval_per_hop() {
             // extend-through-transmitter path applies when off-route.
             n(if i == 0 { 1 } else { i as u32 - 1 }),
             SimTime::ZERO,
+            &mut scratch,
         );
     }
-    let actions = net.dsr[0].originate(2, 0, n(3), 512, SimTime::ZERO);
+    let actions = acts(|buf| net.dsr[0].originate(2, 0, n(3), 512, SimTime::ZERO, buf));
     net.apply(n(0), actions);
     let mut intervals = 0;
     while net.delivered.is_empty() && intervals < 40 {
@@ -185,7 +195,7 @@ fn psm_path_pays_one_interval_per_hop() {
 #[test]
 fn link_break_propagates_rerr_and_cleans_caches() {
     let mut net = Net::new(4);
-    let actions = net.dsr[0].originate(1, 0, n(3), 512, SimTime::ZERO);
+    let actions = acts(|buf| net.dsr[0].originate(1, 0, n(3), 512, SimTime::ZERO, buf));
     net.apply(n(0), actions);
     for _ in 0..40 {
         net.step();
@@ -211,7 +221,7 @@ fn link_break_propagates_rerr_and_cleans_caches() {
     // Send another packet; it must hit the break, trigger a RERR, and
     // purge the stale route at the source.
     let t = net.now;
-    let actions = net.dsr[0].originate(1, 1, n(3), 512, t);
+    let actions = acts(|buf| net.dsr[0].originate(1, 1, n(3), 512, t, buf));
     net.apply(n(0), actions);
     for _ in 0..12 {
         net.step();
@@ -243,7 +253,7 @@ fn bystander_learns_route_by_overhearing() {
     let mut net = Net::new(4);
     net.nt = nt;
 
-    let actions = net.dsr[0].originate(7, 0, n(2), 512, SimTime::ZERO);
+    let actions = acts(|buf| net.dsr[0].originate(7, 0, n(2), 512, SimTime::ZERO, buf));
     net.apply(n(0), actions);
     // The harness policy answers `false` to randomized overhearing, so
     // flip it: re-run with a yes-policy by overriding step's policy via
