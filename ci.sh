@@ -38,14 +38,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
-echo "==> cargo test --offline (unit, integration, property, doctests)"
+echo "==> cargo test --offline (unit, integration, property, chaos, doctests)"
 cargo test -q --offline --workspace
 
-echo "==> cargo test --offline --doc (doctests, explicitly)"
-cargo test -q --offline --workspace --doc
-
 echo "==> chaos smoke: fault-injected run per scheme (offline, release)"
-cargo test -q --offline --test chaos
 for scheme in 802.11 psm psm-none odpm rcast; do
     ./target/release/rcast run --scheme "$scheme" \
         --nodes 25 --area 700x300 --duration 30 --flows 4 --seed 7 \
@@ -149,13 +145,18 @@ head -1 "$sweep_out/aodv-comparison-smoke.csv" | grep -q ',rreq_share_mean,' || 
 echo "==> scenario round trip: an exported scenario replays its run (release)"
 # One flag set that exercises every key the old hand-kept grammars lost:
 # Rcast factors, --broadcast-p ahead of --factors, a seed past 2^53, a
-# fault plan and a battery. `run --csv` and `scenario --csv` on the
-# `export-scenario` text must print the same bytes.
+# fault plan and a battery small enough that nodes die mid-run.
+# `run --csv` and `scenario --csv` on the `export-scenario` text must
+# print the same bytes.
 rt_dir=$(mktemp -d)
 trap 'rm -f "$trace_out"; rm -rf "$sweep_out" "$rt_dir"' EXIT
 set -- --nodes 20 --area 800x300 --duration 20 --flows 4 \
     --broadcast-p 0.5 --factors sender-id,mobility --seed 9007199254740993 \
-    --faults crash=0.3,downtime=10 --battery 500
+    --faults crash=0.3,downtime=10 --battery 5
+./target/release/rcast run "$@" | grep -q 'first battery depletion' || {
+    echo "FAIL: the round-trip battery no longer depletes" >&2
+    exit 1
+}
 ./target/release/rcast run "$@" --csv > "$rt_dir/run.csv"
 ./target/release/rcast export-scenario "$@" > "$rt_dir/exported.scn"
 ./target/release/rcast scenario "$rt_dir/exported.scn" --csv > "$rt_dir/replay.csv"

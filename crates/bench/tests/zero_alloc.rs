@@ -11,7 +11,7 @@
 //! reachability; this is the dynamic proof).
 
 use rcast_bench::alloc_probe;
-use rcast_core::{Scheme, SimConfig, Simulation};
+use rcast_core::{FaultEvent, Scheme, SimConfig, Simulation};
 use rcast_engine::SimDuration;
 use rcast_mobility::{Area, WaypointConfig};
 
@@ -28,6 +28,22 @@ fn quiet_config() -> SimConfig {
     cfg.waypoint.pause_secs = 1e9;
     cfg.traffic.flows = 1;
     cfg.traffic.rate_pps = 0.001;
+    cfg
+}
+
+/// The quiet steady state with the fault hooks switched on: a scripted
+/// blackout covering the whole run and a battery too large to drain,
+/// so every interval consults the plan and the battery lanes without
+/// changing a node's state.
+fn quiet_faulted_config() -> SimConfig {
+    let mut cfg = quiet_config();
+    cfg.faults.script.push(FaultEvent::LinkBlackout {
+        a: 0,
+        b: 1,
+        at_s: 0.0,
+        for_s: cfg.duration.as_secs_f64(),
+    });
+    cfg.battery_capacity_j = Some(1e6);
     cfg
 }
 
@@ -114,6 +130,12 @@ fn steady_state_allocations_stay_within_their_budgets() {
     assert_eq!(
         per_interval, 0.0,
         "steady-state intervals must not touch the heap \
+         ({per_interval}/interval)",
+    );
+    let per_interval = steady_state_allocs_per_interval(quiet_faulted_config());
+    assert_eq!(
+        per_interval, 0.0,
+        "an active blackout and a battery must not touch the heap \
          ({per_interval}/interval)",
     );
 

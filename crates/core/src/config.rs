@@ -54,8 +54,12 @@ pub struct SimConfig {
     pub odpm: OdpmConfig,
     /// Rcast decision factors (used only by [`Scheme::Rcast`]).
     pub factors: OverhearFactors,
-    /// Optional finite battery per node, joules — enables the
-    /// network-lifetime metric.
+    /// Optional finite battery per node, joules. A node whose battery
+    /// drains is `Off` for the rest of the run from the next beacon
+    /// interval on, through the fault path's crash handling. Depletion
+    /// is checked once per interval, so a node can exceed its capacity
+    /// by at most one interval of awake draw (`beacon_interval ×
+    /// idle_w`: 0.2875 J with the WaveLAN-II numbers).
     pub battery_capacity_j: Option<f64>,
     /// When `true`, record the cross-layer event ledger into the
     /// report's [`rcast_obs::ObsReport`]: MAC interval phases, routing

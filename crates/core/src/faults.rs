@@ -13,15 +13,17 @@
 //! * **link blackouts** — a node pair stops hearing each other for a
 //!   window (fading, obstruction) while both stay alive;
 //! * **frame-corruption bursts** — windows in which the MAC channel
-//!   drops data frames with some probability;
-//! * **battery exhaustion** — with [`FaultsConfig::battery_exhaustion`]
-//!   set, a node whose [`rcast_radio::Battery`] drains becomes a
-//!   permanent crash instead of a mere bookkeeping event.
+//!   drops data frames with some probability.
+//!
+//! A node whose finite battery
+//! ([`SimConfig::battery_capacity_j`]) drains goes down through the
+//! same crash path, permanently; that is battery accounting, not a
+//! fault knob, so the plan holds no state for it.
 //!
 //! Faults are generated from their own [`StreamRng`] stream
 //! (`root.child("faults")`), so a fault-injected run remains a pure
 //! function of `(SimConfig, seed)` and stays byte-identical across
-//! `--threads` widths. Generation uses *nested coupling*: the random
+//! worker widths. Generation uses *nested coupling*: the random
 //! draws for each potential fault happen unconditionally and the
 //! probability only gates whether the fault activates, so raising
 //! [`FaultsConfig::crash_prob`] yields a superset of identically-timed
@@ -61,9 +63,6 @@ pub struct FaultsConfig {
     pub burst_s: f64,
     /// Data-frame loss probability while a burst is active.
     pub corruption_prob: f64,
-    /// When `true` and the run has a finite battery, a depleted node
-    /// crashes permanently instead of continuing to transmit for free.
-    pub battery_exhaustion: bool,
     /// Exact scripted faults, applied on top of the random ones.
     pub script: Vec<FaultEvent>,
 }
@@ -78,7 +77,6 @@ impl Default for FaultsConfig {
             corruption_bursts: 0,
             burst_s: 10.0,
             corruption_prob: 0.5,
-            battery_exhaustion: false,
             script: Vec::new(),
         }
     }
@@ -90,7 +88,6 @@ impl FaultsConfig {
         self.crash_prob == 0.0
             && self.link_blackouts == 0
             && self.corruption_bursts == 0
-            && !self.battery_exhaustion
             && self.script.is_empty()
     }
 
@@ -144,10 +141,12 @@ impl FaultsConfig {
     }
 
     /// Parses the compact `--faults` spec string, e.g.
-    /// `crash=0.3,downtime=15,blackouts=4,blackout=10,bursts=2,burst=10,corrupt=0.4,battery=true`.
+    /// `crash=0.3,downtime=15,blackouts=4,blackout=10,bursts=2,burst=10,corrupt=0.4`.
     ///
     /// Every key is optional; omitted keys keep their defaults.
-    /// Scripted events are not expressible in a spec.
+    /// Scripted events are not expressible in a spec. A `battery=` key
+    /// is an error: a finite battery always depletes, so it is not a
+    /// fault.
     ///
     /// # Errors
     ///
@@ -177,9 +176,10 @@ impl FaultsConfig {
                 "burst" => cfg.burst_s = f64_val()?,
                 "corrupt" => cfg.corruption_prob = f64_val()?,
                 "battery" => {
-                    cfg.battery_exhaustion = value
-                        .parse::<bool>()
-                        .map_err(|_| format!("faults spec: battery wants true/false, got {value:?}"))?
+                    return Err(format!(
+                        "faults spec: battery={value} is not a fault; \
+                         a finite `battery` capacity always depletes"
+                    ))
                 }
                 other => return Err(format!("faults spec: unknown key {other:?}")),
             }
@@ -195,7 +195,7 @@ impl FaultsConfig {
             return None;
         }
         Some(format!(
-            "crash={},downtime={},blackouts={},blackout={},bursts={},burst={},corrupt={},battery={}",
+            "crash={},downtime={},blackouts={},blackout={},bursts={},burst={},corrupt={}",
             self.crash_prob,
             self.downtime_s,
             self.link_blackouts,
@@ -203,7 +203,6 @@ impl FaultsConfig {
             self.corruption_bursts,
             self.burst_s,
             self.corruption_prob,
-            self.battery_exhaustion,
         ))
     }
 }
@@ -291,13 +290,10 @@ struct Burst {
 /// the simulation did (e.g. which nodes were down when a hop ran).
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    bi: SimDuration,
     /// Per-node down windows, `[from, until)`, quantized to intervals.
     down: Vec<Vec<(SimTime, SimTime)>>,
     blackouts: Vec<Blackout>,
     bursts: Vec<Burst>,
-    battery_dead: Vec<Option<SimTime>>,
-    battery_exhaustion: bool,
 }
 
 impl FaultPlan {
@@ -404,23 +400,16 @@ impl FaultPlan {
         }
 
         FaultPlan {
-            bi,
             down,
             blackouts,
             bursts,
-            battery_dead: vec![None; n],
-            battery_exhaustion: fc.battery_exhaustion,
         }
     }
 
-    /// `true` when the plan holds no scheduled fault and battery deaths
-    /// are not being converted into crashes — i.e. consulting it can
-    /// never change the run.
+    /// `true` when the plan holds no scheduled fault, i.e. consulting it
+    /// can never change the run.
     pub fn is_empty(&self) -> bool {
-        self.down.iter().all(Vec::is_empty)
-            && self.blackouts.is_empty()
-            && self.bursts.is_empty()
-            && !self.battery_exhaustion
+        self.down.iter().all(Vec::is_empty) && self.blackouts.is_empty() && self.bursts.is_empty()
     }
 
     /// Whether scripted faults never activate within `duration` — the
@@ -432,25 +421,12 @@ impl FaultPlan {
             .all(|ws| ws.iter().all(|&(from, _)| from >= end))
             && self.blackouts.iter().all(|b| b.from >= end)
             && self.bursts.iter().all(|b| b.from >= end)
-            && !self.battery_exhaustion
     }
 
-    /// Is `node` down (crashed, or battery-dead) at time `t`?
+    /// Does a scheduled crash window (random or scripted) cover `t` for
+    /// `node`? Battery deaths are not in the plan: the simulation's
+    /// battery lanes record them.
     pub fn is_down(&self, node: NodeId, t: SimTime) -> bool {
-        if let Some(died) = self.battery_dead[node.index()] {
-            if t >= died {
-                return true;
-            }
-        }
-        self.down[node.index()]
-            .iter()
-            .any(|&(from, until)| t >= from && t < until)
-    }
-
-    /// Is a *scheduled* crash window (random or scripted) covering `t`
-    /// for `node`? Battery deaths are excluded — they have their own
-    /// counter.
-    pub fn crash_scheduled(&self, node: NodeId, t: SimTime) -> bool {
         self.down[node.index()]
             .iter()
             .any(|&(from, until)| t >= from && t < until)
@@ -464,12 +440,11 @@ impl FaultPlan {
     }
 
     /// Blackouts active at `t`, as endpoint pairs.
-    pub fn cut_links_at(&self, t: SimTime) -> Vec<(NodeId, NodeId)> {
+    pub fn cut_links_at(&self, t: SimTime) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.blackouts
             .iter()
-            .filter(|bl| t >= bl.from && t < bl.until)
+            .filter(move |bl| t >= bl.from && t < bl.until)
             .map(|bl| (bl.a, bl.b))
-            .collect()
     }
 
     /// The effective frame-corruption probability at `t` (the strongest
@@ -506,26 +481,6 @@ impl FaultPlan {
         }
         n
     }
-
-    /// Records that `node`'s battery drained at `at`. With
-    /// [`FaultsConfig::battery_exhaustion`] set the node is down from
-    /// the next interval boundary on; otherwise this is a no-op.
-    /// Returns `true` when the death was newly recorded.
-    pub fn note_battery_death(&mut self, node: NodeId, at: SimTime) -> bool {
-        if !self.battery_exhaustion || self.battery_dead[node.index()].is_some() {
-            return false;
-        }
-        // Quantize up: the node finishes the interval it died in and is
-        // down from the next boundary (a death stamped exactly on a
-        // boundary needs no rounding).
-        let e = at.elapsed_from_origin();
-        let mut k = e / self.bi;
-        if self.bi * k != e {
-            k += 1;
-        }
-        self.battery_dead[node.index()] = Some(SimTime::ZERO + self.bi * k);
-        true
-    }
 }
 
 #[cfg(test)]
@@ -555,7 +510,6 @@ mod tests {
             link_blackouts: 3,
             corruption_bursts: 2,
             corruption_prob: 0.4,
-            battery_exhaustion: true,
             ..FaultsConfig::default()
         };
         let spec = fc.spec_string().expect("no script");
@@ -567,7 +521,10 @@ mod tests {
         assert!(FaultsConfig::parse_spec("crash").is_err());
         assert!(FaultsConfig::parse_spec("crash=x").is_err());
         assert!(FaultsConfig::parse_spec("wat=1").is_err());
-        assert!(FaultsConfig::parse_spec("battery=maybe").is_err());
+        for retired in ["battery=true", "battery=false", "crash=0.1,battery=maybe"] {
+            let err = FaultsConfig::parse_spec(retired).unwrap_err();
+            assert!(err.contains("battery") && err.contains("depletes"), "{err}");
+        }
     }
 
     #[test]
@@ -683,21 +640,6 @@ mod tests {
         assert_eq!(plan.corruption_prob(SimTime::from_secs(12)), 0.3);
         assert_eq!(plan.corruption_prob(SimTime::from_secs(16)), 0.8);
         assert_eq!(plan.corruption_prob(SimTime::from_secs(40)), 0.0);
-    }
-
-    #[test]
-    fn battery_death_requires_opt_in_and_rounds_up() {
-        let mut cfg = cfg_with(FaultsConfig::default());
-        let mut plan = FaultPlan::build(&cfg);
-        assert!(!plan.note_battery_death(NodeId::new(2), SimTime::from_secs(30)));
-
-        cfg.faults.battery_exhaustion = true;
-        let mut plan = FaultPlan::build(&cfg);
-        let died = SimTime::from_secs_f64(30.1);
-        assert!(plan.note_battery_death(NodeId::new(2), died));
-        assert!(!plan.note_battery_death(NodeId::new(2), died), "recorded once");
-        assert!(!plan.is_down(NodeId::new(2), SimTime::from_secs_f64(30.2)));
-        assert!(plan.is_down(NodeId::new(2), SimTime::from_secs_f64(30.25)));
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! | `rate`, `pause`, `max_speed` | packets/s per flow, seconds, m/s | `0.4`, `600`, `20` |
 //! | `factors` | comma list of `neighbors`, `sender-id`, `mobility`, `battery`, or `none` | `neighbors` |
 //! | `broadcast_p` | Rcast broadcast receive probability | `1` |
-//! | `battery` | joules per node | unlimited |
+//! | `battery` | joules per node; a drained node is off for the rest of the run, and overshoots its capacity by at most one interval of awake draw (0.2875 J) | unlimited |
 //! | `obs` | `true` / `false` | `false` |
 //! | `faults` | a `--faults` spec (`crash=0.3,downtime=10`) or `none` | none |
 //! | `cache_capacity` | DSR route-cache entries (paths or links) | `64` |

@@ -201,13 +201,11 @@ struct Scratch {
 /// array indexed by node id.
 ///
 /// The interval phases walk nodes in index order; holding this state
-/// as lanes instead of per-node structs (`Vec<EnergyMeter>` +
-/// `Vec<Battery>` + `Vec<bool>`) turns the energy integration, fault
-/// scan and battery drain into sequential streams over small
-/// contiguous arrays. The arithmetic
-/// mirrors `EnergyMeter::accumulate`/`total_joules` and
-/// `Battery::drain` operation-for-operation — same adds, same order,
-/// same comparisons — so reports and ledger replays (which replay
+/// as lanes instead of per-node structs turns the energy integration,
+/// fault scan and battery drain into sequential streams over small
+/// contiguous arrays. The arithmetic mirrors
+/// `EnergyMeter::accumulate`/`total_joules` operation-for-operation —
+/// same adds, same order — so reports and ledger replays (which replay
 /// spans into real `EnergyMeter`s) stay bit-identical. `EnergyMeter`
 /// remains the single-node oracle type.
 struct NodeLanes {
@@ -226,12 +224,13 @@ struct NodeLanes {
     battery: Option<BatteryLanes>,
 }
 
-/// Finite-battery lanes mirroring `Battery` semantics per node.
+/// Finite-battery lanes, one entry per node.
 struct BatteryLanes {
     capacity_j: f64,
     consumed_j: Vec<f64>,
-    /// A depleted battery ignores further drains; the crossing is
-    /// reported exactly once.
+    /// The one record that a node has died: set when its drain crosses
+    /// capacity, after which the node is `Off` from the next interval
+    /// boundary for the rest of the run.
     depleted: Vec<bool>,
 }
 
@@ -274,21 +273,16 @@ impl NodeLanes {
 }
 
 impl BatteryLanes {
-    /// Mirrors `Battery::drain`: consumes `joules` (negative drains
-    /// ignored), reporting `now` if this drain crossed empty.
-    fn drain(&mut self, i: usize, joules: f64, now: SimTime) -> Option<SimTime> {
-        if self.depleted[i] {
-            return None;
-        }
-        self.consumed_j[i] += joules.max(0.0);
-        if self.consumed_j[i] >= self.capacity_j {
-            self.depleted[i] = true;
-            return Some(now);
-        }
-        None
+    /// Consumes `joules` from node `i`'s battery; returns `true` when
+    /// this drain crossed capacity. Only a live node drains, so the
+    /// crossing happens once.
+    fn drain(&mut self, i: usize, joules: f64) -> bool {
+        self.consumed_j[i] += joules;
+        self.depleted[i] = self.consumed_j[i] >= self.capacity_j;
+        self.depleted[i]
     }
 
-    /// Mirrors `Battery::remaining_fraction`.
+    /// Remaining charge as a fraction of capacity, in `[0, 1]`.
     fn remaining_fraction(&self, i: usize) -> f64 {
         (self.capacity_j - self.consumed_j[i]).max(0.0) / self.capacity_j
     }
@@ -332,8 +326,9 @@ pub struct Simulation {
     first_depletion: Option<SimTime>,
     obs: Option<Ledger>,
     faults: FaultPlan,
-    /// `false` for a clean run: every fault hook short-circuits and the
-    /// run is bit-identical to one built before faults existed.
+    /// `false` for a clean run without a battery: every fault hook
+    /// short-circuits and the run is bit-identical to one built before
+    /// faults existed.
     faults_active: bool,
     fault_counters: FaultCounters,
     /// Position snapshot, refreshed in place each interval.
@@ -389,7 +384,8 @@ impl Simulation {
         let horizon = SimTime::ZERO + cfg.duration;
         let phy = Phy::new(cfg.data_rate_bps);
         let faults = FaultPlan::build_seeded(&cfg, seed);
-        let faults_active = !faults.is_empty();
+        // A finite battery can take a node down, through the same path.
+        let faults_active = !faults.is_empty() || cfg.battery_capacity_j.is_some();
         let mut schedule = FlowSchedule::new(&flows, horizon);
         let next_arrival = schedule.next();
         let snap = mobility.snapshot(SimTime::ZERO);
@@ -647,8 +643,9 @@ impl Simulation {
     }
 
     /// Applies the fault plan at the interval boundary `t`: resolves
-    /// node up/down transitions (a crash purges the node's MAC queue
-    /// and wipes its volatile routing state), masks crashed nodes and
+    /// node up/down transitions (a crash, or a battery that drained in
+    /// the previous interval, purges the node's MAC queue and wipes its
+    /// volatile routing state), masks crashed nodes and
     /// blacked-out links out of the neighbor index — neighbors then
     /// discover the loss through missing ATIM-ACKs, which feeds DSR a
     /// link error — and sets the interval's frame-corruption
@@ -672,9 +669,10 @@ impl Simulation {
         let n = self.cfg.nodes as usize;
         for i in 0..n {
             let id = NodeId::new(i as u32);
-            let is_down = self.faults.is_down(id, t);
+            let crashed = self.faults.is_down(id, t);
+            let is_down = crashed || self.lanes.battery.as_ref().is_some_and(|b| b.depleted[i]);
             if is_down && !self.lanes.down[i] {
-                if self.faults.crash_scheduled(id, t) {
+                if crashed {
                     self.fault_counters.crashes += 1;
                 }
                 if let Some(l) = obs.as_mut() {
@@ -782,15 +780,14 @@ impl Simulation {
             if let Some(bat) = &mut self.lanes.battery {
                 let joules = awake_dur.as_secs_f64() * model.idle_w
                     + (bi - awake_dur).as_secs_f64() * model.sleep_w;
-                if let Some(died) = bat.drain(i, joules, t + bi) {
-                    if self.first_depletion.is_none() {
-                        self.first_depletion = Some(died);
-                    }
-                    if self.faults.note_battery_death(id, died) {
-                        self.fault_counters.battery_deaths += 1;
-                        if let Some(l) = obs.as_mut() {
-                            l.record_event(died, id, ObsKind::BatteryDead);
-                        }
+                if bat.drain(i, joules) {
+                    // The node finishes this interval and is down from
+                    // the next boundary on (`apply_faults`).
+                    let died = t + bi;
+                    self.first_depletion.get_or_insert(died);
+                    self.fault_counters.battery_deaths += 1;
+                    if let Some(l) = obs.as_mut() {
+                        l.record_event(died, id, ObsKind::BatteryDead);
                     }
                 }
                 self.rcast.note_battery(id, bat.remaining_fraction(i));

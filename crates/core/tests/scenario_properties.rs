@@ -56,7 +56,6 @@ fn arb_config(g: &mut Gen) -> SimConfig {
             corruption_bursts: g.u32_range(0, 100),
             burst_s: g.f64_range(0.0, 600.0),
             corruption_prob: g.f64_range(0.0, 1.0),
-            battery_exhaustion: g.bool(),
             script: Vec::new(),
         };
     }

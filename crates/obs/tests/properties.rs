@@ -5,9 +5,15 @@
 //! [`Ledger::into_report`] in the strict `(at, node, seq)` total
 //! order, with exact overflow accounting. Failures shrink to the
 //! smallest still-failing interleaving via the harness's size dial.
+//! Mutated `--filter` texts must parse to a filter or an error that
+//! quotes the offending text, never a panic.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rcast_engine::{NodeId, SimDuration, SimTime};
-use rcast_obs::{Event, EventKind, Ledger, LedgerParams, ObsReport, PacketClass};
+use rcast_obs::{
+    Event, EventKind, Ledger, LedgerParams, ObsReport, PacketClass, TraceFilter, KIND_NAMES,
+};
 use rcast_testkit::{prop_assert, prop_assert_eq, Check, Gen};
 
 const BEACON_NS: u64 = 250_000_000;
@@ -181,4 +187,86 @@ fn ordering_key_is_the_documented_triple() {
         kind: EventKind::AtimBroadcast,
     };
     assert_eq!(e.key(), (SimTime::from_nanos(5), 2, 9));
+}
+
+/// The filters `ci.sh`, the CLI tests and the exporter's own tests use.
+const FILTERS: [&str; 7] = [
+    "kind=span",
+    "node=3",
+    "flow=1",
+    "kind=interval",
+    "flow=0",
+    "kind=atim_unicast",
+    "kind=battery_dead",
+];
+
+#[test]
+fn mutated_trace_filters_never_panic_and_errors_quote_the_input() {
+    const BAD: [&str; 13] = [
+        "NaN",
+        "inf",
+        "-1",
+        "1e30",
+        "4294967296",
+        "18446744073709551616",
+        "",
+        "=",
+        "kind=",
+        " 3",
+        "3 ",
+        "+7",
+        "\u{e9}",
+    ];
+    for text in FILTERS {
+        assert!(TraceFilter::parse(text).is_ok(), "corpus filter fails: {text}");
+    }
+    Check::new("trace_filter_mutations").cases(1024).run(|g: &mut Gen| {
+        let text = FILTERS[g.usize_range(0, FILTERS.len())];
+        let other = FILTERS[g.usize_range(0, FILTERS.len())];
+        let bad = BAD[g.usize_range(0, BAD.len())];
+        let (key, value) = text.split_once('=').expect("corpus is key=value");
+        let mutated = match g.usize_range(0, 5) {
+            // Truncate anywhere (the corpus is ASCII).
+            0 => text[..g.usize_range(0, text.len() + 1)].to_string(),
+            // Splice a prefix of one filter onto a suffix of another.
+            1 => format!(
+                "{}{}",
+                &text[..g.usize_range(0, text.len() + 1)],
+                &other[g.usize_range(0, other.len() + 1)..]
+            ),
+            // Swap the key and the value.
+            2 => format!("{value}={key}"),
+            // A hostile value under a real key.
+            3 => format!("{key}={bad}"),
+            // A hostile token inserted anywhere.
+            _ => {
+                let at = g.usize_range(0, text.len() + 1);
+                format!("{}{bad}{}", &text[..at], &text[at..])
+            }
+        };
+        let parsed = catch_unwind(AssertUnwindSafe(|| TraceFilter::parse(&mutated)))
+            .map_err(|_| format!("TraceFilter::parse panicked on {mutated:?}"))?;
+        match parsed {
+            Ok(TraceFilter::Node(n)) => {
+                prop_assert_eq!(TraceFilter::parse(&format!("node={n}")), Ok(TraceFilter::Node(n)));
+            }
+            Ok(TraceFilter::Flow(f)) => {
+                prop_assert_eq!(TraceFilter::parse(&format!("flow={f}")), Ok(TraceFilter::Flow(f)));
+            }
+            Ok(TraceFilter::Kind(k)) => prop_assert!(
+                k == "interval" || KIND_NAMES.contains(&k.as_str()),
+                "kind {k:?} accepted from {mutated:?}"
+            ),
+            // The error's first quoted text is the part of the input it
+            // rejects.
+            Err(e) => {
+                let quoted = e.split('\'').nth(1);
+                prop_assert!(
+                    quoted.is_some_and(|q| mutated.contains(q)),
+                    "error {e:?} does not quote {mutated:?}"
+                );
+            }
+        }
+        Ok(())
+    });
 }

@@ -1,6 +1,6 @@
 //! Power states, the WaveLAN-II energy model, and per-node accounting.
 
-use rcast_engine::{SimDuration, SimTime};
+use rcast_engine::SimDuration;
 
 /// The radio's power state over an accounting interval.
 ///
@@ -210,97 +210,6 @@ impl EnergyMeter {
     }
 }
 
-/// A finite battery draining through an [`EnergyMeter`]-style feed.
-///
-/// The paper's energy-balance discussion motivates tracking *when* nodes
-/// die; [`Battery::drain`] reports the depletion instant so network
-/// lifetime can be measured.
-///
-/// # Example
-///
-/// ```
-/// use rcast_engine::{SimDuration, SimTime};
-/// use rcast_radio::Battery;
-///
-/// let mut b = Battery::new(10.0);
-/// assert!(b
-///     .drain(5.0, SimTime::from_secs(1))
-///     .is_none());
-/// let died = b.drain(6.0, SimTime::from_secs(2)).unwrap();
-/// assert_eq!(died, SimTime::from_secs(2));
-/// assert!(b.is_depleted());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Battery {
-    capacity_j: f64,
-    consumed_j: f64,
-    depleted_at: Option<SimTime>,
-}
-
-impl Battery {
-    /// A full battery of the given capacity (joules).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_j` is not positive and finite.
-    pub fn new(capacity_j: f64) -> Self {
-        assert!(
-            capacity_j.is_finite() && capacity_j > 0.0,
-            "invalid capacity {capacity_j}"
-        );
-        Battery {
-            capacity_j,
-            consumed_j: 0.0,
-            depleted_at: None,
-        }
-    }
-
-    /// Consumes `joules`, recording `now` as the depletion instant if the
-    /// battery empties. Returns the depletion instant if this drain
-    /// crossed zero.
-    pub fn drain(&mut self, joules: f64, now: SimTime) -> Option<SimTime> {
-        if self.depleted_at.is_some() {
-            return None;
-        }
-        self.consumed_j += joules.max(0.0);
-        if self.consumed_j >= self.capacity_j {
-            self.depleted_at = Some(now);
-            return Some(now);
-        }
-        None
-    }
-
-    /// Remaining charge, joules (floored at zero).
-    pub fn remaining_j(&self) -> f64 {
-        (self.capacity_j - self.consumed_j).max(0.0)
-    }
-
-    /// Remaining charge as a fraction of capacity, in `[0, 1]`.
-    pub fn remaining_fraction(&self) -> f64 {
-        self.remaining_j() / self.capacity_j
-    }
-
-    /// `true` once the battery has fully drained.
-    pub fn is_depleted(&self) -> bool {
-        self.depleted_at.is_some()
-    }
-
-    /// When the battery drained, if it has.
-    pub fn depleted_at(&self) -> Option<SimTime> {
-        self.depleted_at
-    }
-
-    /// Total consumed, joules.
-    pub fn consumed_j(&self) -> f64 {
-        self.consumed_j
-    }
-
-    /// Rated capacity, joules.
-    pub fn capacity_j(&self) -> f64 {
-        self.capacity_j
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,30 +280,6 @@ mod tests {
         let meter = EnergyMeter::new(EnergyModel::default());
         assert_eq!(meter.total_joules(), 0.0);
         assert_eq!(meter.sleep_fraction(), 0.0);
-    }
-
-    #[test]
-    fn battery_lifecycle() {
-        let mut b = Battery::new(100.0);
-        assert_eq!(b.capacity_j(), 100.0);
-        assert_eq!(b.remaining_j(), 100.0);
-        assert!(b.drain(40.0, SimTime::from_secs(10)).is_none());
-        assert_eq!(b.remaining_j(), 60.0);
-        assert!((b.remaining_fraction() - 0.6).abs() < 1e-12);
-        let died = b.drain(60.0, SimTime::from_secs(20));
-        assert_eq!(died, Some(SimTime::from_secs(20)));
-        assert!(b.is_depleted());
-        assert_eq!(b.depleted_at(), Some(SimTime::from_secs(20)));
-        // Further drains are ignored.
-        assert!(b.drain(1000.0, SimTime::from_secs(30)).is_none());
-        assert_eq!(b.remaining_j(), 0.0);
-    }
-
-    #[test]
-    fn negative_drain_is_ignored() {
-        let mut b = Battery::new(10.0);
-        b.drain(-5.0, SimTime::ZERO);
-        assert_eq!(b.consumed_j(), 0.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   are tuned),
 //! * [`Phy`] — data-rate and 802.11 timing constants with frame airtime
 //!   computation,
-//! * [`EnergyModel`] / [`EnergyMeter`] / [`Battery`] — power-state
+//! * [`EnergyModel`] / [`EnergyMeter`] — power-state
 //!   bookkeeping that integrates watts over simulated state intervals.
 //!
 //! # Example
@@ -35,6 +35,6 @@ mod energy;
 mod phy;
 mod propagation;
 
-pub use energy::{Battery, EnergyMeter, EnergyModel, PowerState};
+pub use energy::{EnergyMeter, EnergyModel, PowerState};
 pub use phy::{Phy, PhyTimings};
 pub use propagation::Propagation;

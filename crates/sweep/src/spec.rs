@@ -930,7 +930,7 @@ mod tests {
             [
                 "factors neighbors,battery; battery 1500",
                 "broadcast_p 0.5",
-                "crash=0.3,downtime=20,blackouts=0,blackout=20,bursts=0,burst=10,corrupt=0.5,battery=false",
+                "crash=0.3,downtime=20,blackouts=0,blackout=20,bursts=0,burst=10,corrupt=0.5",
                 "none",
             ]
         );

@@ -11,7 +11,7 @@ use std::process::ExitCode;
 
 use randomcast::cli::{self, Command};
 use randomcast::metrics::fmt_f64;
-use randomcast::{run_sim, SweepReport, SweepSpec};
+use randomcast::{run_sim, SimConfig, SweepReport, SweepSpec};
 
 /// Count every heap allocation so `rcast bench` can report steady-state
 /// allocations per interval. The probe forwards to the system allocator
@@ -27,36 +27,7 @@ fn main() -> ExitCode {
             emit(cli::USAGE);
             ExitCode::SUCCESS
         }
-        Ok(Command::Run(run)) => match run_sim(run.config.clone()) {
-            Ok(report) => {
-                if run.csv {
-                    emit(&format!("{}\n", cli::csv_row(&report, &run.config)));
-                } else {
-                    let mut text = format!(
-                        "{}\n  routing {} | originated {} | delivered {} | control tx {} | \
-EPB {} J/bit\n",
-                        report.summary(),
-                        run.config.routing,
-                        report.delivery.originated(),
-                        report.delivery.delivered(),
-                        report.delivery.control_transmissions(),
-                        fmt_f64(report.energy_per_bit(run.config.traffic.packet_bytes), 9),
-                    );
-                    if let Some(t) = report.first_depletion {
-                        text += &format!("  first battery depletion at {t}\n");
-                    }
-                    if !run.config.faults.is_none() {
-                        text += &fault_line(&report);
-                    }
-                    emit(&text);
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
+        Ok(Command::Run(run)) => run_and_print(run.config, run.csv),
         Ok(Command::Scenario { path, csv }) => {
             let text = match std::fs::read_to_string(&path) {
                 Ok(t) => t,
@@ -72,22 +43,7 @@ EPB {} J/bit\n",
                     return ExitCode::FAILURE;
                 }
             };
-            match run_sim(config.clone()) {
-                Ok(report) => {
-                    if csv {
-                        emit(&format!("{}\n", cli::csv_row(&report, &config)));
-                    } else if config.faults.is_none() {
-                        emit(&format!("{}\n", report.summary()));
-                    } else {
-                        emit(&format!("{}\n{}", report.summary(), fault_line(&report)));
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            run_and_print(config, csv)
         }
         Ok(Command::ExportScenario(cfg)) => {
             emit(&randomcast::write_scenario(&cfg));
@@ -381,21 +337,49 @@ fn emit(text: &str) {
     }
 }
 
-/// The `faults:` summary line (newline-terminated) that `rcast run` and
-/// `rcast scenario` print under a fault plan.
-fn fault_line(report: &randomcast::SimReport) -> String {
-    let f = &report.faults;
-    format!(
-        "  faults: {} crashes | {} rejoins | {} battery deaths | \
+/// Runs one configuration for `rcast run` and `rcast scenario` and
+/// prints its CSV row, or the human summary: a battery or a fault plan
+/// adds the first depletion (if any) and the `faults:` counter line.
+fn run_and_print(config: SimConfig, csv: bool) -> ExitCode {
+    let report = match run_sim(config.clone()) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if csv {
+        emit(&format!("{}\n", cli::csv_row(&report, &config)));
+        return ExitCode::SUCCESS;
+    }
+    let mut text = format!(
+        "{}\n  routing {} | originated {} | delivered {} | control tx {} | EPB {} J/bit\n",
+        report.summary(),
+        config.routing,
+        report.delivery.originated(),
+        report.delivery.delivered(),
+        report.delivery.control_transmissions(),
+        fmt_f64(report.energy_per_bit(config.traffic.packet_bytes), 9),
+    );
+    if config.battery_capacity_j.is_some() || !config.faults.is_none() {
+        if let Some(t) = report.first_depletion {
+            text += &format!("  first battery depletion at {t}\n");
+        }
+        let f = &report.faults;
+        text += &format!(
+            "  faults: {} crashes | {} rejoins | {} battery deaths | \
 {} blackouts | {} bursts | {} fault link errors | {} packets lost\n",
-        f.crashes,
-        f.rejoins,
-        f.battery_deaths,
-        f.link_blackouts,
-        f.corruption_bursts,
-        f.rerrs_triggered,
-        f.packets_lost_to_faults,
-    )
+            f.crashes,
+            f.rejoins,
+            f.battery_deaths,
+            f.link_blackouts,
+            f.corruption_bursts,
+            f.rerrs_triggered,
+            f.packets_lost_to_faults,
+        );
+    }
+    emit(&text);
+    ExitCode::SUCCESS
 }
 
 /// Runs a sweep campaign (`rcast sweep` and `rcast compare`) on

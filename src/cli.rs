@@ -200,7 +200,7 @@ COMMON OPTIONS (both subcommands):
     --battery <J>     finite battery per node (enables lifetime)
     --faults <spec>   fault injection, comma list of key=value:
                       crash=<p> downtime=<s> blackouts=<n> blackout=<s>
-                      bursts=<n> burst=<s> corrupt=<p> battery=<bool>
+                      bursts=<n> burst=<s> corrupt=<p>
     --broadcast-p <p> Rcast randomized-broadcast receive probability
     --factors <list>  comma list of rcast factors:
                       neighbors,sender-id,mobility,battery
@@ -638,6 +638,7 @@ mod tests {
         assert!(!r.config.faults.is_none());
         assert!(parse(&args("run --faults crash=2.0")).is_err(), "validation runs");
         assert!(parse(&args("run --faults wat=1")).is_err());
+        assert!(parse(&args("run --faults battery=true")).is_err(), "retired token");
         assert!(parse(&args("run --faults")).is_err());
     }
 

@@ -1,5 +1,5 @@
 //! The chaos harness: a fault matrix (crashes, link blackouts,
-//! corruption bursts, battery exhaustion) crossed with every scheme,
+//! corruption bursts) and battery exhaustion crossed with every scheme,
 //! checked against graceful-degradation invariants:
 //!
 //! * **no panic** — every faulted run completes and reports;
@@ -10,7 +10,7 @@
 //!   improves the delivery ratio (the plan's nested-coupling draws make
 //!   a higher rate a strict superset of identically-timed crashes);
 //! * **determinism** — fault-injected runs are byte-identical at any
-//!   `--threads` width;
+//!   worker width;
 //! * **ledger integrity** — every delivered packet's hop chain in the
 //!   event ledger is contiguous from source to destination and runs
 //!   through alive nodes only;
@@ -18,8 +18,8 @@
 //!   the run leaves the report byte-identical to the no-faults path.
 
 use randomcast::{
-    obs::EventKind, run_seeds, run_seeds_parallel, run_sim, FaultEvent, FaultPlan, FaultsConfig,
-    NodeId, Scheme, SimConfig, SimDuration, SimReport,
+    obs::EventKind, radio::PowerState, run_seeds, run_seeds_parallel, run_sim, FaultEvent,
+    FaultPlan, FaultsConfig, NodeId, Scheme, SimConfig, SimDuration, SimReport,
 };
 
 fn chaos_config(scheme: Scheme, seed: u64, faults: FaultsConfig) -> SimConfig {
@@ -268,33 +268,57 @@ fn delivered_packets_hop_through_alive_nodes_in_contiguous_chains() {
 
 #[test]
 fn battery_exhaustion_turns_depletion_into_permanent_crashes() {
-    // 20 J at 802.11's constant 1.15 W: every node dies ~17.4 s in.
-    let faults = FaultsConfig {
-        battery_exhaustion: true,
-        ..FaultsConfig::default()
-    };
-    let mut cfg = chaos_config(Scheme::Dot11, 3, faults);
-    cfg.battery_capacity_j = Some(20.0);
-    let r = run_sim(cfg.clone()).expect("valid chaos config");
-    assert_eq!(
-        r.faults.battery_deaths,
-        u64::from(cfg.nodes),
-        "every node's battery must drain"
-    );
-    assert_eq!(r.faults.rejoins, 0, "battery death is permanent");
-    // A dead radio draws nothing: consumption overshoots capacity by at
-    // most the one interval in which the battery crossed zero.
-    for &j in r.energy.per_node_joules() {
-        assert!(j <= 20.0 + 1.15 * 0.25 + 1e-6, "node kept burning: {j} J");
-    }
+    // A battery alone, no fault plan. 5 J drains every node within the
+    // 40 s run under every scheme: even a silent PS node draws 0.266 W
+    // (ATIM windows plus doze), so it is empty by ~19 s.
+    let capacity = 5.0;
+    for scheme in Scheme::ALL {
+        let mut cfg = chaos_config(scheme, 3, FaultsConfig::default());
+        cfg.battery_capacity_j = Some(capacity);
+        cfg.obs = true;
+        let r = run_sim(cfg.clone()).expect("valid chaos config");
+        assert_eq!(
+            r.faults.battery_deaths,
+            u64::from(cfg.nodes),
+            "{scheme}: every node's battery must drain"
+        );
+        assert_eq!(r.faults.crashes, 0, "{scheme}: no crash was scheduled");
+        assert_eq!(r.faults.rejoins, 0, "{scheme}: battery death is permanent");
+        // Depletion is checked once per interval: a node overshoots its
+        // capacity by at most one interval of awake draw.
+        let bound = capacity + cfg.mac.beacon_interval.as_secs_f64() * cfg.energy.idle_w;
+        for (i, &j) in r.energy.per_node_joules().iter().enumerate() {
+            assert!(j <= bound + 1e-9, "{scheme}: node {i} kept burning: {j} J > {bound} J");
+        }
 
-    // Without the fault hook the same config burns through the whole run.
-    let mut free = cfg;
-    free.faults.battery_exhaustion = false;
-    let f = run_sim(free).expect("valid config");
-    assert_eq!(f.faults.battery_deaths, 0);
-    for &j in f.energy.per_node_joules() {
-        assert!((j - 1.15 * 40.0).abs() < 1e-6, "depleted node stopped: {j} J");
+        // From its death on, a node's radio is off and it takes part
+        // in nothing: no span but `Off`, no hop to or from it, no
+        // transmission. Its flows' new packets are lost at birth.
+        let obs = r.obs.as_ref().expect("ledger enabled");
+        let mut died = vec![None; cfg.nodes as usize];
+        for e in obs.events() {
+            if e.kind == EventKind::BatteryDead {
+                assert!(died[e.node.index()].replace(e.at).is_none(), "{scheme}: died twice");
+            }
+        }
+        let dead_at = |node: NodeId, at| died[node.index()].is_some_and(|d| at >= d);
+        for e in obs.events() {
+            if let EventKind::Forwarded { to, .. } = e.kind {
+                assert!(!dead_at(to, e.at), "{scheme}: {e:?} reached a dead node");
+            }
+            if e.node.index() >= died.len() || !dead_at(e.node, e.at) {
+                continue;
+            }
+            let idle = match e.kind {
+                EventKind::Span { state, .. } => state == PowerState::Off,
+                EventKind::BatteryDead
+                | EventKind::Crash
+                | EventKind::Originated { .. }
+                | EventKind::PacketDropped { .. } => true,
+                _ => false,
+            };
+            assert!(idle, "{scheme}: dead node {} active: {e:?}", e.node.index());
+        }
     }
 }
 

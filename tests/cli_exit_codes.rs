@@ -299,3 +299,16 @@ fn malformed_config_values_fail_with_one_error_line_not_a_panic() {
         );
     }
 }
+
+#[test]
+fn the_retired_battery_fault_token_is_an_error_naming_it() {
+    // A finite `--battery` now always depletes, so the old opt-in is
+    // rejected rather than silently ignored.
+    for spec in ["battery=true", "crash=0.3,battery=false"] {
+        let out = rcast(&["run", "--nodes", "10", "--duration", "5", "--faults", spec]);
+        let err = stderr(&out);
+        assert!(!out.status.success(), "{spec}: unexpectedly succeeded");
+        assert!(err.starts_with("error") && err.contains("battery"), "{spec}: {err}");
+        assert!(out.stdout.is_empty(), "{spec}: ran anyway");
+    }
+}
