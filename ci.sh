@@ -91,6 +91,15 @@ cmp "$trace_out" tests/golden/trace_rcast_seed7.jsonl || {
     echo "FAIL: rcast trace output diverged from tests/golden/trace_rcast_seed7.jsonl" >&2
     exit 1
 }
+# The same run on a 2 J battery: nodes die mid-run, and their
+# end-of-interval battery_dead events cross the ledger's sort chunks.
+./target/release/rcast trace \
+    --nodes 12 --area 600x300 --duration 10 --flows 3 --pause 20 --seed 7 \
+    --battery 2 --out "$trace_out" 2> /dev/null
+cmp "$trace_out" tests/golden/trace_rcast_seed7_battery.jsonl || {
+    echo "FAIL: rcast trace --battery 2 diverged from tests/golden/trace_rcast_seed7_battery.jsonl" >&2
+    exit 1
+}
 # Filters must subset, not reshape: a filtered export still parses and
 # keeps the header schema line first.
 ./target/release/rcast trace \

@@ -520,51 +520,84 @@ const CHECK_ALLOC_EPSILON: f64 = 0.005;
 /// this crate's own hand-rolled [`to_json`] output — one point per
 /// line, fixed key order — so a line scan is exact, not heuristic.
 ///
+/// Numbers must read as [`to_json`] writes them: decimal digits with
+/// an optional fraction, finite, and for `intervals_per_sec` above
+/// zero. `NaN`, `inf`, a sign or an exponent is an error, since a NaN,
+/// infinite or non-positive baseline would switch `--check` off.
+///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line, or the missing
-/// schema header.
+/// Returns a message starting `line N:` for the first malformed
+/// point, a document without the schema header (line 1) or a
+/// document without points (its last line).
 pub fn parse_baseline(json: &str) -> Result<Vec<BaselinePoint>, String> {
     if !json.contains("\"schema\": \"rcast-bench/v1\"") {
-        return Err("baseline is not an rcast-bench/v1 document".into());
+        return Err("line 1: baseline is not an rcast-bench/v1 document".into());
     }
-    fn str_field(line: &str, name: &str) -> Option<String> {
-        let tail = line.split_once(&format!("\"{name}\": \""))?.1;
-        Some(tail.split_once('"')?.0.to_string())
+    fn str_field(line: &str, name: &str) -> Result<String, String> {
+        let tail = line
+            .split_once(&format!("\"{name}\": \""))
+            .ok_or_else(|| format!("no `{name}` string"))?
+            .1;
+        let (value, _) = tail
+            .split_once('"')
+            .ok_or_else(|| format!("unterminated `{name}` string"))?;
+        Ok(value.to_string())
     }
-    fn raw_field(line: &str, name: &str) -> Option<String> {
-        let tail = line.split_once(&format!("\"{name}\": "))?.1;
-        Some(
-            tail.split_once([',', '}'])
-                .map_or(tail, |(head, _)| head)
-                .trim()
-                .to_string(),
-        )
+    fn raw_field<'a>(line: &'a str, name: &str) -> Result<&'a str, String> {
+        let tail = line
+            .split_once(&format!("\"{name}\": "))
+            .ok_or_else(|| format!("no `{name}` value"))?
+            .1;
+        Ok(tail
+            .split_once([',', '}'])
+            .map_or(tail, |(head, _)| head)
+            .trim())
+    }
+    fn number(line: &str, name: &str) -> Result<f64, String> {
+        let raw = raw_field(line, name)?;
+        let (whole, fraction) = raw.split_once('.').unwrap_or((raw, "0"));
+        let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+        match raw.parse::<f64>() {
+            Ok(v) if digits(whole) && digits(fraction) && v.is_finite() => Ok(v),
+            _ => Err(format!(
+                "`{name}` is {raw:?}, not a finite non-negative decimal"
+            )),
+        }
     }
     let mut out = Vec::new();
-    for line in json.lines().filter(|l| l.contains("\"workload\"")) {
+    for (i, line) in json.lines().enumerate() {
+        if !line.contains("\"workload\"") {
+            continue;
+        }
         let point = (|| {
             let workload = str_field(line, "workload")?;
             let scheme = str_field(line, "scheme")?;
-            let ips: f64 = raw_field(line, "intervals_per_sec")?.parse().ok()?;
-            let allocs = match raw_field(line, "allocs_per_interval")?.as_str() {
+            let intervals_per_sec = number(line, "intervals_per_sec")?;
+            if intervals_per_sec == 0.0 {
+                return Err("`intervals_per_sec` is 0: no speed floor to check".to_string());
+            }
+            let allocs_per_interval = match raw_field(line, "allocs_per_interval")? {
                 "null" => None,
-                n => Some(n.parse().ok()?),
+                _ => Some(number(line, "allocs_per_interval")?),
             };
-            Some(BaselinePoint {
+            Ok(BaselinePoint {
                 workload,
                 scheme,
-                intervals_per_sec: ips,
-                allocs_per_interval: allocs,
+                intervals_per_sec,
+                allocs_per_interval,
             })
         })();
         match point {
-            Some(p) => out.push(p),
-            None => return Err(format!("malformed baseline point: {}", line.trim())),
+            Ok(p) => out.push(p),
+            Err(e) => return Err(format!("line {}: malformed baseline point: {e}", i + 1)),
         }
     }
     if out.is_empty() {
-        return Err("baseline has no points".into());
+        return Err(format!(
+            "line {}: baseline has no points",
+            json.lines().count().max(1)
+        ));
     }
     Ok(out)
 }
@@ -664,7 +697,43 @@ mod tests {
         );
         let bad = "{\n  \"schema\": \"rcast-bench/v1\",\n  \
 {\"workload\": \"small\", \"scheme\": \"Rcast\"}\n}";
-        assert!(parse_baseline(bad).is_err(), "point missing fields");
+        let err = parse_baseline(bad).unwrap_err();
+        assert!(err.starts_with("line 3: "), "point missing fields: {err}");
+    }
+
+    #[test]
+    fn baseline_rejects_numbers_that_would_switch_the_gate_off() {
+        let doc = to_json(&[point("small", "Rcast", 1000.0, Some(0.5))]);
+        assert!(parse_baseline(&doc).is_ok());
+        for (field, good) in [
+            ("intervals_per_sec", "1000.0"),
+            ("allocs_per_interval", "0.50"),
+        ] {
+            for bad in [
+                "NaN", "inf", "-inf", "-1.0", "1e3", "+5", "", "0x10", "1.", ".5",
+            ] {
+                let mutated = doc.replace(
+                    &format!("\"{field}\": {good}"),
+                    &format!("\"{field}\": {bad}"),
+                );
+                let err = parse_baseline(&mutated).unwrap_err();
+                assert!(err.starts_with("line 4: "), "{field}={bad}: {err}");
+                assert!(err.contains(field), "{field}={bad}: {err}");
+            }
+        }
+        let zero = doc.replace(
+            "\"intervals_per_sec\": 1000.0",
+            "\"intervals_per_sec\": 0.0",
+        );
+        assert!(parse_baseline(&zero).unwrap_err().starts_with("line 4: "));
+        let free = doc.replace(
+            "\"allocs_per_interval\": 0.50",
+            "\"allocs_per_interval\": 0.00",
+        );
+        assert_eq!(
+            parse_baseline(&free).unwrap()[0].allocs_per_interval,
+            Some(0.0)
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! reachability; this is the dynamic proof).
 
 use rcast_bench::alloc_probe;
-use rcast_core::{FaultEvent, Scheme, SimConfig, Simulation};
+use rcast_core::{render_jsonl, FaultEvent, Scheme, SimConfig, Simulation, TraceFilter};
 use rcast_engine::SimDuration;
 use rcast_mobility::{Area, WaypointConfig};
 
@@ -160,4 +160,32 @@ fn steady_state_allocations_stay_within_their_budgets() {
         "ledger-on steady-state intervals must not touch the heap \
          ({per_interval}/interval)",
     );
+
+    // The rcast-trace/v1 export sizes its output in a length pass and
+    // writes it in a second one: one allocation, filtered or not.
+    let mut cfg = SimConfig::smoke(Scheme::Rcast, 3);
+    cfg.obs = true;
+    let report = Simulation::new(cfg).expect("valid config").run();
+    let obs = report.obs.as_ref().expect("ledger enabled");
+    let filter = TraceFilter::parse("kind=span").expect("valid filter");
+    for (what, filter, range) in [
+        ("unfiltered", None, None),
+        (
+            "--filter kind=span --interval-range 0..8",
+            Some(&filter),
+            Some((0, 8)),
+        ),
+    ] {
+        let before = alloc_probe::allocations();
+        let jsonl = render_jsonl(obs, "rcast", 3, filter, range);
+        let allocs = alloc_probe::allocations() - before;
+        assert!(
+            jsonl.lines().count() > 1,
+            "{what}: the export has event lines"
+        );
+        assert_eq!(
+            allocs, 1,
+            "{what} export must allocate once, not {allocs} times"
+        );
+    }
 }

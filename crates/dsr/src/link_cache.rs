@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use rcast_engine::{NodeId, SimDuration, SimTime};
 
-use crate::route::SourceRoute;
+use crate::route::{NodePath, SourceRoute};
 
 /// Bookkeeping for one directed link.
 #[derive(Debug, Clone, Copy)]
@@ -162,14 +162,18 @@ impl LinkCache {
         if dst == self.owner || !pred.contains_key(&dst) {
             return None;
         }
-        let mut nodes = vec![dst];
-        let mut cur = dst;
-        while cur != self.owner {
-            cur = *pred.get(&cur)?;
-            nodes.push(cur);
+        // Walk the predecessors from `dst` back to the owner straight
+        // into an inline path, then turn it around.
+        let back: NodePath = std::iter::successors(Some(dst), |cur| {
+            (*cur != self.owner)
+                .then(|| pred.get(cur).copied())
+                .flatten()
+        })
+        .collect();
+        if back.last() != Some(&self.owner) {
+            return None;
         }
-        nodes.reverse();
-        SourceRoute::new(nodes)
+        Some(SourceRoute::from_path(back)?.reversed())
     }
 
     /// The shortest cached route from the owner to `dst`, touching the

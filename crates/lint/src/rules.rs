@@ -25,8 +25,10 @@
 //! * **D005** — `println!`-family output from library code corrupts the
 //!   CSV/JSON streams the figure pipeline parses; printing belongs to
 //!   the binaries and the bench/report layer.
-//! * **D007** — heap allocation (`Vec::new()`, `.to_vec()`, `.clone()`)
-//!   anywhere **reachable from the declared steady-state entry points**
+//! * **D007** — heap allocation (`Vec::new()`, `vec![..]`,
+//!   `::with_capacity(..)`, `Box::new(..)`, `format!(..)`, `.to_vec()`,
+//!   `.clone()`; not `.collect()`, whose target type a token scan cannot
+//!   see) anywhere **reachable from the declared steady-state entry points**
 //!   through the workspace call graph (see [`crate::callgraph`])
 //!   erodes the zero-allocation steady state DESIGN.md §10 pins down.
 //!   This is the semantic successor of PR 4's D006, which guarded a
@@ -682,8 +684,9 @@ fn d005_print(path: &str, tokens: &[Token], class: &FileClass, out: &mut Vec<Fin
 }
 
 /// D007: allocation reachability over the workspace call graph. Every
-/// allocation pattern (`Vec::new(`, `.to_vec(`, `.clone(`) inside a
-/// function reachable from [`HOT_ENTRY_POINTS`] is flagged unless a
+/// allocation pattern (`Vec::new(`, `vec![`, `::with_capacity(`,
+/// `Box::new(`, `format!(`, `.to_vec(`, `.clone(`) inside a function
+/// reachable from [`HOT_ENTRY_POINTS`] is flagged unless a
 /// `// det: hot-ok — <reason>` pragma covers the allocation line *or*
 /// the function's declaration line (an audited event-path handler).
 /// Functions whose declaration carries `// det: cold — <reason>`
@@ -691,6 +694,13 @@ fn d005_print(path: &str, tokens: &[Token], class: &FileClass, out: &mut Vec<Fin
 /// closure never enters. The finding message carries one shortest
 /// witness chain from an entry point so the hot-path claim is
 /// checkable by eye.
+///
+/// `.collect()` is deliberately not a pattern: whether it allocates
+/// depends on its target type, which a token scan cannot see. Most
+/// hot-path `collect`s build an inline `NodePath` (no heap until a
+/// route outgrows it) or fill a caller's scratch buffer; flagging them
+/// all would bury the real sites under pragmas. The dynamic gate
+/// (`crates/bench/tests/zero_alloc.rs`) still counts what they do.
 fn d007_alloc_reachability(graph: &CallGraph, out: &mut Vec<Finding>) {
     let facts: Vec<LineFacts> = graph
         .files
@@ -733,16 +743,37 @@ fn d007_alloc_reachability(graph: &CallGraph, out: &mut Vec<Finding>) {
                 ),
             });
         };
-        for i in start..end {
-            let t = tok(i);
-            if t.is_word("Vec")
+        // `Ty::ctor(`: the path-call allocations.
+        let path_call = |i: usize, ty: &str, ctor: &str| {
+            tok(i).is_word(ty)
                 && i + 4 < end
                 && tok(i + 1).is_punct(':')
                 && tok(i + 2).is_punct(':')
-                && tok(i + 3).is_word("new")
+                && tok(i + 3).is_word(ctor)
                 && tok(i + 4).is_punct('(')
-            {
+        };
+        for i in start..end {
+            let t = tok(i);
+            if path_call(i, "Vec", "new") {
                 report(t, "`Vec::new()`");
+            }
+            if path_call(i, "Box", "new") {
+                report(t, "`Box::new(..)`");
+            }
+            if t.is_punct(':')
+                && i + 3 < end
+                && tok(i + 1).is_punct(':')
+                && tok(i + 2).is_word("with_capacity")
+                && tok(i + 3).is_punct('(')
+            {
+                report(tok(i + 2), "`::with_capacity(..)`");
+            }
+            if i + 2 < end && tok(i + 1).is_punct('!') {
+                if t.is_word("vec") && tok(i + 2).is_punct('[') {
+                    report(t, "`vec![..]`");
+                } else if t.is_word("format") && tok(i + 2).is_punct('(') {
+                    report(t, "`format!(..)`");
+                }
             }
             if t.is_punct('.') && i + 2 < end && tok(i + 2).is_punct('(') {
                 let m = tok(i + 1);

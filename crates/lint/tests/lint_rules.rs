@@ -183,6 +183,56 @@ fn cold_setup() -> Vec<u32> {
         .all(|f| f.message.contains("step_interval → dispatch")));
 }
 
+/// One hot function per allocation pattern, so each case reports its
+/// own witness chain; `.collect()` stays silent by design.
+#[test]
+fn d007_flags_each_allocation_pattern() {
+    let cases = [
+        ("vec", "let _ = vec![1u32, 2];", "`vec![..]`"),
+        ("format", "let _ = format!(\"{}\", 1);", "`format!(..)`"),
+        ("boxed", "let _ = Box::new(1u32);", "`Box::new(..)`"),
+        (
+            "sized",
+            "let _: Vec<u32> = Vec::with_capacity(4);",
+            "`::with_capacity(..)`",
+        ),
+        (
+            "string",
+            "let _ = String::with_capacity(4);",
+            "`::with_capacity(..)`",
+        ),
+        ("fresh", "let _: Vec<u32> = Vec::new();", "`Vec::new()`"),
+        ("copied", "let _ = [1u32].to_vec();", "`.to_vec()`"),
+        ("cloned", "let _ = self.buf.clone();", "`.clone()`"),
+    ];
+    for (name, body, what) in cases {
+        let src = format!(
+            "\
+impl Sim {{
+    pub fn step_interval(&mut self) {{
+        self.{name}();
+        self.gathered();
+    }}
+    fn {name}(&mut self) {{
+        {body}
+    }}
+    fn gathered(&mut self) {{
+        let _: Vec<u32> = self.buf.iter().copied().collect();
+    }}
+}}
+"
+        );
+        let findings = check_sources(&sim_sources(&src));
+        assert_eq!(lines_of(&findings, "D007"), vec![7], "{name}: {findings:?}");
+        let message = &findings[0].message;
+        assert!(message.starts_with(what), "{name}: {message}");
+        assert!(
+            message.contains(&format!("step_interval → {name}")),
+            "{name}: {message}"
+        );
+    }
+}
+
 #[test]
 fn d007_honors_site_and_fn_level_pragmas_and_the_cold_boundary() {
     let src = "\

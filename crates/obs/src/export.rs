@@ -16,8 +16,17 @@
 //! The header counts *event* lines; per-interval rows trail the events
 //! and are selected by `--filter kind=interval` (a node or flow filter
 //! excludes them, since they aggregate the whole network).
-
-use std::fmt::Write as _;
+//!
+//! # One allocation
+//!
+//! Each line shape is described once, as a sequence of literal and
+//! integer parts fed to a `Sink`. [`render_jsonl`] runs the
+//! description twice: a length pass that sums the parts' byte counts
+//! (counting digits, not formatting them) and counts the header's
+//! events, then a write pass into a `String` of exactly that capacity.
+//! The export is one allocation whatever its size; a buffer grown by
+//! doubling would copy a 16 MiB block into a 32 MiB one, with both
+//! resident, on the way to a 20 MB export.
 
 use rcast_engine::SimDuration;
 
@@ -89,46 +98,98 @@ impl TraceFilter {
     }
 }
 
-fn push_event_line(out: &mut String, e: &Event, beacon: SimDuration) {
-    let _ = write!(
-        out,
-        "{{\"at_ns\":{},\"interval\":{},\"node\":{},\"seq\":{},\"kind\":\"{}\"",
-        e.at.as_nanos(),
-        e.at.interval_index(beacon),
-        e.node.as_u32(),
-        e.seq,
-        e.kind.name()
-    );
+/// A consumer of one line's parts. The line functions below are the
+/// one description of the `rcast-trace/v1` line format; [`Measure`]
+/// runs them to size the output and `String` runs them to write it.
+trait Sink {
+    /// A literal run of the format (keys, quotes, labels).
+    fn lit(&mut self, s: &str);
+    /// A decimal integer.
+    fn num(&mut self, n: u64);
+    /// A key literal and its integer value.
+    fn field(&mut self, key: &str, n: u64) {
+        self.lit(key);
+        self.num(n);
+    }
+}
+
+/// The length pass: counts the bytes the write pass will append.
+struct Measure(usize);
+
+impl Sink for Measure {
+    fn lit(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    fn num(&mut self, n: u64) {
+        self.0 += n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    }
+}
+
+/// The write pass: appends into a buffer the length pass sized.
+impl Sink for String {
+    fn lit(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    fn num(&mut self, mut n: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    }
+}
+
+fn event_line(s: &mut impl Sink, e: &Event, beacon: SimDuration) {
+    s.field("{\"at_ns\":", e.at.as_nanos());
+    s.field(",\"interval\":", e.at.interval_index(beacon));
+    s.field(",\"node\":", e.node.as_u32().into());
+    s.field(",\"seq\":", e.seq.into());
+    s.lit(",\"kind\":\"");
+    s.lit(e.kind.name());
+    s.lit("\"");
     match e.kind {
         EventKind::AtimUnicast { to }
         | EventKind::AtimNoAck { to }
         | EventKind::LinkBroken { to }
-        | EventKind::DataLost { to } => {
-            let _ = write!(out, ",\"to\":{}", to.as_u32());
-        }
+        | EventKind::DataLost { to } => s.field(",\"to\":", to.as_u32().into()),
         EventKind::OverhearCommit { sender } | EventKind::Overheard { sender } => {
-            let _ = write!(out, ",\"sender\":{}", sender.as_u32());
+            s.field(",\"sender\":", sender.as_u32().into());
         }
-        EventKind::Airtime { nanos } => {
-            let _ = write!(out, ",\"nanos\":{nanos}");
-        }
+        EventKind::Airtime { nanos } => s.field(",\"nanos\":", nanos),
         EventKind::Span { state, nanos } => {
-            let _ = write!(out, ",\"state\":\"{}\",\"nanos\":{nanos}", state.label());
+            s.lit(",\"state\":\"");
+            s.lit(state.label());
+            s.field("\",\"nanos\":", nanos);
         }
         EventKind::ControlTx { class } => {
-            let _ = write!(out, ",\"class\":\"{}\"", class.label());
+            s.lit(",\"class\":\"");
+            s.lit(class.label());
+            s.lit("\"");
         }
         EventKind::Originated { flow, seq, dst } => {
-            let _ = write!(out, ",\"flow\":{flow},\"pkt\":{seq},\"dst\":{}", dst.as_u32());
+            s.field(",\"flow\":", flow.into());
+            s.field(",\"pkt\":", seq);
+            s.field(",\"dst\":", dst.as_u32().into());
         }
         EventKind::Forwarded { flow, seq, to } => {
-            let _ = write!(out, ",\"flow\":{flow},\"pkt\":{seq},\"to\":{}", to.as_u32());
+            s.field(",\"flow\":", flow.into());
+            s.field(",\"pkt\":", seq);
+            s.field(",\"to\":", to.as_u32().into());
         }
         EventKind::PacketDelivered { flow, seq } | EventKind::PacketDropped { flow, seq } => {
-            let _ = write!(out, ",\"flow\":{flow},\"pkt\":{seq}");
+            s.field(",\"flow\":", flow.into());
+            s.field(",\"pkt\":", seq);
         }
         EventKind::Blackouts { newly } | EventKind::Bursts { newly } => {
-            let _ = write!(out, ",\"newly\":{newly}");
+            s.field(",\"newly\":", newly.into());
         }
         EventKind::AtimBroadcast
         | EventKind::AtimDeferred
@@ -137,7 +198,65 @@ fn push_event_line(out: &mut String, e: &Event, beacon: SimDuration) {
         | EventKind::Rejoin
         | EventKind::BatteryDead => {}
     }
-    out.push_str("}\n");
+    s.lit("}\n");
+}
+
+/// One export: the report, how it is labelled and what it selects.
+struct Export<'a> {
+    report: &'a ObsReport,
+    scheme: &'a str,
+    seed: u64,
+    filter: Option<&'a TraceFilter>,
+    interval_range: Option<(u64, u64)>,
+}
+
+impl Export<'_> {
+    fn in_range(&self, k: u64) -> bool {
+        self.interval_range.is_none_or(|(lo, hi)| k >= lo && k < hi)
+    }
+
+    fn header(&self, s: &mut impl Sink, events: u64) {
+        let r = self.report;
+        s.lit("{\"schema\":\"rcast-trace/v1\",\"scheme\":\"");
+        s.lit(self.scheme);
+        s.field("\",\"seed\":", self.seed);
+        s.field(",\"nodes\":", r.nodes().into());
+        s.field(",\"intervals\":", r.intervals());
+        s.field(",\"beacon_ns\":", r.beacon_nanos());
+        s.field(",\"events\":", events);
+        s.field(",\"dropped\":", r.dropped());
+        s.lit("}\n");
+    }
+
+    /// The selected event lines, then the selected per-interval rows.
+    /// Returns the number of event lines.
+    fn body(&self, s: &mut impl Sink) -> u64 {
+        let beacon = SimDuration::from_nanos(self.report.beacon_nanos());
+        let mut events = 0;
+        for e in self.report.events() {
+            if self.in_range(e.at.interval_index(beacon))
+                && self.filter.is_none_or(|f| f.matches(e))
+            {
+                event_line(s, e, beacon);
+                events += 1;
+            }
+        }
+        if self.filter.is_none_or(TraceFilter::matches_series) {
+            let series = self.report.series();
+            for k in 0..series.rows() {
+                if !self.in_range(k as u64) {
+                    continue;
+                }
+                let row = series.row(k);
+                s.field("{\"kind\":\"interval\",\"k\":", k as u64);
+                s.field(",\"awake_ns\":", row[0] as u64);
+                s.field(",\"overheard\":", row[1] as u64);
+                s.field(",\"airtime_ns\":", row[2] as u64);
+                s.lit("}\n");
+            }
+        }
+        events
+    }
 }
 
 /// Renders a report as `rcast-trace/v1` JSONL: one header line, then
@@ -147,6 +266,10 @@ fn push_event_line(out: &mut String, e: &Event, beacon: SimDuration) {
 /// `scheme` and `seed` identify the run in the header. `filter`
 /// selects events (see [`TraceFilter`]); `interval_range` keeps only
 /// intervals `k` with `lo <= k < hi`.
+///
+/// The output is the one allocation: a length pass over the selection
+/// sizes it (and counts the header's events) before the write pass
+/// fills it, so it never grows.
 pub fn render_jsonl(
     report: &ObsReport,
     scheme: &str,
@@ -154,42 +277,20 @@ pub fn render_jsonl(
     filter: Option<&TraceFilter>,
     interval_range: Option<(u64, u64)>,
 ) -> String {
-    let beacon = SimDuration::from_nanos(report.beacon_nanos());
-    let in_range = |k: u64| interval_range.is_none_or(|(lo, hi)| k >= lo && k < hi);
-    let selected = report
-        .events()
-        .iter()
-        .filter(|e| in_range(e.at.interval_index(beacon)) && filter.is_none_or(|f| f.matches(e)));
-    // The header carries the event count, so count before rendering:
-    // the lines then go straight into the one output buffer.
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"schema\":\"rcast-trace/v1\",\"scheme\":\"{scheme}\",\"seed\":{seed},\
-\"nodes\":{},\"intervals\":{},\"beacon_ns\":{},\"events\":{},\"dropped\":{}}}",
-        report.nodes(),
-        report.intervals(),
-        report.beacon_nanos(),
-        selected.clone().count(),
-        report.dropped()
-    );
-    for e in selected {
-        push_event_line(&mut out, e, beacon);
-    }
-    if filter.is_none_or(TraceFilter::matches_series) {
-        let series = report.series();
-        for k in 0..series.rows() {
-            if !in_range(k as u64) {
-                continue;
-            }
-            let row = series.row(k);
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"interval\",\"k\":{k},\"awake_ns\":{},\"overheard\":{},\"airtime_ns\":{}}}",
-                row[0] as u64, row[1] as u64, row[2] as u64
-            );
-        }
-    }
+    let export = Export {
+        report,
+        scheme,
+        seed,
+        filter,
+        interval_range,
+    };
+    let mut len = Measure(0);
+    let events = export.body(&mut len);
+    export.header(&mut len, events);
+    let mut out = String::with_capacity(len.0);
+    export.header(&mut out, events);
+    export.body(&mut out);
+    debug_assert_eq!(out.len(), len.0, "the length pass sized the export");
     out
 }
 

@@ -20,6 +20,23 @@
 //!   computes from its traffic configuration and the longest
 //!   loop-free path (`nodes - 1` hops per packet), so every packet's
 //!   history is complete however loaded an interval is.
+//!
+//! # Ordering
+//!
+//! Events are recorded in simulation order, not in the report's
+//! `(at, node, seq)` order: spans land at their interval's start after
+//! the interval's other events, and a node whose battery runs out in
+//! interval `k` records `BatteryDead` at the *end* of `k`. Every event
+//! is dated at or after the start of the interval it is recorded in
+//! (debug builds assert it), and [`Ledger::end_interval`] notes where
+//! each interval's records end. [`Ledger::into_report`] therefore
+//! sorts one interval's chunk at a time instead of the whole run: after
+//! sorting chunk `k`, the events dated before interval `k`'s end can
+//! only precede everything recorded later, so they are final; events
+//! dated at or past that end (today only `BatteryDead`) are carried
+//! into chunk `k + 1` and sorted again with it. The result is the same
+//! permutation one whole-run sort by [`Event::key`] gives, since the
+//! key is a strict total order.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -69,6 +86,11 @@ pub struct Ledger {
     cur_overheard: u64,
     cur_airtime_ns: u64,
     series: IntervalSeries,
+    /// `events.len()` at each [`end_interval`](Self::end_interval):
+    /// where each interval's records end, for the chunked sort in
+    /// [`into_report`](Self::into_report). Sized for the run's
+    /// intervals; a closing past them records no boundary.
+    interval_ends: Vec<usize>,
 }
 
 impl Ledger {
@@ -105,6 +127,7 @@ impl Ledger {
             cur_overheard: 0,
             cur_airtime_ns: 0,
             series: IntervalSeries::with_capacity(SERIES_COLUMNS.len(), p.intervals as usize),
+            interval_ends: Vec::with_capacity(p.intervals as usize),
         }
     }
 
@@ -134,6 +157,10 @@ impl Ledger {
 
     fn push(&mut self, at: SimTime, node: NodeId, kind: EventKind) {
         debug_assert!(self.events.len() < self.capacity, "ledger lane overflow");
+        debug_assert!(
+            at.as_nanos() >= self.series.rows() as u64 * self.beacon_nanos,
+            "an event dated before its interval's start breaks the chunked sort"
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
         self.events.push(Event {
@@ -209,12 +236,28 @@ impl Ledger {
         self.cur_overheard = 0;
         self.cur_airtime_ns = 0;
         self.cur_events = 0;
+        if self.interval_ends.len() < self.interval_ends.capacity() {
+            self.interval_ends.push(self.events.len());
+        }
     }
 
     /// Finalizes the ledger: sorts events into the `(SimTime, NodeId,
     /// seq)` total order and packages the report.
+    ///
+    /// The sort runs one interval's chunk at a time (see the module
+    /// docs): chunk `k` holds interval `k`'s records plus the events
+    /// carried from chunk `k - 1`; once sorted, its events dated before
+    /// the interval's end are final and the rest carry on.
     pub fn into_report(mut self) -> ObsReport {
-        self.events.sort_unstable_by_key(Event::key);
+        let mut closed = 0;
+        for (k, &end) in self.interval_ends.iter().enumerate() {
+            let chunk = &mut self.events[closed..end];
+            chunk.sort_unstable_by_key(Event::key);
+            let interval_end =
+                SimTime::from_nanos((k as u64 + 1).saturating_mul(self.beacon_nanos));
+            closed += chunk.partition_point(|e| e.at < interval_end);
+        }
+        self.events[closed..].sort_unstable_by_key(Event::key);
         ObsReport {
             nodes: self.nodes,
             beacon_nanos: self.beacon_nanos,

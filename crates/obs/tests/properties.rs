@@ -3,8 +3,11 @@
 //! interleavings of interval advances, in-interval events, energy
 //! spans and fault markers must always come out of
 //! [`Ledger::into_report`] in the strict `(at, node, seq)` total
-//! order, with exact overflow accounting. Failures shrink to the
-//! smallest still-failing interleaving via the harness's size dial.
+//! order, with exact overflow accounting, and that order must be the
+//! one a single whole-run sort gives, events dated past their interval
+//! included. Failures shrink to the smallest still-failing
+//! interleaving via the harness's size dial. The export's length pass
+//! must size every line shape exactly, at extreme payloads too.
 //! Mutated `--filter` texts must parse to a filter or an error that
 //! quotes the offending text, never a panic.
 
@@ -12,8 +15,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rcast_engine::{NodeId, SimDuration, SimTime};
 use rcast_obs::{
-    Event, EventKind, Ledger, LedgerParams, ObsReport, PacketClass, TraceFilter, KIND_NAMES,
+    render_jsonl, Event, EventKind, Ledger, LedgerParams, ObsReport, PacketClass, TraceFilter,
+    KIND_NAMES,
 };
+use rcast_radio::PowerState;
 use rcast_testkit::{prop_assert, prop_assert_eq, Check, Gen};
 
 const BEACON_NS: u64 = 250_000_000;
@@ -173,6 +178,211 @@ fn overflow_is_counted_exactly_and_spans_and_packets_always_land() {
             prop_assert_eq!(stored_packets, packets, "the packet lane never drops");
             Ok(())
         });
+}
+
+/// Records a random run the way the simulator does and returns the
+/// report with the events in record order, each stamped with the
+/// `seq` the ledger assigns. Dates mix interval starts, a coarse grid
+/// (so many events share one `at`) and arbitrary offsets, up to one
+/// whole interval past the recording interval's end, where a battery
+/// death is dated. Some runs close fewer intervals than they planned
+/// and leave records after the last closing.
+fn run_recorded(g: &mut Gen) -> (ObsReport, Vec<Event>) {
+    let planned = g.u64_range(1, 2 + g.size() as u64 / 8);
+    let closed = if g.bool() {
+        planned
+    } else {
+        g.u64_range(0, planned + 1)
+    };
+    let params = LedgerParams {
+        nodes: g.u32_range(2, 9),
+        intervals: planned,
+        beacon_nanos: BEACON_NS,
+        packet_events: MAX_EVENTS * (planned + 1),
+    };
+    let mut ledger = Ledger::new(params);
+    let mut recorded = Vec::new();
+    let mut record = |ledger: &mut Ledger, at: SimTime, node: NodeId, kind: EventKind| {
+        match kind {
+            EventKind::Span { state, nanos } => {
+                ledger.record_span(at, node, state, SimDuration::from_nanos(nanos));
+            }
+            _ => ledger.record_event(at, node, kind),
+        }
+        let seq = recorded.len() as u32;
+        recorded.push(Event {
+            at,
+            node,
+            seq,
+            kind,
+        });
+    };
+    for k in 0..=closed {
+        let start = SimTime::from_nanos(k * BEACON_NS);
+        // At most 40 ordinary events an interval: under the 4·nodes + 32
+        // budget, so every record is stored and `seq` is record order.
+        for _ in 0..g.len(0, MAX_EVENTS as usize) {
+            let offset = match g.u32_range(0, 3) {
+                0 => 0,
+                1 => g.u64_range(0, 9) * (BEACON_NS / 4),
+                _ => g.u64_range(0, 2 * BEACON_NS + 1),
+            };
+            let node = NodeId::new(g.u32_range(0, params.nodes + 1));
+            let kind = if g.u32_range(0, 6) == 0 {
+                EventKind::BatteryDead
+            } else {
+                arbitrary_kind(g, params.nodes)
+            };
+            record(
+                &mut ledger,
+                start + SimDuration::from_nanos(offset),
+                node,
+                kind,
+            );
+        }
+        for i in 0..params.nodes {
+            let nanos = g.u64_range(1, BEACON_NS);
+            let kind = EventKind::Span {
+                state: PowerState::Awake,
+                nanos,
+            };
+            record(&mut ledger, start, NodeId::new(i), kind);
+        }
+        if k < closed {
+            ledger.end_interval();
+        }
+    }
+    (ledger.into_report(), recorded)
+}
+
+#[test]
+fn chunked_into_report_equals_one_whole_run_sort() {
+    Check::new("ledger_chunked_sort")
+        .cases(192)
+        .run(|g: &mut Gen| {
+            let (report, mut recorded) = run_recorded(g);
+            prop_assert_eq!(report.dropped(), 0);
+            recorded.sort_unstable_by_key(Event::key);
+            prop_assert_eq!(report.events(), recorded.as_slice());
+            Ok(())
+        });
+}
+
+/// Every event kind, its integer payloads set to `id` (node ids, flow
+/// ids, counts) or `wide` (nanoseconds, packet sequence numbers).
+fn every_kind(id: u32, wide: u64) -> Vec<EventKind> {
+    let n = NodeId::new(id);
+    let mut kinds = vec![
+        EventKind::AtimUnicast { to: n },
+        EventKind::AtimBroadcast,
+        EventKind::AtimNoAck { to: n },
+        EventKind::AtimDeferred,
+        EventKind::LinkBroken { to: n },
+        EventKind::OverhearCommit { sender: n },
+        EventKind::Overheard { sender: n },
+        EventKind::Airtime { nanos: wide },
+        EventKind::DataLost { to: n },
+        EventKind::DataDeferred,
+        EventKind::Originated {
+            flow: id,
+            seq: wide,
+            dst: n,
+        },
+        EventKind::Forwarded {
+            flow: id,
+            seq: wide,
+            to: n,
+        },
+        EventKind::PacketDelivered {
+            flow: id,
+            seq: wide,
+        },
+        EventKind::PacketDropped {
+            flow: id,
+            seq: wide,
+        },
+        EventKind::Crash,
+        EventKind::Rejoin,
+        EventKind::BatteryDead,
+        EventKind::Blackouts { newly: id },
+        EventKind::Bursts { newly: id },
+    ];
+    for state in [
+        PowerState::Awake,
+        PowerState::Sleep,
+        PowerState::Off,
+        PowerState::Transmit,
+        PowerState::Receive,
+    ] {
+        kinds.push(EventKind::Span { state, nanos: wide });
+    }
+    for class in [
+        PacketClass::Rreq,
+        PacketClass::Rrep,
+        PacketClass::Rerr,
+        PacketClass::Data,
+        PacketClass::Hello,
+    ] {
+        kinds.push(EventKind::ControlTx { class });
+    }
+    kinds
+}
+
+#[test]
+fn export_length_pass_sizes_every_line_shape_exactly() {
+    const IDS: [u32; 5] = [0, 9, 10, 99, u32::MAX];
+    const WIDE: [u64; 7] = [0, 9, 10, 99, 100, u32::MAX as u64, u64::MAX];
+    let named: Vec<&str> = every_kind(0, 0).iter().map(|k| k.name()).collect();
+    for name in KIND_NAMES {
+        assert!(named.contains(&name), "no sample of {name}");
+    }
+    let filters = [
+        None,
+        Some(TraceFilter::Node(9)),
+        Some(TraceFilter::Flow(10)),
+        Some(TraceFilter::Kind("interval".into())),
+    ];
+    for id in IDS {
+        for wide in WIDE {
+            for kind in every_kind(id, wide) {
+                // One event per ledger: an `Airtime` or awake `Span` of
+                // `u64::MAX` nanos saturates the series row on its own.
+                let mut ledger = Ledger::new(LedgerParams {
+                    nodes: 10,
+                    intervals: 1,
+                    beacon_nanos: BEACON_NS,
+                    packet_events: 1,
+                });
+                let (at, node) = (SimTime::from_nanos(wide), NodeId::new(id));
+                match kind {
+                    EventKind::Span { state, nanos } => {
+                        ledger.record_span(at, node, state, SimDuration::from_nanos(nanos));
+                    }
+                    _ => ledger.record_event(at, node, kind),
+                }
+                ledger.end_interval();
+                let report = ledger.into_report();
+                assert_eq!(report.events().len(), 1, "{kind:?}");
+                let kind_filter = Some(TraceFilter::Kind(kind.name().into()));
+                for filter in filters.iter().chain([&kind_filter]) {
+                    for range in [None, Some((0, 1)), Some((1, u64::MAX))] {
+                        let out = render_jsonl(&report, "rcast", wide, filter.as_ref(), range);
+                        // `String::with_capacity(n)` holds exactly `n`
+                        // bytes: a length pass that over-counts leaves
+                        // spare capacity, and one that under-counts
+                        // makes the write pass grow the buffer past
+                        // its length.
+                        assert_eq!(
+                            out.capacity(),
+                            out.len(),
+                            "{kind:?} at {wide} ns, {filter:?}, {range:?}:\n{out}"
+                        );
+                        assert!(out.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -182,24 +182,26 @@ fn random_fault_and_traffic_interleavings_repeat_identically() {
 // ---------------------------------------------------------------------
 // Golden-trace conformance (DESIGN.md §11): the rcast-trace/v1 JSONL
 // export is byte-identical to checked-in goldens at widths 1, 2 and 8,
-// for a plain and a fault-injected pinned seed. Any change to event
-// ordering, schema keys, or the simulator's cross-layer behavior under
-// these configs shows up as a golden diff — regenerate deliberately
-// with `cargo test --test determinism -- --ignored` and review it.
+// for a plain, a fault-injected and a battery-depleting pinned seed.
+// Any change to event ordering, schema keys, or the simulator's
+// cross-layer behavior under these configs shows up as a golden diff —
+// regenerate deliberately with `cargo test --test determinism --
+// --ignored` and review it.
 // ---------------------------------------------------------------------
 
 /// The pinned golden workload: small enough to keep the goldens
 /// reviewable, rich enough to exercise ATIM, overhearing, forwarding
 /// and energy spans. Also expressible on the CLI as
 /// `rcast trace --nodes 12 --area 600x300 --duration 10 --flows 3
-///  --pause 20 --seed <s>`.
-fn golden_config(seed: u64, faults: bool) -> SimConfig {
+///  --pause 20 --seed <s> [--battery <J>]`.
+fn golden_config(seed: u64, faults: bool, battery_j: Option<f64>) -> SimConfig {
     let mut cfg = SimConfig::paper(Scheme::Rcast, seed, 0.4, 20.0);
     cfg.nodes = 12;
     cfg.area = randomcast::mobility::Area::new(600.0, 300.0);
     cfg.duration = SimDuration::from_secs(10);
     cfg.traffic.flows = 3;
     cfg.obs = true;
+    cfg.battery_capacity_j = battery_j;
     if faults {
         cfg.faults = FaultsConfig {
             crash_prob: 0.5,
@@ -215,10 +217,14 @@ fn golden_config(seed: u64, faults: bool) -> SimConfig {
     cfg
 }
 
-/// The two pinned golden cases: `(file stem, seed, faults)`.
-const GOLDEN_CASES: [(&str, u64, bool); 2] = [
-    ("trace_rcast_seed7", 7, false),
-    ("trace_rcast_seed19_faults", 19, true),
+/// The pinned golden cases: `(file stem, seed, faults, battery)`.
+/// The battery case's 2 J drain kills nodes 0, 2 and 7 at 6.0 s: a
+/// `battery_dead` event is dated at the end of the interval that
+/// recorded it, so it exercises the ledger's carry across chunks.
+const GOLDEN_CASES: [(&str, u64, bool, Option<f64>); 3] = [
+    ("trace_rcast_seed7", 7, false, None),
+    ("trace_rcast_seed19_faults", 19, true, None),
+    ("trace_rcast_seed7_battery", 7, false, Some(2.0)),
 ];
 
 fn render_golden(cfg: &SimConfig, threads: usize) -> String {
@@ -231,18 +237,13 @@ fn render_golden(cfg: &SimConfig, threads: usize) -> String {
 
 #[test]
 fn golden_traces_are_byte_identical_at_every_width() {
-    let goldens: [(&str, &str); 2] = [
-        (
-            GOLDEN_CASES[0].0,
-            include_str!("golden/trace_rcast_seed7.jsonl"),
-        ),
-        (
-            GOLDEN_CASES[1].0,
-            include_str!("golden/trace_rcast_seed19_faults.jsonl"),
-        ),
+    let goldens: [&str; 3] = [
+        include_str!("golden/trace_rcast_seed7.jsonl"),
+        include_str!("golden/trace_rcast_seed19_faults.jsonl"),
+        include_str!("golden/trace_rcast_seed7_battery.jsonl"),
     ];
-    for ((stem, seed, faults), (_, want)) in GOLDEN_CASES.iter().zip(goldens) {
-        let cfg = golden_config(*seed, *faults);
+    for ((stem, seed, faults, battery), want) in GOLDEN_CASES.iter().zip(goldens) {
+        let cfg = golden_config(*seed, *faults, *battery);
         for threads in WIDTHS {
             let got = render_golden(&cfg, threads);
             assert!(
@@ -263,8 +264,8 @@ fn golden_traces_are_byte_identical_at_every_width() {
 fn regenerate_goldens() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     std::fs::create_dir_all(&dir).expect("create tests/golden");
-    for (stem, seed, faults) in GOLDEN_CASES {
-        let cfg = golden_config(seed, faults);
+    for (stem, seed, faults, battery) in GOLDEN_CASES {
+        let cfg = golden_config(seed, faults, battery);
         let jsonl = render_golden(&cfg, 1);
         let path = dir.join(format!("{stem}.jsonl"));
         std::fs::write(&path, &jsonl).expect("write golden");
