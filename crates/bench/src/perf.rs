@@ -462,6 +462,74 @@ pub fn ledger_overhead() -> LedgerOverhead {
     ledger_overhead_rounds(5)
 }
 
+/// The ledger's wall-overhead budget (DESIGN.md §11): the ledger-on
+/// steady state must run within 10% of the ledger-off one.
+pub const LEDGER_OVERHEAD_BUDGET: f64 = 0.10;
+
+/// The ledger gate (DESIGN.md §11): no steady-state allocation with the
+/// ledger off or on, and an overhead under [`LEDGER_OVERHEAD_BUDGET`].
+/// Returns the failure messages; empty means the gate passed.
+pub fn ledger_failures(o: &LedgerOverhead) -> Vec<String> {
+    let mut failures = Vec::new();
+    if o.off_allocs != 0 {
+        failures.push(format!(
+            "ledger-off steady state allocates ({})",
+            o.off_allocs
+        ));
+    }
+    if o.on_allocs != 0 {
+        failures.push(format!(
+            "ledger-on steady state allocates ({})",
+            o.on_allocs
+        ));
+    }
+    if o.overhead_fraction() >= LEDGER_OVERHEAD_BUDGET {
+        failures.push(format!(
+            "ledger-on overhead {:.1}% exceeds the {:.0}% budget",
+            o.overhead_fraction() * 100.0,
+            LEDGER_OVERHEAD_BUDGET * 100.0
+        ));
+    }
+    failures
+}
+
+/// The gates one `rcast bench` run asks for.
+#[derive(Debug, Clone, Copy)]
+pub struct Gates<'a> {
+    /// `--large`: the [`scaling_failures`] gate.
+    pub scaling: bool,
+    /// `--check`: the baseline's name, its points and the speed
+    /// tolerance for [`check_against_with_tolerance`].
+    pub baseline: Option<(&'a str, &'a [BaselinePoint], f64)>,
+    /// `--smoke`: the ledger measurement for [`ledger_failures`].
+    pub ledger: Option<&'a LedgerOverhead>,
+}
+
+/// Runs every requested gate and returns all their failures, each
+/// prefixed with its gate, so a failing gate never hides the ones after
+/// it. Empty means every gate passed.
+pub fn gate_failures(results: &[BenchResult], gates: Gates<'_>) -> Vec<String> {
+    let mut failures = Vec::new();
+    if gates.scaling {
+        failures.extend(
+            scaling_failures(results)
+                .into_iter()
+                .map(|f| format!("scaling gate: {f}")),
+        );
+    }
+    if let Some((name, baseline, tolerance)) = gates.baseline {
+        failures.extend(
+            check_against_with_tolerance(results, baseline, tolerance)
+                .into_iter()
+                .map(|f| format!("bench regression vs {name}: {f}")),
+        );
+    }
+    if let Some(o) = gates.ledger {
+        failures.extend(ledger_failures(o));
+    }
+    failures
+}
+
 /// Renders the `rcast-bench/v1` JSON document. Hand-rolled and stable:
 /// fixed key order, fixed precision, no timestamps or host fields, so
 /// diffs of the checked-in file show only performance movement.
@@ -804,6 +872,71 @@ mod tests {
         assert!((o.overhead_fraction() - 0.05).abs() < 1e-12);
         o.on_nanos_per_interval = 900;
         assert_eq!(o.overhead_fraction(), 0.0, "faster-with-ledger clamps");
+    }
+
+    #[test]
+    fn every_failing_gate_is_reported() {
+        // A quadratic 600 -> 1200 step, a speed and an allocation
+        // regression against the baseline, and a ledger that allocates
+        // and costs 20%: every gate fails, and each one says so.
+        let mut lo = point("large-600", "Rcast", 1000.0, Some(1.0));
+        lo.nodes = 600;
+        let mut hi = point("large-1200", "Rcast", 250.0, Some(1.0));
+        hi.nodes = 1200;
+        let results = [point("small", "Rcast", 100.0, Some(2.0)), lo, hi];
+        let baseline = [BaselinePoint {
+            workload: "small".into(),
+            scheme: "Rcast".into(),
+            intervals_per_sec: 1000.0,
+            allocs_per_interval: Some(1.0),
+        }];
+        let ledger = LedgerOverhead {
+            off_nanos_per_interval: 1000,
+            on_nanos_per_interval: 1200,
+            off_allocs: 3,
+            on_allocs: 4,
+        };
+        let all = Gates {
+            scaling: true,
+            baseline: Some(("base.json", &baseline, CHECK_SPEED_TOLERANCE)),
+            ledger: Some(&ledger),
+        };
+        let failures = gate_failures(&results, all);
+        let count = |prefix: &str| failures.iter().filter(|f| f.starts_with(prefix)).count();
+        assert_eq!(count("scaling gate: 600 -> 1200 nodes"), 1, "{failures:?}");
+        assert_eq!(
+            count("bench regression vs base.json: small/Rcast"),
+            2,
+            "{failures:?}"
+        );
+        assert_eq!(
+            count("ledger-off steady state allocates (3)"),
+            1,
+            "{failures:?}"
+        );
+        assert_eq!(
+            count("ledger-on steady state allocates (4)"),
+            1,
+            "{failures:?}"
+        );
+        assert_eq!(count("ledger-on overhead 20.0%"), 1, "{failures:?}");
+        assert_eq!(failures.len(), 6, "{failures:?}");
+
+        // Gates that were not asked for do not run.
+        let none = Gates {
+            scaling: false,
+            baseline: None,
+            ledger: None,
+        };
+        assert!(gate_failures(&results, none).is_empty());
+        // A clean ledger passes on its own.
+        let clean = LedgerOverhead {
+            off_allocs: 0,
+            on_allocs: 0,
+            on_nanos_per_interval: 1050,
+            ..ledger
+        };
+        assert!(ledger_failures(&clean).is_empty());
     }
 
     #[test]

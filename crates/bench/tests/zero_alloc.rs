@@ -12,7 +12,8 @@
 
 use rcast_bench::alloc_probe;
 use rcast_core::{render_jsonl, FaultEvent, Scheme, SimConfig, Simulation, TraceFilter};
-use rcast_engine::SimDuration;
+use rcast_dsr::{CacheConfig, CacheStrategy, PathCache};
+use rcast_engine::{NodeId, SimDuration, SimTime};
 use rcast_mobility::{Area, WaypointConfig};
 
 #[global_allocator]
@@ -71,6 +72,30 @@ fn storm_config() -> SimConfig {
     cfg
 }
 
+/// The large bench tier's density (300 nodes on 1800 × 720 m, as 600 on
+/// 3600 × 720 m) with 2 flows and no pauses, cut to 40 s: RREQ floods
+/// cross the whole field while routes keep breaking, which keeps the
+/// path cache's miss-and-evict path busy.
+fn flood_config() -> SimConfig {
+    let mut cfg = SimConfig::paper(Scheme::Rcast, 3, 0.4, 0.0);
+    cfg.nodes = 300;
+    cfg.area = Area::new(1800.0, 720.0);
+    cfg.traffic.flows = 2;
+    cfg.duration = SimDuration::from_secs(40);
+    cfg.waypoint = WaypointConfig::default();
+    cfg
+}
+
+/// The small testbed under Hu & Johnson's link cache (`cache_strategy
+/// link`, 128 directed links, as in the `ablation-cache` preset): every
+/// route lookup is a breadth-first search over the stored links.
+fn link_cache_config() -> SimConfig {
+    let mut cfg = SimConfig::smoke(Scheme::Rcast, 3);
+    cfg.dsr.cache.strategy = CacheStrategy::Link;
+    cfg.dsr.cache.capacity = 128;
+    cfg
+}
+
 /// Runs the second half of a simulation under the probe and returns the
 /// mean allocations per interval over those steady-state intervals.
 fn steady_state_allocs_per_interval(cfg: SimConfig) -> f64 {
@@ -107,13 +132,15 @@ type LoadedBudget = (&'static str, fn() -> SimConfig, f64);
 /// clones, per-arrival route materialization, per-interval `Vec`
 /// rebuilds) fail loudly instead of hiding behind the quiet-state zero
 /// gate. Each run is seeded and deterministic, so the measured count is
-/// exact; each budget sits just above its measured value (0.64, 0.07
-/// and 3.54 per interval), leaving headroom only for standard-library
-/// drift.
-const LOADED_BUDGETS: [LoadedBudget; 3] = [
+/// exact; each budget sits just above its measured value (0.59, 0.07,
+/// 3.54, 1.11 and 2.22 per interval), leaving headroom only for
+/// standard-library drift.
+const LOADED_BUDGETS: [LoadedBudget; 5] = [
     ("smoke", || SimConfig::smoke(Scheme::Rcast, 3), 1.0),
     ("medium", medium_config, 0.25),
     ("storm-150", storm_config, 4.0),
+    ("flood-300", flood_config, 1.15),
+    ("smoke, link cache", link_cache_config, 2.25),
 ];
 
 /// All measurements in one test, run in turn: the probe counts
@@ -147,6 +174,29 @@ fn steady_state_allocations_stay_within_their_budgets() {
              exceed the {budget}/interval budget",
         );
     }
+
+    // DESIGN.md §10: a path cache sizes its storage on its first insert
+    // and never reallocates after, however many evictions churn it.
+    let owner = NodeId::new(0);
+    let mut cache = PathCache::new(owner, CacheConfig::default());
+    let before = alloc_probe::allocations();
+    assert!(cache.observe_path(&[owner, NodeId::new(1)], SimTime::ZERO));
+    let first = alloc_probe::allocations() - before;
+    let mut stored = 1;
+    for i in 2..5000u32 {
+        // Distinct 3-node paths: every one is a miss, and past the
+        // 64-path capacity every one evicts.
+        let path = [owner, NodeId::new(i), NodeId::new(i + 1)];
+        stored += usize::from(cache.observe_path(&path, SimTime::from_secs(u64::from(i))));
+    }
+    let churn = alloc_probe::allocations() - before - first;
+    assert_eq!(first, 4, "the first insert sizes the four lanes at once");
+    assert_eq!(stored, 4999, "every path was new");
+    assert_eq!(cache.len(), CacheConfig::default().capacity);
+    assert_eq!(
+        churn, 0,
+        "{churn} allocations while churning a full path cache"
+    );
 
     // DESIGN.md §11: turning the event ledger on must not reintroduce
     // steady-state allocations — every ring buffer, span lane and series

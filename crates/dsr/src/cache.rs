@@ -11,18 +11,44 @@
 //! features: link-based invalidation with *truncation* (a broken link
 //! removes the unusable tail but keeps the still-valid prefix), and an
 //! optional capacity/timeout pair for the cache-design ablation.
+//!
+//! A path cache is learned from RREQ floods and overheard traffic, so a
+//! miss that stores a new path is the common case at scale, and it is
+//! kept cheap (DESIGN.md §10):
+//!
+//! * **One validation per path.** The public entries ([`insert`],
+//!   [`observe_path`]) check loop-freedom once, after the duplicate
+//!   scan; `DsrNode` feeds paths that are valid by construction through
+//!   a crate-private entry that skips the check.
+//! * **Packed lanes.** The duplicate keys, node masks and LRU stamps
+//!   each live in their own `u64`-sized lane beside the entries, so the
+//!   duplicate scan, the route prefilter and the eviction scan stride
+//!   8 bytes per entry.
+//! * **Storage allocated once.** Every lane is sized for the configured
+//!   capacity on the cache's first insert, so filling and churning a
+//!   cache through evictions never reallocates.
+//!
+//! [`insert`]: PathCache::insert
+//! [`observe_path`]: PathCache::observe_path
 
 use rcast_engine::{NodeId, SimDuration, SimTime};
 
-use crate::route::SourceRoute;
+use crate::route::{NodePath, SourceRoute};
 
-/// One cached path with bookkeeping.
+/// One cached path with its insertion time (its LRU stamp lives in
+/// [`PathCache::stamps`]).
 #[derive(Debug, Clone)]
 struct Entry {
     path: SourceRoute,
     inserted_at: SimTime,
-    last_used: SimTime,
 }
+
+/// Entries a path cache reserves on its first insert: its configured
+/// capacity, up to this many. Every preset's capacity fits (64 by
+/// default, at most 256 in `ablation-cache`), so those caches never
+/// reallocate; a larger configured capacity grows past this as it
+/// fills, so an oversized setting costs memory only for what is stored.
+const RESERVE_LIMIT: usize = 256;
 
 /// A deterministic fingerprint of a node sequence (FNV-1a over the raw
 /// ids). The duplicate scan in [`PathCache::observe_path`] runs on
@@ -76,19 +102,23 @@ impl Default for CacheConfig {
 
 /// The path-cache strategy: whole source routes, LRU-evicted.
 ///
+/// `entries`, `keys`, `masks` and `stamps` are index-aligned lanes:
+/// slot `i` of each describes the same cached path.
 #[derive(Debug, Clone)]
 pub struct PathCache {
     owner: NodeId,
     cfg: CacheConfig,
     entries: Vec<Entry>,
-    /// `path_key(entries[i].path.nodes())`, index-aligned with
-    /// `entries`. Kept as a separate packed array so the duplicate scan
-    /// — run on every flood arrival — touches 8 bytes per entry
-    /// instead of striding over whole entries.
+    /// `path_key(entries[i].path.nodes())`. Kept as a separate packed
+    /// lane so the duplicate scan — run on every flood arrival — touches
+    /// 8 bytes per entry instead of striding over whole entries.
     keys: Vec<u64>,
-    /// `node_mask(entries[i].path.nodes())`, index-aligned with
-    /// `entries`; the route-lookup prefilter.
+    /// `node_mask(entries[i].path.nodes())`; the route-lookup prefilter.
     masks: Vec<u64>,
+    /// The LRU stamp of entry `i`: when it was last inserted, re-taught
+    /// or returned by [`find_route`](Self::find_route). Packed, so the
+    /// eviction scan at capacity reads 8 bytes per entry.
+    stamps: Vec<SimTime>,
     /// Index of the most recent duplicate hit. Data packets on an
     /// established route re-teach the same few paths over and over, so
     /// checking this slot first usually replaces the whole key scan
@@ -99,7 +129,8 @@ pub struct PathCache {
 }
 
 impl PathCache {
-    /// An empty cache owned by `owner`.
+    /// An empty cache owned by `owner`. It allocates nothing until its
+    /// first insert.
     ///
     /// # Panics
     ///
@@ -112,6 +143,7 @@ impl PathCache {
             entries: Vec::new(),
             keys: Vec::new(),
             masks: Vec::new(),
+            stamps: Vec::new(),
             last_hit: 0,
         }
     }
@@ -144,8 +176,26 @@ impl PathCache {
     /// a materialized [`SourceRoute`]. The duplicate case — the steady
     /// state of a settled network, where every flood arrival re-teaches
     /// known topology — costs a linear scan and an LRU stamp; a new
-    /// entry is an inline copy (DESIGN.md §10).
+    /// entry is one loop-freedom check and an inline copy (DESIGN.md
+    /// §10).
     pub fn observe_path(&mut self, nodes: &[NodeId], now: SimTime) -> bool {
+        self.observe(nodes, now, false)
+    }
+
+    /// [`observe_path`](Self::observe_path) for a path the caller has
+    /// proven loop-free: reversals and suffixes of a [`SourceRoute`],
+    /// routes extended through a transmitter they do not contain, an
+    /// RREQ back path that passed [`SourceRoute::is_valid_path`]. The
+    /// new entry is stored without checking it again.
+    pub(crate) fn observe_valid_path(&mut self, nodes: &[NodeId], now: SimTime) -> bool {
+        debug_assert!(
+            SourceRoute::is_valid_path(nodes),
+            "trusted path {nodes:?} is not a route"
+        );
+        self.observe(nodes, now, true)
+    }
+
+    fn observe(&mut self, nodes: &[NodeId], now: SimTime, valid: bool) -> bool {
         // Normalize to start at the owner (truncating any prefix);
         // paths not containing the owner are rejected.
         let slice = if nodes.first() == Some(&self.owner) {
@@ -169,43 +219,60 @@ impl PathCache {
         // entirely.
         let lh = self.last_hit;
         if lh < self.keys.len() && self.keys[lh] == key && self.entries[lh].path.nodes() == slice {
-            self.entries[lh].last_used = now;
+            self.stamps[lh] = now;
             return false;
         }
         let mut from = 0;
         while let Some(off) = self.keys[from..].iter().position(|&k| k == key) {
             let i = from + off;
             if self.entries[i].path.nodes() == slice {
-                self.entries[i].last_used = now;
+                self.stamps[i] = now;
                 self.last_hit = i;
                 return false;
             }
             from = i + 1;
         }
-        if !SourceRoute::is_valid_path(slice) {
+        // A suffix of a valid path is valid, so a trusted path skips
+        // the check after truncation too.
+        if !valid && !SourceRoute::is_valid_path(slice) {
             return false;
         }
         if self.entries.len() >= self.cfg.capacity {
-            // Evict the least recently used entry; the new path takes
-            // the last slot.
+            // Evict the least recently used entry (the first of equal
+            // stamps); the new path takes the last slot.
             let (idx, _) = self
-                .entries
+                .stamps
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .expect("capacity > 0 so entries is non-empty");
+                .min_by_key(|&(_, &t)| t)
+                .expect("capacity > 0 so the cache is non-empty");
             self.entries.swap_remove(idx);
             self.keys.swap_remove(idx);
             self.masks.swap_remove(idx);
+            self.stamps.swap_remove(idx);
+        } else if self.entries.capacity() == 0 {
+            self.allocate_lanes();
         }
         self.entries.push(Entry {
-            path: SourceRoute::from_slice(slice).expect("slice was just validated"),
+            path: SourceRoute::from_valid_path(NodePath::from_slice(slice)),
             inserted_at: now,
-            last_used: now,
         });
         self.keys.push(key);
         self.masks.push(node_mask(slice));
+        self.stamps.push(now);
         true
+    }
+
+    /// Sizes every lane for the configured capacity (up to
+    /// [`RESERVE_LIMIT`]) at once, so filling the cache and churning it
+    /// through evictions never reallocates.
+    // det: hot-ok — runs once per cache, on its first insert; replaces the lanes' growth by doubling
+    fn allocate_lanes(&mut self) {
+        let n = self.cfg.capacity.min(RESERVE_LIMIT);
+        self.entries = Vec::with_capacity(n);
+        self.keys = Vec::with_capacity(n);
+        self.masks = Vec::with_capacity(n);
+        self.stamps = Vec::with_capacity(n);
     }
 
     /// The best (shortest, then freshest) cached route from the owner to
@@ -231,9 +298,8 @@ impl PathCache {
             }
         }
         let (idx, _, _) = best?;
-        self.entries[idx].last_used = now;
-        let path = &self.entries[idx].path;
-        path.prefix_to(dst)
+        self.stamps[idx] = now;
+        self.entries[idx].path.prefix_to(dst)
     }
 
     /// `true` when a route to `dst` is cached (without touching LRU).
@@ -259,9 +325,9 @@ impl PathCache {
         if !any_hit {
             return 0;
         }
-        // Order-preserving compaction over the parallel arrays: an
-        // entry using the link becomes its prefix up to the first use
-        // (or goes, when that prefix is a single node).
+        // Order-preserving compaction over the lanes: an entry using
+        // the link becomes its prefix up to the first use (or goes,
+        // when that prefix is a single node).
         let mut affected = 0;
         let mut kept = 0;
         for i in 0..self.entries.len() {
@@ -279,39 +345,46 @@ impl PathCache {
                 self.masks[i] = node_mask(prefix.nodes());
                 self.entries[i].path = prefix;
             }
-            self.entries.swap(kept, i);
-            self.keys.swap(kept, i);
-            self.masks.swap(kept, i);
+            self.swap_slots(kept, i);
             kept += 1;
         }
-        self.entries.truncate(kept);
-        self.keys.truncate(kept);
-        self.masks.truncate(kept);
+        self.truncate(kept);
         affected
     }
 
     /// Drops entries older than the configured timeout.
     pub fn purge_expired(&mut self, now: SimTime) {
         if let Some(ttl) = self.cfg.timeout {
-            // Order-preserving compaction over both parallel arrays.
+            // Order-preserving compaction over the lanes.
             let mut w = 0;
             for i in 0..self.entries.len() {
                 if now - self.entries[i].inserted_at <= ttl {
-                    self.entries.swap(w, i);
-                    self.keys.swap(w, i);
-                    self.masks.swap(w, i);
+                    self.swap_slots(w, i);
                     w += 1;
                 }
             }
-            self.entries.truncate(w);
-            self.keys.truncate(w);
-            self.masks.truncate(w);
+            self.truncate(w);
         }
+    }
+
+    /// Swaps slots `i` and `j` in every lane.
+    fn swap_slots(&mut self, i: usize, j: usize) {
+        self.entries.swap(i, j);
+        self.keys.swap(i, j);
+        self.masks.swap(i, j);
+        self.stamps.swap(i, j);
+    }
+
+    /// Keeps the first `len` slots of every lane.
+    fn truncate(&mut self, len: usize) {
+        self.entries.truncate(len);
+        self.keys.truncate(len);
+        self.masks.truncate(len);
+        self.stamps.truncate(len);
     }
 
     /// The cached paths (metrics: role numbers are counted over cache
     /// contents).
-    // det: hot-ok — link-cache fallback for the role sampler; the default path-cache strategy uses the allocation-free for_each_path
     pub fn paths(&self) -> Vec<SourceRoute> {
         self.entries.iter().map(|e| e.path.clone()).collect()
     }
@@ -424,6 +497,16 @@ impl RouteCache {
         }
     }
 
+    /// [`observe_path`](Self::observe_path) for a path the caller has
+    /// proven loop-free (see [`PathCache::observe_valid_path`]). The
+    /// link strategy, off the paper's default, keeps its check.
+    pub(crate) fn observe_valid_path(&mut self, nodes: &[NodeId], now: SimTime) -> bool {
+        match self {
+            RouteCache::Path(c) => c.observe_valid_path(nodes, now),
+            RouteCache::Link(_) => self.observe_path(nodes, now),
+        }
+    }
+
     /// The best cached route from the owner to `dst`.
     pub fn find_route(&mut self, dst: NodeId, now: SimTime) -> Option<SourceRoute> {
         match self {
@@ -465,19 +548,191 @@ impl RouteCache {
         }
     }
 
-    /// Visits every cached path by reference. For a path cache this
-    /// never allocates; a link cache has no materialized paths, so it
-    /// falls back to rendering them (the role sampler only runs every
-    /// fourth interval, and the link strategy is off the paper's
-    /// default configuration).
-    pub fn for_each_path(&self, mut f: impl FnMut(&SourceRoute)) {
+    /// Visits every cached path by reference. A link cache has no
+    /// materialized paths, so it visits its shortest-path tree, built in
+    /// its reusable search storage. Once warmed up, neither allocates
+    /// except to build a link-cache route past the inline limit.
+    pub fn for_each_path(&self, f: impl FnMut(&SourceRoute)) {
         match self {
             RouteCache::Path(c) => c.for_each_path(f),
-            RouteCache::Link(c) => {
-                for p in c.paths() {
-                    f(&p);
+            RouteCache::Link(c) => c.for_each_path(f),
+        }
+    }
+}
+
+/// The path cache as it was before its miss path was made cheap: LRU
+/// stamps inline in each entry, the loop check run again when storing,
+/// lanes grown by doubling. [`tests::path_cache_matches_its_reference_model`]
+/// drives it and [`PathCache`] with the same operations.
+#[cfg(test)]
+mod model {
+    use super::{node_mask, path_key, CacheConfig};
+    use crate::route::SourceRoute;
+    use rcast_engine::{NodeId, SimTime};
+
+    struct Entry {
+        path: SourceRoute,
+        inserted_at: SimTime,
+        last_used: SimTime,
+    }
+
+    pub struct ModelCache {
+        owner: NodeId,
+        cfg: CacheConfig,
+        entries: Vec<Entry>,
+        keys: Vec<u64>,
+        masks: Vec<u64>,
+        last_hit: usize,
+    }
+
+    impl ModelCache {
+        pub fn new(owner: NodeId, cfg: CacheConfig) -> Self {
+            ModelCache {
+                owner,
+                cfg,
+                entries: Vec::new(),
+                keys: Vec::new(),
+                masks: Vec::new(),
+                last_hit: 0,
+            }
+        }
+
+        pub fn observe_path(&mut self, nodes: &[NodeId], now: SimTime) -> bool {
+            let slice = if nodes.first() == Some(&self.owner) {
+                nodes
+            } else {
+                match nodes.iter().position(|&n| n == self.owner) {
+                    Some(pos) => &nodes[pos..],
+                    None => return false,
+                }
+            };
+            if slice.len() < 2 {
+                return false;
+            }
+            let key = path_key(slice);
+            let lh = self.last_hit;
+            if lh < self.keys.len()
+                && self.keys[lh] == key
+                && self.entries[lh].path.nodes() == slice
+            {
+                self.entries[lh].last_used = now;
+                return false;
+            }
+            let mut from = 0;
+            while let Some(off) = self.keys[from..].iter().position(|&k| k == key) {
+                let i = from + off;
+                if self.entries[i].path.nodes() == slice {
+                    self.entries[i].last_used = now;
+                    self.last_hit = i;
+                    return false;
+                }
+                from = i + 1;
+            }
+            if !SourceRoute::is_valid_path(slice) {
+                return false;
+            }
+            if self.entries.len() >= self.cfg.capacity {
+                let (idx, _) = self
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.last_used)
+                    .expect("capacity > 0 so entries is non-empty");
+                self.entries.swap_remove(idx);
+                self.keys.swap_remove(idx);
+                self.masks.swap_remove(idx);
+            }
+            self.entries.push(Entry {
+                path: SourceRoute::from_slice(slice).expect("slice was just validated"),
+                inserted_at: now,
+                last_used: now,
+            });
+            self.keys.push(key);
+            self.masks.push(node_mask(slice));
+            true
+        }
+
+        pub fn find_route(&mut self, dst: NodeId, now: SimTime) -> Option<SourceRoute> {
+            self.purge_expired(now);
+            let dst_bit = 1u64 << (dst.index() & 63);
+            let mut best: Option<(usize, usize, SimTime)> = None;
+            for (i, e) in self.entries.iter().enumerate() {
+                if self.masks[i] & dst_bit == 0 {
+                    continue;
+                }
+                let Some(pos) = e.path.position_of(dst) else {
+                    continue;
+                };
+                if pos == 0 {
+                    continue;
+                }
+                match best {
+                    Some((_, bh, bt)) if bh < pos || (bh == pos && bt >= e.inserted_at) => {}
+                    _ => best = Some((i, pos, e.inserted_at)),
                 }
             }
+            let (idx, _, _) = best?;
+            self.entries[idx].last_used = now;
+            self.entries[idx].path.prefix_to(dst)
+        }
+
+        pub fn has_route(&self, dst: NodeId) -> bool {
+            self.entries
+                .iter()
+                .any(|e| e.path.position_of(dst).is_some_and(|p| p > 0))
+        }
+
+        pub fn remove_link(&mut self, a: NodeId, b: NodeId) -> usize {
+            let mut affected = 0;
+            let mut kept = 0;
+            for i in 0..self.entries.len() {
+                let path = &self.entries[i].path;
+                let cut = path
+                    .nodes()
+                    .windows(2)
+                    .position(|w| (w[0] == a && w[1] == b) || (w[0] == b && w[1] == a));
+                if let Some(cut) = cut {
+                    affected += 1;
+                    let Some(prefix) = path.prefix_to(path.nodes()[cut]) else {
+                        continue;
+                    };
+                    self.keys[i] = path_key(prefix.nodes());
+                    self.masks[i] = node_mask(prefix.nodes());
+                    self.entries[i].path = prefix;
+                }
+                self.entries.swap(kept, i);
+                self.keys.swap(kept, i);
+                self.masks.swap(kept, i);
+                kept += 1;
+            }
+            self.entries.truncate(kept);
+            self.keys.truncate(kept);
+            self.masks.truncate(kept);
+            affected
+        }
+
+        pub fn purge_expired(&mut self, now: SimTime) {
+            if let Some(ttl) = self.cfg.timeout {
+                let mut w = 0;
+                for i in 0..self.entries.len() {
+                    if now - self.entries[i].inserted_at <= ttl {
+                        self.entries.swap(w, i);
+                        self.keys.swap(w, i);
+                        self.masks.swap(w, i);
+                        w += 1;
+                    }
+                }
+                self.entries.truncate(w);
+                self.keys.truncate(w);
+                self.masks.truncate(w);
+            }
+        }
+
+        pub fn paths(&self) -> Vec<Vec<NodeId>> {
+            self.entries
+                .iter()
+                .map(|e| e.path.nodes().to_vec())
+                .collect()
         }
     }
 }
@@ -565,6 +820,24 @@ mod tests {
     }
 
     #[test]
+    fn first_insert_reserves_at_most_the_limit() {
+        // Any positive capacity is a valid configuration; reserving it
+        // whole would abort on the first insert.
+        let cfg = CacheConfig {
+            capacity: usize::MAX,
+            ..CacheConfig::default()
+        };
+        let mut c = PathCache::new(NodeId::new(0), cfg);
+        assert!(c.insert(route(&[0, 1]), SimTime::ZERO));
+        assert_eq!(c.entries.capacity(), RESERVE_LIMIT);
+        let past = RESERVE_LIMIT as u32 + 9;
+        for i in 2..=past {
+            assert!(c.insert(route(&[0, i]), SimTime::ZERO));
+        }
+        assert_eq!(c.len(), past as usize, "past the reserve, lanes still grow");
+    }
+
+    #[test]
     fn link_removal_truncates() {
         let mut c = cache(0);
         c.insert(route(&[0, 1, 2, 3]), SimTime::ZERO);
@@ -631,5 +904,105 @@ mod tests {
         assert!(!c.is_empty());
         c.remove_link(NodeId::new(1), NodeId::new(2));
         assert!(!c.has_route(NodeId::new(5)));
+    }
+
+    /// A node sequence over a small id pool, so paths repeat, share
+    /// links and collide in the 64-bit node mask (ids 64+ alias 0..).
+    /// With `loop_free` the ids are distinct; otherwise the sequence may
+    /// repeat a node or miss the owner.
+    fn draw_path(g: &mut rcast_testkit::Gen, loop_free: bool) -> Vec<NodeId> {
+        const POOL: [u32; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 64, 65, 71];
+        let len = g.usize_range(1, 8);
+        let mut ids: Vec<NodeId> = Vec::with_capacity(len);
+        while ids.len() < len {
+            let id = NodeId::new(POOL[g.usize_range(0, POOL.len())]);
+            if !(loop_free && ids.contains(&id)) {
+                ids.push(id);
+            }
+        }
+        ids
+    }
+
+    /// Random operation sequences give [`PathCache`] and the reference
+    /// model the same return values and the same storage order after
+    /// every step: the stamp lane, the single validation and the
+    /// allocate-once storage change no path, order or tie-break.
+    #[test]
+    fn path_cache_matches_its_reference_model() {
+        use rcast_testkit::{prop_assert_eq, Check};
+        Check::new("path_cache_matches_its_reference_model")
+            .cases(256)
+            .run(|g| {
+                let capacity = [1, 2, 8, 64][g.usize_range(0, 4)];
+                let timeout = g.bool().then(|| SimDuration::from_secs(g.u64_range(1, 20)));
+                let cfg = CacheConfig {
+                    capacity,
+                    timeout,
+                    ..CacheConfig::default()
+                };
+                let owner = NodeId::new(0);
+                let mut cache = PathCache::new(owner, cfg);
+                let mut model = model::ModelCache::new(owner, cfg);
+                let mut now = SimTime::ZERO;
+                for step in 0..g.len(1, 400) {
+                    // Equal stamps are common, so LRU ties are exercised.
+                    now += SimDuration::from_secs(g.u64_range(0, 3));
+                    let dst = NodeId::new(
+                        [0, 1, 2, 3, 4, 5, 6, 7, 8, 64, 65, 71, 9][g.usize_range(0, 13)],
+                    );
+                    let (what, got, want): (&str, usize, usize) = match g.usize_range(0, 7) {
+                        0 | 1 => {
+                            let p = draw_path(g, false);
+                            let got = cache.observe_path(&p, now);
+                            ("observe", got.into(), model.observe_path(&p, now).into())
+                        }
+                        2 | 3 => {
+                            let p = draw_path(g, true);
+                            let got = if SourceRoute::is_valid_path(&p) {
+                                cache.observe_valid_path(&p, now)
+                            } else {
+                                cache.observe_path(&p, now) // a lone node: not a path
+                            };
+                            (
+                                "trusted observe",
+                                got.into(),
+                                model.observe_path(&p, now).into(),
+                            )
+                        }
+                        4 => {
+                            let got = cache.find_route(dst, now);
+                            let want = model.find_route(dst, now);
+                            prop_assert_eq!(&got, &want, "step {step}: find_route({dst})");
+                            ("find_route", got.is_some().into(), want.is_some().into())
+                        }
+                        5 => {
+                            let (a, b) = (draw_path(g, false)[0], dst);
+                            (
+                                "remove_link",
+                                cache.remove_link(a, b),
+                                model.remove_link(a, b),
+                            )
+                        }
+                        _ => {
+                            cache.purge_expired(now);
+                            model.purge_expired(now);
+                            (
+                                "has_route",
+                                cache.has_route(dst).into(),
+                                model.has_route(dst).into(),
+                            )
+                        }
+                    };
+                    prop_assert_eq!(got, want, "step {step}: {what}");
+                    let mut stored = Vec::new();
+                    cache.for_each_path(|p| stored.push(p.nodes().to_vec()));
+                    prop_assert_eq!(
+                        stored,
+                        model.paths(),
+                        "step {step}: storage order after {what}"
+                    );
+                }
+                Ok(())
+            });
     }
 }

@@ -8,7 +8,8 @@
 //! DSR's stale-route behaviour; the `ablation_cache` experiment measures
 //! it under Rcast.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 use rcast_engine::{NodeId, SimDuration, SimTime};
 
@@ -19,6 +20,95 @@ use crate::route::{NodePath, SourceRoute};
 struct LinkEntry {
     inserted_at: SimTime,
     last_used: SimTime,
+}
+
+/// The stored directed links, in key order.
+type Links = BTreeMap<(NodeId, NodeId), LinkEntry>;
+
+/// `Bfs::pred` of a node the search has not reached.
+const UNSEEN: u32 = u32::MAX;
+
+/// Breadth-first-search storage over a link set. The lanes are cleared
+/// and refilled by each search, never shrunk, so a cache that keeps one
+/// searches without touching the heap once they reach their high-water
+/// marks. Searches stop early where they can, but always assign the
+/// same predecessors as a full search would.
+#[derive(Debug, Clone, Default)]
+struct Bfs {
+    /// Every link endpoint, sorted and deduplicated: the search calls
+    /// node `ids[i]` by its index `i`.
+    ids: Vec<NodeId>,
+    /// `pred[i]`: the index of node `i`'s predecessor on the
+    /// shortest-path tree, [`UNSEEN`] while unreached. The root is its
+    /// own predecessor.
+    pred: Vec<u32>,
+    /// Reached nodes in visit order, which is also the FIFO queue.
+    order: Vec<u32>,
+}
+
+impl Bfs {
+    /// Searches `links` breadth-first from `root`, stopping as soon as
+    /// `stop` is reached. `links` iterates in key order, so each node's
+    /// out-links form one contiguous run with sorted targets and ties
+    /// resolve the same way on every run.
+    fn run(&mut self, links: &Links, root: NodeId, stop: Option<NodeId>) {
+        self.ids.clear();
+        self.ids.extend(links.keys().flat_map(|&(a, b)| [a, b]));
+        self.ids.sort_unstable();
+        self.ids.dedup();
+        self.pred.clear();
+        self.pred.resize(self.ids.len(), UNSEEN);
+        self.order.clear();
+        let Ok(r) = self.ids.binary_search(&root) else {
+            return; // no stored link touches the root
+        };
+        self.pred[r] = r as u32;
+        self.order.push(r as u32);
+        let mut head = 0;
+        while let Some(&u) = self.order.get(head) {
+            head += 1;
+            let from = self.ids[u as usize];
+            let run = links.range((from, NodeId::new(0))..=(from, NodeId::new(u32::MAX)));
+            for (&(_, to), _) in run {
+                let v = self.index(to).expect("every endpoint is indexed");
+                if self.pred[v] == UNSEEN {
+                    self.pred[v] = u;
+                    self.order.push(v as u32);
+                    if stop == Some(to) {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    fn index(&self, node: NodeId) -> Option<usize> {
+        self.ids.binary_search(&node).ok()
+    }
+
+    /// `true` when the last search reached `node`.
+    fn reached(&self, node: NodeId) -> bool {
+        self.index(node).is_some_and(|i| self.pred[i] != UNSEEN)
+    }
+
+    /// The tree path from the last search's root to `dst`, if `dst` was
+    /// reached and is not the root.
+    fn path_to(&self, dst: NodeId) -> Option<SourceRoute> {
+        let i = self.index(dst)?;
+        if self.pred[i] == UNSEEN || self.pred[i] as usize == i {
+            return None;
+        }
+        // Walk the predecessors from `dst` back to the root straight
+        // into an inline path, then turn it around. A shortest-path
+        // tree's paths are loop-free.
+        let back: NodePath = std::iter::successors(Some(i), |&j| {
+            let p = self.pred[j] as usize;
+            (p != j).then_some(p)
+        })
+        .map(|j| self.ids[j])
+        .collect();
+        Some(SourceRoute::from_valid_path(back).reversed())
+    }
 }
 
 /// A per-node DSR link cache.
@@ -46,10 +136,16 @@ pub struct LinkCache {
     owner: NodeId,
     capacity: usize,
     timeout: Option<SimDuration>,
-    // Ordered map: eviction scans and BFS adjacency building iterate
-    // this, and iteration order must never depend on hasher state
-    // (rcast-lint D002).
-    links: BTreeMap<(NodeId, NodeId), LinkEntry>,
+    // Ordered map: eviction scans and the BFS iterate this, and
+    // iteration order must never depend on hasher state (rcast-lint
+    // D002).
+    links: Links,
+    /// The reusable search storage. Each search takes it out and puts
+    /// it back (see [`search`](Self::search)), so the `&self` queries
+    /// reuse it too, and a query nested inside
+    /// [`for_each_path`](Self::for_each_path)'s visitor merely starts
+    /// from empty storage.
+    bfs: RefCell<Bfs>,
 }
 
 impl LinkCache {
@@ -66,6 +162,7 @@ impl LinkCache {
             capacity,
             timeout,
             links: BTreeMap::new(),
+            bfs: RefCell::default(),
         }
     }
 
@@ -133,55 +230,21 @@ impl LinkCache {
         }
     }
 
-    /// Breadth-first shortest-path tree from the owner over stored
-    /// links; returns each reachable node's predecessor.
-    fn bfs_tree(&self) -> BTreeMap<NodeId, NodeId> {
-        let mut pred: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-        let mut seen: BTreeSet<NodeId> = BTreeSet::from([self.owner]);
-        let mut queue = VecDeque::from([self.owner]);
-        // `links` iterates in key order, so each adjacency list comes
-        // out sorted and the BFS visits ties deterministically.
-        let mut adjacency: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for &(a, b) in self.links.keys() {
-            adjacency.entry(a).or_default().push(b);
-        }
-        while let Some(u) = queue.pop_front() {
-            if let Some(neighbors) = adjacency.get(&u) {
-                for &v in neighbors {
-                    if seen.insert(v) {
-                        pred.insert(v, u);
-                        queue.push_back(v);
-                    }
-                }
-            }
-        }
-        pred
-    }
-
-    fn path_to(&self, dst: NodeId, pred: &BTreeMap<NodeId, NodeId>) -> Option<SourceRoute> {
-        if dst == self.owner || !pred.contains_key(&dst) {
-            return None;
-        }
-        // Walk the predecessors from `dst` back to the owner straight
-        // into an inline path, then turn it around.
-        let back: NodePath = std::iter::successors(Some(dst), |cur| {
-            (*cur != self.owner)
-                .then(|| pred.get(cur).copied())
-                .flatten()
-        })
-        .collect();
-        if back.last() != Some(&self.owner) {
-            return None;
-        }
-        Some(SourceRoute::from_path(back)?.reversed())
+    /// Runs a breadth-first search from the owner (stopping once `stop`
+    /// is reached) and hands the finished search to `read`.
+    fn search<R>(&self, stop: Option<NodeId>, read: impl FnOnce(&Bfs) -> R) -> R {
+        let mut bfs = self.bfs.take();
+        bfs.run(&self.links, self.owner, stop);
+        let result = read(&bfs);
+        self.bfs.replace(bfs);
+        result
     }
 
     /// The shortest cached route from the owner to `dst`, touching the
     /// LRU stamps of its links.
     pub fn find_route(&mut self, dst: NodeId, now: SimTime) -> Option<SourceRoute> {
         self.purge_expired(now);
-        let pred = self.bfs_tree();
-        let route = self.path_to(dst, &pred)?;
+        let route = self.search(Some(dst), |bfs| bfs.path_to(dst))?;
         for w in route.nodes().windows(2) {
             // Touch both directions: links are one bidirectional fact.
             for key in [(w[0], w[1]), (w[1], w[0])] {
@@ -195,7 +258,7 @@ impl LinkCache {
 
     /// `true` when `dst` is reachable through stored links.
     pub fn has_route(&self, dst: NodeId) -> bool {
-        dst != self.owner && self.bfs_tree().contains_key(&dst)
+        dst != self.owner && self.search(Some(dst), |bfs| bfs.reached(dst))
     }
 
     /// Removes the link `a ↔ b` (both directions). Returns how many
@@ -210,15 +273,25 @@ impl LinkCache {
         removed
     }
 
-    /// The shortest-path tree rendered as one route per reachable
-    /// destination — the link cache's analog of "cache contents" for
-    /// the role-number metric.
+    /// Visits the shortest-path tree as one route per reachable
+    /// destination, in node-id order — the link cache's analog of
+    /// "cache contents" for the role-number metric.
+    pub fn for_each_path(&self, mut f: impl FnMut(&SourceRoute)) {
+        self.search(None, |bfs| {
+            for &dst in &bfs.ids {
+                if let Some(route) = bfs.path_to(dst) {
+                    f(&route);
+                }
+            }
+        });
+    }
+
+    /// The routes [`for_each_path`](Self::for_each_path) visits,
+    /// collected.
     pub fn paths(&self) -> Vec<SourceRoute> {
-        let pred = self.bfs_tree();
-        let dsts: Vec<NodeId> = pred.keys().copied().collect();
-        dsts.into_iter()
-            .filter_map(|d| self.path_to(d, &pred))
-            .collect()
+        let mut paths = Vec::new();
+        self.for_each_path(|route| paths.push(route.clone()));
+        paths
     }
 }
 
@@ -349,5 +422,65 @@ mod tests {
             c.find_route(n(9), SimTime::ZERO).unwrap()
         };
         assert_eq!(build(), build());
+    }
+
+    /// The search as it was before it ran on reusable storage: a
+    /// predecessor map grown by a BFS over a `BTreeMap` adjacency.
+    fn model_routes(links: &Links, owner: NodeId) -> BTreeMap<NodeId, Vec<NodeId>> {
+        let mut adjacency: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+        for &(a, b) in links.keys() {
+            adjacency.entry(a).or_default().push(b);
+        }
+        let mut pred = BTreeMap::new();
+        let mut seen = std::collections::BTreeSet::from([owner]);
+        let mut queue = std::collections::VecDeque::from([owner]);
+        while let Some(u) = queue.pop_front() {
+            for &v in adjacency.get(&u).into_iter().flatten() {
+                if seen.insert(v) {
+                    pred.insert(v, u);
+                    queue.push_back(v);
+                }
+            }
+        }
+        let route_to = |dst: NodeId| {
+            let mut back = vec![dst];
+            while back.last() != Some(&owner) {
+                back.push(pred[back.last().expect("non-empty")]);
+            }
+            back.reverse();
+            back
+        };
+        pred.keys().map(|&d| (d, route_to(d))).collect()
+    }
+
+    /// Over random link sets (with evictions, removals and one-way
+    /// leftovers), `find_route`, `has_route` and `paths` answer exactly
+    /// what the old search did.
+    #[test]
+    fn search_matches_the_btreemap_model() {
+        use rcast_testkit::{prop_assert_eq, Check};
+        Check::new("link_search_matches_the_btreemap_model").run(|g| {
+            let mut c = LinkCache::new(n(0), g.usize_range(1, 24), None);
+            for step in 0..g.len(1, 60) as u64 {
+                let now = SimTime::from_secs(step);
+                let (a, b) = (n(g.u32_range(0, 12)), n(g.u32_range(0, 12)));
+                if g.usize_range(0, 4) == 0 {
+                    c.remove_link(a, b);
+                } else if let Some(link) = SourceRoute::new(vec![a, b]) {
+                    c.insert(link, now);
+                }
+                let model = model_routes(&c.links, c.owner);
+                let rendered: Vec<Vec<NodeId>> =
+                    c.paths().iter().map(|p| p.nodes().to_vec()).collect();
+                prop_assert_eq!(rendered, model.values().cloned().collect::<Vec<_>>());
+                for d in (0..12).map(n) {
+                    let want = model.get(&d).map(|w| &w[..]);
+                    prop_assert_eq!(c.has_route(d), want.is_some());
+                    let got = c.find_route(d, now);
+                    prop_assert_eq!(got.as_ref().map(|r| r.nodes()), want);
+                }
+            }
+            Ok(())
+        });
     }
 }

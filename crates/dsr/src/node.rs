@@ -320,10 +320,11 @@ impl DsrNode {
     /// Learns `route` (which must start at or contain this node) and its
     /// reverse, and drains any now-routable buffered packets.
     fn learn_route(&mut self, route: &SourceRoute, now: SimTime, out: &mut Vec<DsrAction>) {
-        // RouteCache::observe_path normalizes to start at the owner and
-        // rejects paths that don't contain it.
-        self.cache.observe_path(route.nodes(), now);
-        self.cache.observe_path(route.reversed().nodes(), now);
+        // The cache normalizes to start at the owner and rejects paths
+        // that don't contain it. A route and its reversal are valid by
+        // construction, so neither is checked again.
+        self.cache.observe_valid_path(route.nodes(), now);
+        self.cache.observe_valid_path(route.reversed().nodes(), now);
         self.drain_send_buffer(now, out);
     }
 
@@ -345,19 +346,21 @@ impl DsrNode {
             self.drain_send_buffer(now, out);
             return;
         };
+        // Both extensions are loop-free: the route is, and this node is
+        // not on it.
         // Toward the route's destination: self → transmitter → … → dst.
         if pos + 1 < nodes.len() {
             let path: NodePath = std::iter::once(self.id)
                 .chain(nodes[pos..].iter().copied())
                 .collect();
-            self.cache.observe_path(&path, now);
+            self.cache.observe_valid_path(&path, now);
         }
         // Toward the route's origin: self → transmitter → … → origin.
         if pos >= 1 {
             let path: NodePath = std::iter::once(self.id)
                 .chain(nodes[..=pos].iter().rev().copied())
                 .collect();
-            self.cache.observe_path(&path, now);
+            self.cache.observe_valid_path(&path, now);
         }
         self.drain_send_buffer(now, out);
     }
@@ -603,12 +606,13 @@ impl DsrNode {
         // The accumulated record teaches us the path back to the
         // origin. In a flood, every neighbor's rebroadcast re-delivers
         // the same record; the cache's duplicate check keeps those
-        // arrivals to a key scan.
+        // arrivals to a key scan. This is the back path's one
+        // loop-freedom check.
         let back: NodePath = std::iter::once(self.id)
             .chain(r.record.iter().rev().copied())
             .collect();
         if SourceRoute::is_valid_path(&back) {
-            self.cache.observe_path(&back, now);
+            self.cache.observe_valid_path(&back, now);
             self.drain_send_buffer(now, out);
         }
 

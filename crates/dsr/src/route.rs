@@ -158,6 +158,14 @@ impl SourceRoute {
         Self::is_valid_path(&nodes).then_some(SourceRoute { nodes })
     }
 
+    /// [`from_path`](Self::from_path) for a sequence the caller has
+    /// already proven valid, so the O(n²) loop check runs once per path
+    /// instead of once per layer it passes through.
+    pub(crate) fn from_valid_path(nodes: NodePath) -> Self {
+        debug_assert!(Self::is_valid_path(&nodes), "invalid route {nodes:?}");
+        SourceRoute { nodes }
+    }
+
     /// `true` when `nodes` would form a valid route (≥ 2 nodes,
     /// loop-free) — [`new`](Self::new)'s precondition.
     pub fn is_valid_path(nodes: &[NodeId]) -> bool {

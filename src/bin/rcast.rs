@@ -121,60 +121,40 @@ fn main() -> ExitCode {
             }
         }
         Ok(Command::Bench(bench)) => {
-            let results = rcast_bench::perf::run_suite_with(bench.smoke, bench.large);
-            let json = rcast_bench::perf::to_json(&results);
+            use rcast_bench::perf;
+            let results = perf::run_suite_with(bench.smoke, bench.large);
+            let json = perf::to_json(&results);
             emit(&json);
             if bench.large {
                 // stderr, so `rcast bench > file` keeps the table visible.
-                eprint!("{}", rcast_bench::perf::scaling_table(&results));
-                let failures = rcast_bench::perf::scaling_failures(&results);
-                if !failures.is_empty() {
-                    for f in &failures {
-                        eprintln!("error: scaling gate: {f}");
-                    }
-                    return ExitCode::FAILURE;
+                eprint!("{}", perf::scaling_table(&results));
+            }
+            // Every gate runs and every failure is reported before the
+            // exit code says whether any failed: one failing gate must
+            // not hide another, nor keep `--out` from being written.
+            let mut failures = Vec::new();
+            if let Some(path) = &bench.out {
+                match std::fs::write(path, &json) {
+                    Ok(()) => eprintln!("rcast bench: wrote {path}"),
+                    Err(e) => failures.push(format!("cannot write {path}: {e}")),
                 }
             }
-            if let Some(path) = bench.out {
-                if let Err(e) = std::fs::write(&path, &json) {
-                    eprintln!("error: cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("rcast bench: wrote {path}");
-            }
-            if let Some(path) = bench.check {
-                let text = match std::fs::read_to_string(&path) {
-                    Ok(t) => t,
+            let baseline = bench.check.as_deref().and_then(|path| {
+                let points = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {path}: {e}"))
+                    .and_then(|text| {
+                        perf::parse_baseline(&text).map_err(|e| format!("{path}: {e}"))
+                    });
+                match points {
+                    Ok(points) => Some((path, points)),
                     Err(e) => {
-                        eprintln!("error: cannot read {path}: {e}");
-                        return ExitCode::FAILURE;
+                        failures.push(e);
+                        None
                     }
-                };
-                let baseline = match rcast_bench::perf::parse_baseline(&text) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("error in {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let tolerance = bench
-                    .tolerance
-                    .map(|pct| pct / 100.0)
-                    .unwrap_or(rcast_bench::perf::CHECK_SPEED_TOLERANCE);
-                let failures =
-                    rcast_bench::perf::check_against_with_tolerance(&results, &baseline, tolerance);
-                if failures.is_empty() {
-                    eprintln!("rcast bench: within budget of {path}");
-                } else {
-                    for f in &failures {
-                        eprintln!("error: bench regression vs {path}: {f}");
-                    }
-                    return ExitCode::FAILURE;
                 }
-            }
-            if bench.smoke {
-                // CI gate: the ledger must stay free (off) and cheap (on).
-                let o = rcast_bench::perf::ledger_overhead();
+            });
+            let ledger = bench.smoke.then(|| {
+                let o = perf::ledger_overhead();
                 eprintln!(
                     "rcast bench: ledger overhead {:.1}% \
 ({} ns/interval off, {} ns/interval on; steady-state allocs {} off, {} on)",
@@ -184,21 +164,28 @@ fn main() -> ExitCode {
                     o.off_allocs,
                     o.on_allocs,
                 );
-                if o.off_allocs != 0 {
-                    eprintln!("error: ledger-off steady state allocates ({})", o.off_allocs);
-                    return ExitCode::FAILURE;
-                }
-                if o.on_allocs != 0 {
-                    eprintln!("error: ledger-on steady state allocates ({})", o.on_allocs);
-                    return ExitCode::FAILURE;
-                }
-                if o.overhead_fraction() >= 0.10 {
-                    eprintln!(
-                        "error: ledger-on overhead {:.1}% exceeds the 10% budget",
-                        o.overhead_fraction() * 100.0
-                    );
-                    return ExitCode::FAILURE;
-                }
+                o
+            });
+            let tolerance = bench
+                .tolerance
+                .map(|pct| pct / 100.0)
+                .unwrap_or(perf::CHECK_SPEED_TOLERANCE);
+            let gates = perf::Gates {
+                scaling: bench.large,
+                baseline: baseline
+                    .as_ref()
+                    .map(|(path, points)| (*path, &points[..], tolerance)),
+                ledger: ledger.as_ref(),
+            };
+            failures.extend(perf::gate_failures(&results, gates));
+            for f in &failures {
+                eprintln!("error: {f}");
+            }
+            if !failures.is_empty() {
+                return ExitCode::FAILURE;
+            }
+            if let Some((path, _)) = baseline {
+                eprintln!("rcast bench: within budget of {path}");
             }
             ExitCode::SUCCESS
         }
