@@ -131,7 +131,9 @@ echo "==> front-end smoke: rcast compare, the fig5 per-node summary and the aodv
 # engine's human summary; `sweep --spec fig5 --smoke` is the path that
 # also prints each cell's sampled per-node energy curve and role
 # numbers; `sweep --spec aodv-comparison --smoke` runs the variant axis
-# and the optional metric columns, whose CSV header must carry them.
+# and the optional metric columns, whose CSV header must carry them;
+# its artifacts are diffed against the goldens the determinism suite
+# pins at widths 1/2/8.
 ./target/release/rcast compare --nodes 20 --area 800x300 --duration 20 \
     --flows 4 --rates 0.4 --seeds 1 > /dev/null || {
     echo "FAIL: rcast compare smoke exited non-zero" >&2
@@ -150,6 +152,13 @@ head -1 "$sweep_out/aodv-comparison-smoke.csv" | grep -q ',rreq_share_mean,' || 
     echo "FAIL: aodv-comparison CSV header lacks rreq_share_mean" >&2
     exit 1
 }
+# Both routing engines' artifacts are pinned like fig7-smoke's.
+for ext in json csv; do
+    cmp "$sweep_out/aodv-comparison-smoke.$ext" "tests/golden/aodv-comparison-smoke.$ext" || {
+        echo "FAIL: rcast sweep .$ext diverged from tests/golden/aodv-comparison-smoke.$ext" >&2
+        exit 1
+    }
+done
 
 echo "==> scenario round trip: an exported scenario replays its run (release)"
 # One flag set that exercises every key the old hand-kept grammars lost:

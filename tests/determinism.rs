@@ -8,7 +8,8 @@
 //! float in the report, and exact equality for everything else.
 
 use randomcast::{
-    run_seeds, run_seeds_parallel, FaultEvent, FaultsConfig, Scheme, SimConfig, SimDuration,
+    run_seeds, run_seeds_parallel, FaultEvent, FaultsConfig, RoutingKind, Scheme, SimConfig,
+    SimDuration, SimReport,
 };
 use rcast_testkit::{prop_assert, Check, Gen};
 
@@ -182,7 +183,8 @@ fn random_fault_and_traffic_interleavings_repeat_identically() {
 // ---------------------------------------------------------------------
 // Golden-trace conformance (DESIGN.md §11): the rcast-trace/v1 JSONL
 // export is byte-identical to checked-in goldens at widths 1, 2 and 8,
-// for a plain, a fault-injected and a battery-depleting pinned seed.
+// for a plain, a fault-injected and a battery-depleting pinned seed,
+// and for a plain and a fault-injected seed under AODV.
 // Any change to event ordering, schema keys, or the simulator's
 // cross-layer behavior under these configs shows up as a golden diff —
 // regenerate deliberately with `cargo test --test determinism --
@@ -193,9 +195,15 @@ fn random_fault_and_traffic_interleavings_repeat_identically() {
 /// reviewable, rich enough to exercise ATIM, overhearing, forwarding
 /// and energy spans. Also expressible on the CLI as
 /// `rcast trace --nodes 12 --area 600x300 --duration 10 --flows 3
-///  --pause 20 --seed <s> [--battery <J>]`.
-fn golden_config(seed: u64, faults: bool, battery_j: Option<f64>) -> SimConfig {
+///  --pause 20 --seed <s> [--battery <J>] [--routing aodv]`.
+fn golden_config(
+    seed: u64,
+    faults: bool,
+    battery_j: Option<f64>,
+    routing: RoutingKind,
+) -> SimConfig {
     let mut cfg = SimConfig::paper(Scheme::Rcast, seed, 0.4, 20.0);
+    cfg.routing = routing;
     cfg.nodes = 12;
     cfg.area = randomcast::mobility::Area::new(600.0, 300.0);
     cfg.duration = SimDuration::from_secs(10);
@@ -217,14 +225,20 @@ fn golden_config(seed: u64, faults: bool, battery_j: Option<f64>) -> SimConfig {
     cfg
 }
 
-/// The pinned golden cases: `(file stem, seed, faults, battery)`.
-/// The battery case's 2 J drain kills nodes 0, 2 and 7 at 6.0 s: a
-/// `battery_dead` event is dated at the end of the interval that
-/// recorded it, so it exercises the ledger's carry across chunks.
-const GOLDEN_CASES: [(&str, u64, bool, Option<f64>); 3] = [
-    ("trace_rcast_seed7", 7, false, None),
-    ("trace_rcast_seed19_faults", 19, true, None),
-    ("trace_rcast_seed7_battery", 7, false, Some(2.0)),
+/// One pinned golden case: `(file stem, seed, faults, battery, routing)`.
+type GoldenCase = (&'static str, u64, bool, Option<f64>, RoutingKind);
+
+/// The pinned golden cases. The battery case's 2 J drain kills nodes
+/// 0, 2 and 7 at 6.0 s: a `battery_dead` event is dated at the end of
+/// the interval that recorded it, so it exercises the ledger's carry
+/// across chunks. The AODV cases pin the send buffer, the ring search,
+/// hellos and RERRs of the distance-vector engine.
+const GOLDEN_CASES: [GoldenCase; 5] = [
+    ("trace_rcast_seed7", 7, false, None, RoutingKind::Dsr),
+    ("trace_rcast_seed19_faults", 19, true, None, RoutingKind::Dsr),
+    ("trace_rcast_seed7_battery", 7, false, Some(2.0), RoutingKind::Dsr),
+    ("trace_aodv_seed7", 7, false, None, RoutingKind::Aodv),
+    ("trace_aodv_seed19_faults", 19, true, None, RoutingKind::Aodv),
 ];
 
 fn render_golden(cfg: &SimConfig, threads: usize) -> String {
@@ -237,13 +251,15 @@ fn render_golden(cfg: &SimConfig, threads: usize) -> String {
 
 #[test]
 fn golden_traces_are_byte_identical_at_every_width() {
-    let goldens: [&str; 3] = [
+    let goldens: [&str; GOLDEN_CASES.len()] = [
         include_str!("golden/trace_rcast_seed7.jsonl"),
         include_str!("golden/trace_rcast_seed19_faults.jsonl"),
         include_str!("golden/trace_rcast_seed7_battery.jsonl"),
+        include_str!("golden/trace_aodv_seed7.jsonl"),
+        include_str!("golden/trace_aodv_seed19_faults.jsonl"),
     ];
-    for ((stem, seed, faults, battery), want) in GOLDEN_CASES.iter().zip(goldens) {
-        let cfg = golden_config(*seed, *faults, *battery);
+    for ((stem, seed, faults, battery, routing), want) in GOLDEN_CASES.iter().zip(goldens) {
+        let cfg = golden_config(*seed, *faults, *battery, *routing);
         for threads in WIDTHS {
             let got = render_golden(&cfg, threads);
             assert!(
@@ -264,13 +280,110 @@ fn golden_traces_are_byte_identical_at_every_width() {
 fn regenerate_goldens() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     std::fs::create_dir_all(&dir).expect("create tests/golden");
-    for (stem, seed, faults, battery) in GOLDEN_CASES {
-        let cfg = golden_config(seed, faults, battery);
+    for (stem, seed, faults, battery, routing) in GOLDEN_CASES {
+        let cfg = golden_config(seed, faults, battery, routing);
         let jsonl = render_golden(&cfg, 1);
         let path = dir.join(format!("{stem}.jsonl"));
         std::fs::write(&path, &jsonl).expect("write golden");
         println!("wrote {} ({} lines)", path.display(), jsonl.lines().count());
     }
+}
+
+// ---------------------------------------------------------------------
+// Loaded digests: the 12-node goldens above never fill a send buffer,
+// overflow it or run many discoveries at once. The e2e storm-150 shape
+// does all three, so a run of it under each routing protocol, clean and
+// with crashes, is pinned by a 64-bit digest of its rcast-trace/v1
+// export and its report.
+// ---------------------------------------------------------------------
+
+/// FNV-1a, 64-bit: a fixed, dependency-free digest of the bytes fed in.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// The storm-150 shape (150 always-moving nodes on 1800 × 360 m,
+/// 40 flows at 2 pkt/s) cut to 30 s, with the ledger on.
+fn storm_config(routing: RoutingKind, faulted: bool) -> SimConfig {
+    let mut cfg = SimConfig::paper(Scheme::Rcast, 3, 2.0, 0.0);
+    cfg.nodes = 150;
+    cfg.area = randomcast::mobility::Area::new(1800.0, 360.0);
+    cfg.traffic.flows = 40;
+    cfg.duration = SimDuration::from_secs(30);
+    cfg.routing = routing;
+    cfg.obs = true;
+    if faulted {
+        cfg.faults = FaultsConfig::parse_spec("crash=0.3,downtime=10").expect("valid fault spec");
+    }
+    cfg
+}
+
+/// The digest of one run: its trace export, plus the report's counters
+/// and per-node energy bits. The ledger drops the events past its
+/// budget (storm-150 overflows it), so the trace alone would not pin
+/// the end of the run.
+fn run_digest(report: &SimReport) -> u64 {
+    let obs = report.obs.as_ref().expect("obs was requested");
+    let mut h = Fnv1a::new();
+    h.write(randomcast::render_jsonl(obs, report.scheme.label(), report.seed, None, None).as_bytes());
+    let d = &report.delivery;
+    let counters = format!(
+        "{:?}{:?}{:?}{:?}{:?}",
+        report.mac,
+        report.dsr,
+        report.aodv,
+        report.faults,
+        [d.originated(), d.delivered(), d.dropped(), d.fault_drops()],
+    );
+    h.write(counters.as_bytes());
+    for j in report.energy.per_node_joules() {
+        h.write(&j.to_bits().to_le_bytes());
+    }
+    h.0
+}
+
+/// Each protocol's storm-150 digest, clean and with crashes, against
+/// the values this code produced when the cases were added.
+#[test]
+fn loaded_runs_match_their_recorded_digests() {
+    let cases = [
+        ("dsr", RoutingKind::Dsr, false, 0xac36_d392_1d95_a47e_u64),
+        ("dsr, crashes", RoutingKind::Dsr, true, 0x56b4_7834_6038_ef3d),
+        ("aodv", RoutingKind::Aodv, false, 0x72ca_5779_603b_875a),
+        ("aodv, crashes", RoutingKind::Aodv, true, 0x8bfb_4ed8_6426_1da9),
+    ];
+    // One worker per case keeps the debug-build run short.
+    let digests: Vec<(u64, bool)> = std::thread::scope(|s| {
+        let workers: Vec<_> = cases
+            .iter()
+            .map(|&(_, routing, faulted, _)| {
+                s.spawn(move || {
+                    let cfg = storm_config(routing, faulted);
+                    let report = &run_seeds(&cfg, [cfg.seed]).expect("valid config")[0];
+                    (run_digest(report), report.faults.crashes > 0)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("run")).collect()
+    });
+    let mut failures = Vec::new();
+    for ((name, _, faulted, want), (got, crashed)) in cases.into_iter().zip(digests) {
+        assert_eq!(faulted, crashed, "{name}: crashes fired only where configured");
+        if got != want {
+            failures.push(format!("{name}: digest {got:#018x}, recorded {want:#018x}"));
+        }
+    }
+    assert!(failures.is_empty(), "loaded digests moved:\n{}", failures.join("\n"));
 }
 
 /// Seed order in the output is the seed order of the input, not

@@ -1,8 +1,8 @@
 //! Golden-artifact conformance for the sweep campaign engine.
 //!
-//! The `rcast-sweep/v1` artifacts for the pinned `fig7 --smoke` grid are
-//! checked in under `tests/golden/` and must be **byte-identical** at
-//! every thread width. Any intentional engine change that moves a
+//! The `rcast-sweep/v1` artifacts for the pinned `fig7 --smoke` and
+//! `aodv-comparison --smoke` grids are checked in under `tests/golden/`
+//! and must be **byte-identical** at every thread width. Any intentional engine change that moves a
 //! number shows up here as a reviewable golden diff; an unintentional
 //! one fails CI. `ci.sh` additionally diffs the binary's `--out` files
 //! against the same goldens.
@@ -14,8 +14,20 @@ const GOLDEN_CSV: &str = include_str!("golden/fig7-smoke.csv");
 const REGEN_HINT: &str =
     "regenerate with: cargo test --release --test sweep_determinism -- --ignored";
 
-fn artifacts(threads: usize) -> (String, String) {
-    let spec = preset("fig7").expect("built-in preset").smoke();
+/// The pinned presets and their golden `(JSON, CSV)` artifacts.
+/// `aodv-comparison` runs the same cells under DSR and AODV, so it pins
+/// both routing engines' send buffers and ring searches.
+const GOLDENS: [(&str, &str, &str); 2] = [
+    ("fig7", GOLDEN_JSON, GOLDEN_CSV),
+    (
+        "aodv-comparison",
+        include_str!("golden/aodv-comparison-smoke.json"),
+        include_str!("golden/aodv-comparison-smoke.csv"),
+    ),
+];
+
+fn artifacts(name: &str, threads: usize) -> (String, String) {
+    let spec = preset(name).expect("built-in preset").smoke();
     let report = run_spec(&spec, threads).expect("the smoke grid runs");
     (to_json(&report), to_csv(&report))
 }
@@ -26,16 +38,20 @@ fn artifacts(threads: usize) -> (String, String) {
 /// (more workers than some axes have cells) all reproduce the goldens.
 #[test]
 fn artifacts_match_the_goldens_at_every_thread_width() {
-    for threads in [1, 2, 8] {
-        let (json, csv) = artifacts(threads);
-        assert!(
-            json == GOLDEN_JSON,
-            "JSON drifted from tests/golden/fig7-smoke.json at {threads} thread(s); {REGEN_HINT}"
-        );
-        assert!(
-            csv == GOLDEN_CSV,
-            "CSV drifted from tests/golden/fig7-smoke.csv at {threads} thread(s); {REGEN_HINT}"
-        );
+    for (name, golden_json, golden_csv) in GOLDENS {
+        for threads in [1, 2, 8] {
+            let (json, csv) = artifacts(name, threads);
+            assert!(
+                json == golden_json,
+                "JSON drifted from tests/golden/{name}-smoke.json at {threads} thread(s); \
+                 {REGEN_HINT}"
+            );
+            assert!(
+                csv == golden_csv,
+                "CSV drifted from tests/golden/{name}-smoke.csv at {threads} thread(s); \
+                 {REGEN_HINT}"
+            );
+        }
     }
 }
 
@@ -66,10 +82,12 @@ fn goldens_are_schema_tagged_and_environment_free() {
 /// cargo test --release --test sweep_determinism -- --ignored
 /// ```
 #[test]
-#[ignore = "regenerates tests/golden/fig7-smoke.{json,csv} from the current engine"]
+#[ignore = "regenerates tests/golden/<preset>-smoke.{json,csv} from the current engine"]
 fn regenerate_golden_artifacts() {
-    let (json, csv) = artifacts(8);
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    std::fs::write(dir.join("fig7-smoke.json"), json).expect("write golden JSON");
-    std::fs::write(dir.join("fig7-smoke.csv"), csv).expect("write golden CSV");
+    for (name, _, _) in GOLDENS {
+        let (json, csv) = artifacts(name, 8);
+        std::fs::write(dir.join(format!("{name}-smoke.json")), json).expect("write golden JSON");
+        std::fs::write(dir.join(format!("{name}-smoke.csv")), csv).expect("write golden CSV");
+    }
 }
