@@ -7,10 +7,8 @@
 //! alive by timeouts and hello beacons — so route information decays
 //! unless refreshed by *more flooding*.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
-
-use rcast_engine::{NodeId, SimTime};
+use rcast_engine::ondemand::{Event, OnDemand, Parked, Ring, RingSchedule};
+use rcast_engine::{NodeId, SimDuration, SimTime};
 
 use crate::config::AodvConfig;
 use crate::packet::{AodvData, AodvPacket, AodvRerr, AodvRrep, AodvRreq};
@@ -103,36 +101,76 @@ impl AodvCounters {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Buffered {
-    flow: u32,
-    seq: u64,
-    dst: NodeId,
-    payload_bytes: usize,
-    generated_at: SimTime,
-    buffered_at: SimTime,
-}
-
-impl Buffered {
-    /// The packet as a `Dropped` report from source `src`.
-    fn orphan(&self, src: NodeId) -> AodvData {
-        AodvData {
-            flow: self.flow,
-            seq: self.seq,
-            src,
-            dst: self.dst,
-            payload_bytes: self.payload_bytes,
-            generated_at: self.generated_at,
-            hops: 0,
-        }
+/// A parked packet as sent (or reported dropped) by its source `src`.
+fn data(p: &Parked, src: NodeId) -> AodvData {
+    AodvData {
+        flow: p.flow,
+        seq: p.seq,
+        src,
+        dst: p.dst,
+        payload_bytes: p.payload_bytes,
+        generated_at: p.generated_at,
+        hops: 0,
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Discovery {
-    round: u32,
-    ttl: u8,
-    deadline: SimTime,
+/// Counts `packet` as dropped here for `reason` and reports it.
+fn dropped(counters: &mut AodvCounters, packet: AodvData, reason: AodvDropReason) -> AodvAction {
+    counters.data_dropped += 1;
+    AodvAction::Dropped { packet, reason }
+}
+
+/// The action for what the on-demand core of node `origin` reports: a
+/// route request to flood, or a parked packet given up. RFC 3561 §6.3:
+/// the origin increments its own sequence number `seq` before a request.
+fn on_demand(
+    origin: NodeId,
+    seq: &mut u32,
+    table: &RoutingTable,
+    counters: &mut AodvCounters,
+    ev: Event,
+) -> AodvAction {
+    let (p, reason) = match ev {
+        Event::Flood { target, ttl, id } => {
+            *seq += 1;
+            counters.rreq_originated += 1;
+            return AodvAction::Broadcast {
+                packet: AodvPacket::Rreq(AodvRreq {
+                    origin,
+                    origin_seq: *seq,
+                    target,
+                    target_seq: table.known_seq(target),
+                    id,
+                    hop_count: 0,
+                    ttl,
+                }),
+            };
+        }
+        Event::Expired(p) => (p, AodvDropReason::BufferTimeout),
+        Event::Abandoned(p) => (p, AodvDropReason::DiscoveryFailed),
+    };
+    dropped(counters, data(&p, origin), reason)
+}
+
+/// AODV's expanding-ring search (RFC 3561 §6.4): TTL_START, growing by
+/// TTL_INCREMENT up to TTL_THRESHOLD, then NET_DIAMETER for
+/// RREQ_RETRIES more rounds.
+impl RingSchedule for AodvConfig {
+    fn next_ring(&self, prev: Option<&Ring>) -> Option<Ring> {
+        let timeout = self.discovery_timeout;
+        let (round, ttl) = match prev {
+            None => (0, self.ttl_start),
+            Some(r) if r.ttl >= self.net_diameter && r.round >= self.rreq_retries => return None,
+            Some(r) if r.ttl >= self.net_diameter => (r.round + 1, self.net_diameter),
+            Some(r) if r.ttl >= self.ttl_threshold => (r.round, self.net_diameter),
+            Some(r) => (r.round, (r.ttl + self.ttl_increment).min(self.net_diameter)),
+        };
+        Some(Ring {
+            round,
+            ttl,
+            timeout,
+        })
+    }
 }
 
 /// The AODV protocol engine for one node.
@@ -159,19 +197,16 @@ pub struct AodvNode {
     cfg: AodvConfig,
     table: RoutingTable,
     seq: u32,
-    next_rreq_id: u32,
-    // BTree collections throughout: protocol state iteration must be
-    // ordered so results never depend on hasher state (rcast-lint D002).
-    seen_rreq: BTreeSet<(NodeId, u32)>,
-    buffer: Vec<Buffered>,
-    discoveries: BTreeMap<NodeId, Discovery>,
-    /// Last time each neighbor was heard (hello liveness).
-    last_heard: BTreeMap<NodeId, SimTime>,
+    od: OnDemand,
+    /// Last time each neighbor was heard (hello liveness), by NodeId.
+    last_heard: Vec<(NodeId, SimTime)>,
     /// Last time this node sent or relayed anything (hello gating).
     last_activity: Option<SimTime>,
     next_hello_at: SimTime,
     /// RERR rate limiting: window start and count within it.
     rerr_window: (SimTime, u32),
+    /// The `(destination, seq)` pairs of the RERR being assembled.
+    unreachable: Vec<(NodeId, u32)>,
     counters: AodvCounters,
 }
 
@@ -190,14 +225,12 @@ impl AodvNode {
             cfg,
             table: RoutingTable::new(cfg.active_route_timeout),
             seq: 0,
-            next_rreq_id: 0,
-            seen_rreq: BTreeSet::new(),
-            buffer: Vec::new(),
-            discoveries: BTreeMap::new(),
-            last_heard: BTreeMap::new(),
+            od: OnDemand::new(id),
+            last_heard: Vec::new(),
             last_activity: None,
             next_hello_at: SimTime::ZERO,
             rerr_window: (SimTime::ZERO, 0),
+            unreachable: Vec::new(),
             counters: AodvCounters::default(),
         }
     }
@@ -219,35 +252,29 @@ impl AodvNode {
 
     /// Packets parked awaiting routes.
     pub fn buffer_len(&self) -> usize {
-        self.buffer.len()
+        self.od.parked()
     }
 
     /// `true` while a discovery for `target` is outstanding.
     pub fn discovering(&self, target: NodeId) -> bool {
-        self.discoveries.contains_key(&target)
+        self.od.discovering(target)
     }
 
     /// Wipes all volatile protocol state — what a crash does to a node.
     ///
-    /// Routing table, buffered packets, duplicate suppression, neighbor
-    /// liveness and timers are lost. The sequence number is incremented
-    /// rather than reset (RFC 3561 §6.1: a rebooting node must not reuse
-    /// stale sequence numbers), the RREQ id stays monotone, and the
-    /// cumulative counters survive. Returns the `(flow, seq)` ids of
-    /// the buffered data packets that died with the node.
+    /// Routing table, on-demand state, neighbor liveness and timers are
+    /// lost. The sequence number is incremented rather than reset (RFC
+    /// 3561 §6.1), the RREQ id stays monotone ([`OnDemand::reboot`]) and
+    /// the counters survive. Returns the lost packets' `(flow, seq)` ids.
     // det: cold — fault-rejoin lifecycle event: rebuilds node state outside the settled loop
     pub fn reboot(&mut self, now: SimTime) -> Vec<(u32, u64)> {
-        let lost = self.buffer.iter().map(|b| (b.flow, b.seq)).collect();
         self.table = RoutingTable::new(self.cfg.active_route_timeout);
         self.seq += 1;
-        self.seen_rreq.clear();
-        self.buffer.clear();
-        self.discoveries.clear();
         self.last_heard.clear();
         self.last_activity = None;
         self.next_hello_at = now;
         self.rerr_window = (now, 0);
-        lost
+        self.od.reboot()
     }
 
     fn note_activity(&mut self, now: SimTime) {
@@ -255,7 +282,10 @@ impl AodvNode {
     }
 
     fn note_neighbor(&mut self, from: NodeId, now: SimTime) {
-        self.last_heard.insert(from, now);
+        match self.last_heard.binary_search_by_key(&from, |&(n, _)| n) {
+            Ok(i) => self.last_heard[i].1 = now,
+            Err(i) => self.last_heard.insert(i, (from, now)),
+        }
         // A heard neighbor is a valid 1-hop route (RFC 3561 §6.2:
         // create/refresh the route to the previous hop).
         let seq = self.table.known_seq(from).unwrap_or(0);
@@ -277,23 +307,7 @@ impl AodvNode {
         out: &mut Vec<AodvAction>,
     ) {
         self.note_activity(now);
-        if let Some(next_hop) = self.table.next_hop(dst, now) {
-            self.counters.data_sent += 1;
-            out.push(AodvAction::Unicast {
-                next_hop,
-                packet: AodvPacket::Data(AodvData {
-                    flow,
-                    seq,
-                    src: self.id,
-                    dst,
-                    payload_bytes,
-                    generated_at: now,
-                    hops: 0,
-                }),
-            });
-            return;
-        }
-        let b = Buffered {
+        let p = Parked {
             flow,
             seq,
             dst,
@@ -301,73 +315,26 @@ impl AodvNode {
             generated_at: now,
             buffered_at: now,
         };
-        if self.buffer.len() >= self.cfg.buffer_capacity {
-            self.counters.data_dropped += 1;
-            out.push(AodvAction::Dropped {
-                packet: b.orphan(self.id),
-                reason: AodvDropReason::BufferFull,
+        if let Some(next_hop) = self.table.next_hop(dst, now) {
+            self.counters.data_sent += 1;
+            out.push(AodvAction::Unicast {
+                next_hop,
+                packet: AodvPacket::Data(data(&p, self.id)),
             });
             return;
         }
-        self.buffer.push(b);
-        if !self.discoveries.contains_key(&dst) {
-            self.start_discovery(dst, now, out);
+        self.park(p, data(&p, self.id), out);
+    }
+
+    /// Parks `p`, flooding a request if that starts a discovery; a full
+    /// buffer drops `full` instead.
+    fn park(&mut self, p: Parked, full: AodvData, out: &mut Vec<AodvAction>) {
+        let (id, seq, table, counters) = (self.id, &mut self.seq, &self.table, &mut self.counters);
+        let flood = |ev| out.push(on_demand(id, seq, table, counters, ev));
+        let cap = self.cfg.buffer_capacity;
+        if self.od.park(p, cap, &self.cfg, flood).is_err() {
+            out.push(dropped(counters, full, AodvDropReason::BufferFull));
         }
-    }
-
-    fn start_discovery(&mut self, target: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
-        let ttl = self.cfg.ttl_start;
-        self.discoveries.insert(
-            target,
-            Discovery {
-                round: 0,
-                ttl,
-                deadline: now + self.cfg.discovery_timeout,
-            },
-        );
-        out.push(self.emit_rreq(target, ttl));
-    }
-
-    fn emit_rreq(&mut self, target: NodeId, ttl: u8) -> AodvAction {
-        // RFC 3561 §6.3: increment own sequence number before a RREQ.
-        self.seq += 1;
-        let id = self.next_rreq_id;
-        self.next_rreq_id += 1;
-        self.seen_rreq.insert((self.id, id));
-        self.counters.rreq_originated += 1;
-        AodvAction::Broadcast {
-            packet: AodvPacket::Rreq(AodvRreq {
-                origin: self.id,
-                origin_seq: self.seq,
-                target,
-                target_seq: self.table.known_seq(target),
-                id,
-                hop_count: 0,
-                ttl,
-            }),
-        }
-    }
-
-    /// Drops every buffered packet matching `dead`, in buffer order,
-    /// reporting each as `reason`.
-    fn drop_buffered(
-        &mut self,
-        dead: impl Fn(&Buffered) -> bool,
-        reason: AodvDropReason,
-        out: &mut Vec<AodvAction>,
-    ) {
-        let (id, counters) = (self.id, &mut self.counters);
-        self.buffer.retain(|b| {
-            if !dead(b) {
-                return true;
-            }
-            counters.data_dropped += 1;
-            out.push(AodvAction::Dropped {
-                packet: b.orphan(id),
-                reason,
-            });
-            false
-        });
     }
 
     // ------------------------------------------------------------------
@@ -376,43 +343,10 @@ impl AodvNode {
 
     /// Advances protocol timers; call at least once per beacon interval.
     pub fn tick(&mut self, now: SimTime, out: &mut Vec<AodvAction>) {
-        // Buffer expiry.
-        let timeout = self.cfg.buffer_timeout;
-        self.drop_buffered(
-            |b| now.saturating_since(b.buffered_at) > timeout,
-            AodvDropReason::BufferTimeout,
-            out,
-        );
-
-        // Cancel discoveries with nothing waiting.
-        let buffer = &self.buffer;
-        self.discoveries
-            .retain(|t, _| buffer.iter().any(|b| b.dst == *t));
-
-        // Ring-search escalation / abandonment. The BTreeMap iterates
-        // in NodeId order, so event order never depends on hasher state.
-        let mut after = None;
-        while let Some((target, d)) = next_after(&self.discoveries, after, |d| d.deadline <= now) {
-            after = Some(target);
-            let at_network_ttl = d.ttl >= self.cfg.net_diameter;
-            if at_network_ttl && d.round >= self.cfg.rreq_retries {
-                self.discoveries.remove(&target);
-                self.drop_buffered(|b| b.dst == target, AodvDropReason::DiscoveryFailed, out);
-                continue;
-            }
-            let next_ttl = if d.ttl >= self.cfg.ttl_threshold {
-                self.cfg.net_diameter
-            } else {
-                (d.ttl + self.cfg.ttl_increment).min(self.cfg.net_diameter)
-            };
-            let next_round = if at_network_ttl { d.round + 1 } else { d.round };
-            if let Some(entry) = self.discoveries.get_mut(&target) {
-                entry.ttl = next_ttl;
-                entry.round = next_round;
-                entry.deadline = now + self.cfg.discovery_timeout;
-            }
-            out.push(self.emit_rreq(target, next_ttl));
-        }
+        // Buffer expiry, then the ring searches (OnDemand::tick).
+        let (id, seq, table, counters) = (self.id, &mut self.seq, &self.table, &mut self.counters);
+        let emit = |ev| out.push(on_demand(id, seq, table, counters, ev));
+        self.od.tick(now, self.cfg.buffer_timeout, &self.cfg, emit);
 
         // Hello beacons.
         if let Some(interval) = self.cfg.hello_interval {
@@ -434,53 +368,51 @@ impl AodvNode {
                 }
             }
             // Hello-based liveness, evaluated continuously: next hops
-            // silent for allowed_hello_loss intervals are gone.
+            // silent for allowed_hello_loss intervals are gone, in
+            // NodeId order.
             let deadline = interval * u64::from(self.cfg.allowed_hello_loss);
-            let mut after = None;
-            while let Some((neighbor, _)) = next_after(&self.last_heard, after, |&t| {
-                now.saturating_since(t) > deadline
-            }) {
-                after = Some(neighbor);
-                self.last_heard.remove(&neighbor);
-                self.break_link(neighbor, now, out);
+            let mut i = 0;
+            while let Some(&(neighbor, heard)) = self.last_heard.get(i) {
+                if now.saturating_since(heard) > deadline {
+                    self.last_heard.remove(i);
+                    self.break_link(neighbor, now, out);
+                } else {
+                    i += 1;
+                }
             }
         }
     }
 
-    /// Emits a RERR unless the RFC's RERR_RATELIMIT window is exhausted.
-    fn emit_rerr(&mut self, unreachable: Vec<(NodeId, u32)>, now: SimTime) -> Option<AodvAction> {
-        let (window_start, count) = self.rerr_window;
-        let one_second = rcast_engine::SimDuration::from_secs(1);
-        if now.saturating_since(window_start) >= one_second {
+    /// Broadcasts a RERR for the pairs in `self.unreachable` unless the
+    /// RFC's RERR_RATELIMIT window is exhausted, then clears them. The
+    /// packet's own list is built only once the limit lets it through.
+    fn emit_rerr(&mut self, now: SimTime, out: &mut Vec<AodvAction>) {
+        if now.saturating_since(self.rerr_window.0) >= SimDuration::from_secs(1) {
             self.rerr_window = (now, 0);
         }
-        if self.rerr_window.1 >= self.cfg.rerr_rate_limit {
-            let _ = count;
-            return None;
+        if self.rerr_window.1 < self.cfg.rerr_rate_limit {
+            self.rerr_window.1 += 1;
+            self.counters.rerr_sent += 1;
+            out.push(AodvAction::Broadcast {
+                packet: AodvPacket::Rerr(AodvRerr {
+                    // det: hot-ok — the packet owns its list: one allocation per RERR the rate limit lets through
+                    unreachable: self.unreachable.to_vec(),
+                }),
+            });
         }
-        self.rerr_window.1 += 1;
-        self.counters.rerr_sent += 1;
-        Some(AodvAction::Broadcast {
-            packet: AodvPacket::Rerr(AodvRerr { unreachable }),
-        })
+        self.unreachable.clear();
     }
 
-    // det: hot-ok — link-breakage repair path, driven by MAC failure events
     fn break_link(&mut self, neighbor: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
-        let broken = self.table.invalidate_via(neighbor, now);
         // RFC 3561 §6.11: a RERR advertises only routes *in use* —
         // those with precursors (upstream nodes forwarding through us).
         // Unused entries (e.g. idle 1-hop neighbor routes learned from
         // hellos) die silently.
-        let unreachable: Vec<(NodeId, u32)> = broken
-            .iter()
-            .filter(|(_, _, pre)| !pre.is_empty())
-            .map(|&(d, s, _)| (d, s))
-            .collect();
-        if unreachable.is_empty() {
-            return;
+        self.table
+            .invalidate_via(neighbor, now, &mut self.unreachable);
+        if !self.unreachable.is_empty() {
+            self.emit_rerr(now, out);
         }
-        out.extend(self.emit_rerr(unreachable, now));
     }
 
     // ------------------------------------------------------------------
@@ -495,6 +427,19 @@ impl AodvNode {
         now: SimTime,
         out: &mut Vec<AodvAction>,
     ) {
+        self.receive_ref(&packet, from, now, out);
+    }
+
+    /// Borrowing variant of [`receive`](Self::receive) for broadcast
+    /// fan-out: one interned packet is handed to every recipient, and
+    /// every handler reads it in place.
+    pub fn receive_ref(
+        &mut self,
+        packet: &AodvPacket,
+        from: NodeId,
+        now: SimTime,
+        out: &mut Vec<AodvAction>,
+    ) {
         self.note_neighbor(from, now);
         match packet {
             AodvPacket::Rreq(r) => self.receive_rreq(r, from, now, out),
@@ -504,24 +449,14 @@ impl AodvNode {
         }
     }
 
-    /// Borrowing variant of [`receive`](Self::receive) for broadcast
-    /// fan-out: one interned packet is handed to every recipient.
-    /// Every AODV packet except RERR is fixed-size (no heap payload),
-    /// so the clone here is a plain memcpy; RERRs carry a short
-    /// unreachable-set and are never broadcast on the hot path.
-    pub fn receive_ref(
+    fn receive_rreq(
         &mut self,
-        packet: &AodvPacket,
+        r: &AodvRreq,
         from: NodeId,
         now: SimTime,
         out: &mut Vec<AodvAction>,
     ) {
-        // det: hot-ok — fixed-size packets; the clone is a plain memcpy
-        self.receive(packet.clone(), from, now, out)
-    }
-
-    fn receive_rreq(&mut self, r: AodvRreq, from: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
-        if r.origin == self.id || !self.seen_rreq.insert((r.origin, r.id)) {
+        if r.origin == self.id || !self.od.first_sighting(r.origin, r.id) {
             return;
         }
         // Reverse route to the origin through the previous hop.
@@ -581,13 +516,19 @@ impl AodvNode {
                 packet: AodvPacket::Rreq(AodvRreq {
                     hop_count: r.hop_count + 1,
                     ttl: r.ttl - 1,
-                    ..r
+                    ..*r
                 }),
             });
         }
     }
 
-    fn receive_rrep(&mut self, r: AodvRrep, from: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
+    fn receive_rrep(
+        &mut self,
+        r: &AodvRrep,
+        from: NodeId,
+        now: SimTime,
+        out: &mut Vec<AodvAction>,
+    ) {
         if r.is_hello() {
             // note_neighbor already refreshed the 1-hop route; upgrade
             // its sequence number.
@@ -599,7 +540,7 @@ impl AodvNode {
             .update(r.target, from, r.hop_count + 1, r.target_seq, now);
 
         if r.origin == self.id {
-            self.discoveries.remove(&r.target);
+            self.od.complete(r.target);
             self.drain_buffer(now, out);
             return;
         }
@@ -613,41 +554,42 @@ impl AodvNode {
                 next_hop: back,
                 packet: AodvPacket::Rrep(AodvRrep {
                     hop_count: r.hop_count + 1,
-                    ..r
+                    ..*r
                 }),
             });
         }
     }
 
-    // det: hot-ok — error-propagation path, driven by link-failure events
-    fn receive_rerr(&mut self, e: AodvRerr, from: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
-        let mut cascaded = Vec::new();
+    fn receive_rerr(
+        &mut self,
+        e: &AodvRerr,
+        from: NodeId,
+        now: SimTime,
+        out: &mut Vec<AodvAction>,
+    ) {
         for &(dst, seq) in &e.unreachable {
-            let via_sender = self
-                .table
-                .peek(dst)
-                .is_some_and(|r| r.next_hop == from);
-            if !via_sender {
-                continue;
-            }
-            match self.table.invalidate_dst(dst, seq, now) {
-                // Cascade only for routes someone upstream was using.
-                Some(precursors) if !precursors.is_empty() => cascaded.push((dst, seq)),
-                _ => {}
+            let via_sender = self.table.peek(dst).is_some_and(|r| r.next_hop == from);
+            // Cascade only for routes someone upstream was using.
+            if via_sender && self.table.invalidate_dst(dst, seq, now) {
+                self.unreachable.push((dst, seq));
             }
         }
-        if cascaded.is_empty() {
-            return;
+        if !self.unreachable.is_empty() {
+            self.emit_rerr(now, out);
         }
-        out.extend(self.emit_rerr(cascaded, now));
     }
 
-    // det: hot-ok — per-packet data-plane event, outside the quiet-interval zero-alloc contract (crates/bench/tests/zero_alloc.rs)
-    fn receive_data(&mut self, d: AodvData, from: NodeId, now: SimTime, out: &mut Vec<AodvAction>) {
+    fn receive_data(
+        &mut self,
+        d: &AodvData,
+        from: NodeId,
+        now: SimTime,
+        out: &mut Vec<AodvAction>,
+    ) {
         if d.dst == self.id {
             self.note_activity(now);
             self.counters.data_delivered += 1;
-            out.push(AodvAction::Delivered { packet: d });
+            out.push(AodvAction::Delivered { packet: *d });
             return;
         }
         match self.table.next_hop(d.dst, now) {
@@ -661,7 +603,7 @@ impl AodvNode {
                     next_hop,
                     packet: AodvPacket::Data(AodvData {
                         hops: d.hops + 1,
-                        ..d
+                        ..*d
                     }),
                 });
             }
@@ -669,12 +611,9 @@ impl AodvNode {
                 // No route: drop and advertise the hole (RFC §6.11 case
                 // ii), subject to the RERR rate limit.
                 let seq = self.table.known_seq(d.dst).map_or(0, |s| s + 1);
-                self.counters.data_dropped += 1;
-                out.push(AodvAction::Dropped {
-                    packet: d,
-                    reason: AodvDropReason::NoRoute,
-                });
-                out.extend(self.emit_rerr(vec![(d.dst, seq)], now));
+                out.push(dropped(&mut self.counters, *d, AodvDropReason::NoRoute));
+                self.unreachable.push((d.dst, seq));
+                self.emit_rerr(now, out);
             }
         }
     }
@@ -692,79 +631,44 @@ impl AodvNode {
         out: &mut Vec<AodvAction>,
     ) {
         self.break_link(next_hop, now, out);
-        self.last_heard.remove(&next_hop);
+        if let Ok(i) = self.last_heard.binary_search_by_key(&next_hop, |&(n, _)| n) {
+            self.last_heard.remove(i);
+        }
         let AodvPacket::Data(d) = packet else {
             return;
         };
         if d.src == self.id {
             // Re-enter discovery.
-            if self.buffer.len() < self.cfg.buffer_capacity {
-                self.buffer.push(Buffered {
-                    flow: d.flow,
-                    seq: d.seq,
-                    dst: d.dst,
-                    payload_bytes: d.payload_bytes,
-                    generated_at: d.generated_at,
-                    buffered_at: now,
-                });
-                if !self.discoveries.contains_key(&d.dst) {
-                    self.start_discovery(d.dst, now, out);
-                }
-            } else {
-                self.counters.data_dropped += 1;
-                out.push(AodvAction::Dropped {
-                    packet: d,
-                    reason: AodvDropReason::BufferFull,
-                });
-            }
+            let p = Parked {
+                flow: d.flow,
+                seq: d.seq,
+                dst: d.dst,
+                payload_bytes: d.payload_bytes,
+                generated_at: d.generated_at,
+                buffered_at: now,
+            };
+            self.park(p, d, out);
         } else {
-            self.counters.data_dropped += 1;
-            out.push(AodvAction::Dropped {
-                packet: d,
-                reason: AodvDropReason::LinkBroken,
-            });
+            out.push(dropped(&mut self.counters, d, AodvDropReason::LinkBroken));
         }
     }
 
     /// Sends every buffered packet that now has a route, in buffer
     /// order, keeping the rest in place.
     fn drain_buffer(&mut self, now: SimTime, out: &mut Vec<AodvAction>) {
-        let mut i = 0;
-        while i < self.buffer.len() {
-            let Some(next_hop) = self.table.next_hop(self.buffer[i].dst, now) else {
-                i += 1;
-                continue;
+        let (id, table, counters) = (self.id, &mut self.table, &mut self.counters);
+        self.od.drain(|p| {
+            let Some(next_hop) = table.next_hop(p.dst, now) else {
+                return false;
             };
-            let b = self.buffer.remove(i);
-            self.counters.data_sent += 1;
-            self.discoveries.remove(&b.dst);
+            counters.data_sent += 1;
             out.push(AodvAction::Unicast {
                 next_hop,
-                packet: AodvPacket::Data(AodvData {
-                    flow: b.flow,
-                    seq: b.seq,
-                    src: self.id,
-                    dst: b.dst,
-                    payload_bytes: b.payload_bytes,
-                    generated_at: b.generated_at,
-                    hops: 0,
-                }),
+                packet: AodvPacket::Data(data(p, id)),
             });
-        }
+            true
+        });
     }
-}
-
-/// The first entry of `map` after key `after` (from the start when
-/// `None`), in key order, whose value passes `due`.
-fn next_after<V: Copy>(
-    map: &BTreeMap<NodeId, V>,
-    after: Option<NodeId>,
-    due: impl Fn(&V) -> bool,
-) -> Option<(NodeId, V)> {
-    let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
-    map.range((lower, Bound::Unbounded))
-        .find(|(_, v)| due(v))
-        .map(|(&k, &v)| (k, v))
 }
 
 #[cfg(test)]

@@ -154,46 +154,39 @@ impl RoutingTable {
 
     /// Invalidates every route whose next hop is `neighbor` (link
     /// break), bumping their sequence numbers as RFC 3561 requires.
-    /// Returns the affected `(destination, new_seq, precursors)` list
-    /// for RERR construction.
-    // det: hot-ok — link-breakage repair path, driven by MAC failure events
+    /// Appends `(destination, new_seq)` to `in_use` for each route that
+    /// had precursors — the ones a RERR advertises — in key order.
     pub fn invalidate_via(
         &mut self,
         neighbor: NodeId,
         now: SimTime,
-    ) -> Vec<(NodeId, u32, Vec<NodeId>)> {
-        let mut broken = Vec::new();
-        // Key-ordered iteration keeps the RERR batch sorted by
-        // destination without an explicit sort.
+        in_use: &mut Vec<(NodeId, u32)>,
+    ) {
         for (&dst, r) in self.routes.iter_mut() {
-            if r.next_hop == neighbor && r.expires > now {
-                r.expires = now; // invalid from now on
-                r.dst_seq += 1;
-                broken.push((dst, r.dst_seq, r.precursors.clone()));
-                r.precursors.clear();
+            if r.next_hop == neighbor && r.expires > now && retire(r, r.dst_seq + 1, now) {
+                in_use.push((dst, r.dst_seq));
             }
         }
-        broken
     }
 
     /// Invalidates the route to `dst` if it is at least as old as
-    /// `dst_seq` (RERR processing). Returns the precursors to notify.
-    pub fn invalidate_dst(
-        &mut self,
-        dst: NodeId,
-        dst_seq: u32,
-        now: SimTime,
-    ) -> Option<Vec<NodeId>> {
-        let r = self.routes.get_mut(&dst)?;
-        if r.expires > now && r.dst_seq <= dst_seq {
-            r.expires = now;
-            r.dst_seq = r.dst_seq.max(dst_seq);
-            let p = std::mem::take(&mut r.precursors);
-            Some(p)
-        } else {
-            None
+    /// `dst_seq` (RERR processing). Returns `true` when it was, and had
+    /// precursors to notify.
+    pub fn invalidate_dst(&mut self, dst: NodeId, dst_seq: u32, now: SimTime) -> bool {
+        match self.routes.get_mut(&dst) {
+            Some(r) if r.expires > now && r.dst_seq <= dst_seq => retire(r, dst_seq, now),
+            _ => false,
         }
     }
+}
+
+/// Ends `r` now at `dst_seq`, forgetting its precursors; `true` if any.
+fn retire(r: &mut Route, dst_seq: u32, now: SimTime) -> bool {
+    r.expires = now;
+    r.dst_seq = dst_seq;
+    let in_use = !r.precursors.is_empty();
+    r.precursors.clear();
+    in_use
 }
 
 #[cfg(test)]
@@ -248,12 +241,14 @@ mod tests {
         t.update(n(8), n(1), 3, 2, SimTime::ZERO);
         t.update(n(7), n(2), 1, 9, SimTime::ZERO);
         t.add_precursor(n(9), n(4));
-        let broken = t.invalidate_via(n(1), SimTime::from_secs(1));
-        assert_eq!(broken.len(), 2);
-        let (dst, seq, pre) = &broken[1];
-        assert_eq!(*dst, n(9));
-        assert_eq!(*seq, 6, "sequence bumped on invalidation");
-        assert_eq!(pre, &vec![n(4)]);
+        let mut in_use = Vec::new();
+        t.invalidate_via(n(1), SimTime::from_secs(1), &mut in_use);
+        // Only the route with a precursor is reported, with its
+        // sequence number bumped; the unused one dies silently.
+        assert_eq!(in_use, [(n(9), 6)], "sequence bumped on invalidation");
+        assert_eq!(t.peek(n(8)).unwrap().dst_seq, 3);
+        assert!(t.peek(n(9)).unwrap().precursors.is_empty());
+        assert!(t.next_hop(n(8), SimTime::from_secs(1)).is_none());
         assert!(t.next_hop(n(9), SimTime::from_secs(1)).is_none());
         assert!(t.next_hop(n(7), SimTime::from_secs(1)).is_some());
     }
@@ -262,12 +257,17 @@ mod tests {
     fn rerr_invalidation_respects_freshness() {
         let mut t = table();
         t.update(n(9), n(1), 2, 10, SimTime::ZERO);
+        t.add_precursor(n(9), n(4));
         // A RERR about older state does nothing.
-        assert!(t.invalidate_dst(n(9), 7, SimTime::from_secs(1)).is_none());
+        assert!(!t.invalidate_dst(n(9), 7, SimTime::from_secs(1)));
         assert!(t.next_hop(n(9), SimTime::from_secs(1)).is_some());
-        // A RERR with >= seq kills the route.
-        assert!(t.invalidate_dst(n(9), 11, SimTime::from_secs(1)).is_some());
+        // A RERR with >= seq kills the route and reports its precursor.
+        assert!(t.invalidate_dst(n(9), 11, SimTime::from_secs(1)));
         assert!(t.next_hop(n(9), SimTime::from_secs(1)).is_none());
+        // A route nobody used dies silently.
+        t.update(n(8), n(1), 2, 10, SimTime::ZERO);
+        assert!(!t.invalidate_dst(n(8), 11, SimTime::from_secs(1)));
+        assert!(t.next_hop(n(8), SimTime::from_secs(1)).is_none());
     }
 
     #[test]

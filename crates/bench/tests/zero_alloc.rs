@@ -11,8 +11,11 @@
 //! reachability; this is the dynamic proof).
 
 use rcast_bench::alloc_probe;
-use rcast_core::{render_jsonl, FaultEvent, Scheme, SimConfig, Simulation, TraceFilter};
+use rcast_core::{
+    render_jsonl, FaultEvent, RoutingKind, Scheme, SimConfig, Simulation, TraceFilter,
+};
 use rcast_dsr::{CacheConfig, CacheStrategy, PathCache};
+use rcast_engine::ondemand::{OnDemand, Parked, Ring, RingSchedule};
 use rcast_engine::{NodeId, SimDuration, SimTime};
 use rcast_mobility::{Area, WaypointConfig};
 
@@ -69,6 +72,22 @@ fn storm_config() -> SimConfig {
     cfg.traffic.flows = 40;
     cfg.duration = SimDuration::from_secs(40);
     cfg.waypoint = WaypointConfig::default();
+    cfg
+}
+
+/// The medium shape under AODV: hello beacons, soft-state route
+/// expiry and RERR cascades on top of the send buffer and ring search.
+fn medium_aodv_config() -> SimConfig {
+    let mut cfg = medium_config();
+    cfg.routing = RoutingKind::Aodv;
+    cfg
+}
+
+/// The storm-150 shape under AODV: discoveries, buffer overflow and
+/// broken links at their densest.
+fn storm_aodv_config() -> SimConfig {
+    let mut cfg = storm_config();
+    cfg.routing = RoutingKind::Aodv;
     cfg
 }
 
@@ -133,14 +152,18 @@ type LoadedBudget = (&'static str, fn() -> SimConfig, f64);
 /// rebuilds) fail loudly instead of hiding behind the quiet-state zero
 /// gate. Each run is seeded and deterministic, so the measured count is
 /// exact; each budget sits just above its measured value (0.59, 0.07,
-/// 3.54, 1.11 and 2.22 per interval), leaving headroom only for
-/// standard-library drift.
-const LOADED_BUDGETS: [LoadedBudget; 5] = [
+/// 3.54, 1.11, 2.22, 1.175 and 30.05 per interval), leaving headroom
+/// only for standard-library drift. What AODV still allocates under
+/// storm load is mostly the one list each RERR packet owns (about 11 of
+/// the 30) and its routing tables' growth.
+const LOADED_BUDGETS: [LoadedBudget; 7] = [
     ("smoke", || SimConfig::smoke(Scheme::Rcast, 3), 1.0),
     ("medium", medium_config, 0.25),
     ("storm-150", storm_config, 4.0),
     ("flood-300", flood_config, 1.15),
     ("smoke, link cache", link_cache_config, 2.25),
+    ("medium, aodv", medium_aodv_config, 1.2),
+    ("storm-150, aodv", storm_aodv_config, 30.5),
 ];
 
 /// All measurements in one test, run in turn: the probe counts
@@ -196,6 +219,52 @@ fn steady_state_allocations_stay_within_their_budgets() {
     assert_eq!(
         churn, 0,
         "{churn} allocations while churning a full path cache"
+    );
+
+    // The on-demand core's send buffer and discovery lane stop
+    // allocating once they have held their high-water population.
+    struct TwoRounds;
+    impl RingSchedule for TwoRounds {
+        fn next_ring(&self, prev: Option<&Ring>) -> Option<Ring> {
+            let round = prev.map_or(0, |d| d.round + 1);
+            (round < 2).then_some(Ring {
+                round,
+                ttl: 1 + round as u8,
+                timeout: SimDuration::from_secs(1),
+            })
+        }
+    }
+    let mut od = OnDemand::new(owner);
+    let churn = |od: &mut OnDemand, round: u64| {
+        let t = SimTime::from_secs(100 * round);
+        for dst in 1..=32 {
+            let p = Parked {
+                flow: dst,
+                seq: round,
+                dst: NodeId::new(dst),
+                payload_bytes: 512,
+                generated_at: t,
+                buffered_at: t,
+            };
+            od.park(p, 64, &TwoRounds, |_| {}).expect("room");
+        }
+        // Escalate every discovery, send a third of the packets, then
+        // let the rest give up.
+        let timeout = SimDuration::from_secs(30);
+        od.tick(t + SimDuration::from_secs(2), timeout, &TwoRounds, |_| {});
+        od.drain(|p| p.dst.as_u32() % 3 == 0);
+        od.tick(t + SimDuration::from_secs(9), timeout, &TwoRounds, |_| {});
+        assert_eq!(od.parked(), 0, "every packet was sent or abandoned");
+    };
+    churn(&mut od, 0);
+    let before = alloc_probe::allocations();
+    for round in 1..200 {
+        churn(&mut od, round);
+    }
+    let churned = alloc_probe::allocations() - before;
+    assert_eq!(
+        churned, 0,
+        "{churned} allocations while churning a warm send buffer and discovery lane"
     );
 
     // DESIGN.md §11: turning the event ledger on must not reintroduce

@@ -8,8 +8,8 @@
 //! in isolation.
 
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
+use rcast_engine::ondemand::{Event, OnDemand, Parked, Ring, RingSchedule};
 use rcast_engine::{NodeId, SimTime};
 
 use crate::cache::RouteCache;
@@ -105,104 +105,78 @@ impl DsrCounters {
     }
 }
 
-/// A data packet parked at the source awaiting a route.
-#[derive(Debug, Clone)]
-struct Buffered {
-    flow: u32,
-    seq: u64,
-    dst: NodeId,
-    payload_bytes: usize,
-    generated_at: SimTime,
-    buffered_at: SimTime,
-}
-
-impl Buffered {
-    fn into_packet(self, route: SourceRoute) -> DataPacket {
-        DataPacket {
-            flow: self.flow,
-            seq: self.seq,
-            route,
-            payload_bytes: self.payload_bytes,
-            generated_at: self.generated_at,
-            salvage_count: 0,
-        }
-    }
-
-    /// The packet as a `Dropped` report from source `src`: it never had
-    /// a valid route, so it carries the direct `src → dst` pair.
-    fn orphan(&self, src: NodeId) -> DataPacket {
-        DataPacket {
-            flow: self.flow,
-            seq: self.seq,
-            route: SourceRoute::from_slice(&[src, self.dst]).unwrap_or_else(|| {
-                // dst == src can't occur for traffic, but stay total.
-                SourceRoute::from_slice(&[src, NodeId::new(u32::MAX)]).expect("distinct ids")
-            }),
-            payload_bytes: self.payload_bytes,
-            generated_at: self.generated_at,
-            salvage_count: 0,
-        }
+/// The data packet a parked one becomes once `route` is found.
+fn routed(p: &Parked, route: SourceRoute) -> DataPacket {
+    DataPacket {
+        flow: p.flow,
+        seq: p.seq,
+        route,
+        payload_bytes: p.payload_bytes,
+        generated_at: p.generated_at,
+        salvage_count: 0,
     }
 }
 
-/// An in-progress route discovery for one target.
-#[derive(Debug, Clone)]
-struct Discovery {
-    round: u32,
-    deadline: SimTime,
+/// A parked packet as a `Dropped` report from source `src`: it never
+/// had a valid route, so it carries the direct `src → dst` pair.
+fn orphan(p: &Parked, src: NodeId) -> DataPacket {
+    let route = SourceRoute::from_slice(&[src, p.dst]).unwrap_or_else(|| {
+        // dst == src can't occur for traffic, but stay total.
+        SourceRoute::from_slice(&[src, NodeId::new(u32::MAX)]).expect("distinct ids")
+    });
+    routed(p, route)
 }
 
-/// Duplicate-RREQ filter: the seen `(origin, id)` pairs as one flat
-/// `Vec` of inclusive `(origin, lo, hi)` runs, sorted by `(origin, lo)`,
-/// disjoint and never adjacent within an origin.
-///
-/// Request ids are monotone per origin and never reused (a reboot
-/// preserves `next_rreq_id`), so the ids a node has seen from any one
-/// origin compress to a handful of runs. A lookup is one binary search
-/// over a flat array — the dominant operation in `receive_rreq` — and
-/// a new run shifts the array in place, so once its capacity settles
-/// an insertion never allocates.
-///
-/// Ordered storage only: iteration never depends on hasher state
-/// (rcast-lint D002), and the exact "ever inserted" semantics of the
-/// `BTreeSet<(NodeId, u32)>` it replaces are preserved.
-#[derive(Debug, Clone, Default)]
-struct SeenRreq {
-    runs: Vec<(NodeId, u32, u32)>,
+/// Counts `packet` as dropped here for `reason` and reports it.
+fn dropped(counters: &mut DsrCounters, packet: DataPacket, reason: DropReason) -> DsrAction {
+    counters.data_dropped += 1;
+    DsrAction::Dropped { packet, reason }
 }
 
-impl SeenRreq {
-    fn clear(&mut self) {
-        self.runs.clear();
-    }
-
-    /// Inserts `(origin, id)`; returns `true` when it was not already
-    /// present (mirrors `BTreeSet::insert`).
-    fn insert(&mut self, origin: NodeId, id: u32) -> bool {
-        // `pos` is the first run starting after `(origin, id)`; only the
-        // run before it can contain `id` or end right below it.
-        let pos = self
-            .runs
-            .partition_point(|&(o, lo, _)| (o, lo) <= (origin, id));
-        let prev = pos.checked_sub(1).filter(|&p| self.runs[p].0 == origin);
-        if prev.is_some_and(|p| id <= self.runs[p].2) {
-            return false; // inside an existing run: duplicate
+/// The action for what the on-demand core of node `origin` reports: a
+/// route request to flood, or a parked packet given up.
+fn on_demand(origin: NodeId, counters: &mut DsrCounters, ev: Event) -> DsrAction {
+    let (p, reason) = match ev {
+        Event::Flood { target, ttl, id } => {
+            counters.rreq_originated += 1;
+            return DsrAction::Broadcast {
+                packet: DsrPacket::Rreq(Rreq {
+                    origin,
+                    target,
+                    id,
+                    ttl,
+                    record: NodePath::from_slice(&[origin]),
+                }),
+            };
         }
-        let joins_prev = prev.is_some_and(|p| self.runs[p].2.checked_add(1) == Some(id));
-        let joins_next = pos < self.runs.len()
-            && self.runs[pos].0 == origin
-            && id.checked_add(1) == Some(self.runs[pos].1);
-        match (joins_prev, joins_next) {
-            (true, true) => {
-                // Bridges the gap between two runs: merge them.
-                self.runs[pos - 1].2 = self.runs[pos].2;
-                self.runs.remove(pos);
+        Event::Expired(p) => (p, DropReason::SendBufferTimeout),
+        Event::Abandoned(p) => (p, DropReason::DiscoveryFailed),
+    };
+    dropped(counters, orphan(&p, origin), reason)
+}
+
+/// DSR's discovery: a non-propagating first round when ring search is
+/// on, then network-wide floods with exponential backoff.
+impl RingSchedule for DsrConfig {
+    fn next_ring(&self, prev: Option<&Ring>) -> Option<Ring> {
+        let (round, ttl, timeout) = match prev {
+            None if self.ring_search => (0, 1, self.nonprop_timeout),
+            None => (0, self.network_ttl, self.discovery_timeout),
+            Some(r) if r.round >= self.max_discovery_retries => return None,
+            Some(r) => {
+                let backoff = f64::from(1u32 << r.round.min(4));
+                (
+                    r.round + 1,
+                    self.network_ttl,
+                    self.discovery_timeout.mul_f64(backoff),
+                )
             }
-            (true, false) => self.runs[pos - 1].2 = id,
-            (false, true) => self.runs[pos].1 = id,
-            (false, false) => self.runs.insert(pos, (origin, id, id)),
-        }
-        true
+        };
+        Some(Ring {
+            round,
+            ttl,
+            timeout,
+        })
     }
 }
 
@@ -232,15 +206,12 @@ pub struct DsrNode {
     id: NodeId,
     cfg: DsrConfig,
     cache: RouteCache,
-    send_buffer: Vec<Buffered>,
+    od: OnDemand,
     // BTree collections throughout: protocol state iteration must be
     // ordered so results never depend on hasher state (rcast-lint D002).
-    seen_rreq: SeenRreq,
     replies_sent: BTreeMap<(NodeId, u32), u32>,
     /// Last time a RERR for (broken_to, source) was sent, for suppression.
     recent_rerrs: BTreeMap<(NodeId, NodeId), SimTime>,
-    discoveries: BTreeMap<NodeId, Discovery>,
-    next_rreq_id: u32,
     counters: DsrCounters,
 }
 
@@ -258,12 +229,9 @@ impl DsrNode {
             id,
             cfg,
             cache: RouteCache::new(id, cfg.cache),
-            send_buffer: Vec::new(),
-            seen_rreq: SeenRreq::default(),
+            od: OnDemand::new(id),
             replies_sent: BTreeMap::new(),
             recent_rerrs: BTreeMap::new(),
-            discoveries: BTreeMap::new(),
-            next_rreq_id: 0,
             counters: DsrCounters::default(),
         }
     }
@@ -285,32 +253,26 @@ impl DsrNode {
 
     /// Packets currently parked awaiting routes.
     pub fn send_buffer_len(&self) -> usize {
-        self.send_buffer.len()
+        self.od.parked()
     }
 
     /// `true` while a discovery for `target` is outstanding.
     pub fn discovering(&self, target: NodeId) -> bool {
-        self.discoveries.contains_key(&target)
+        self.od.discovering(target)
     }
 
     /// Wipes all volatile protocol state — what a crash does to a node.
     ///
-    /// The route cache, send buffer, duplicate-suppression sets and
-    /// outstanding discoveries are lost. Cumulative counters and the
-    /// RREQ id sequence survive: ids stay monotone so neighbors that
-    /// remember pre-crash `(origin, id)` pairs never mistake a fresh
-    /// discovery for a duplicate. Returns the `(flow, seq)` ids of the
+    /// The route cache and the on-demand state are lost; cumulative
+    /// counters and the RREQ id sequence survive (see
+    /// [`OnDemand::reboot`]). Returns the `(flow, seq)` ids of the
     /// buffered data packets that died with the node.
     // det: cold — fault-rejoin lifecycle event: rebuilds node state outside the settled loop
     pub fn reboot(&mut self) -> Vec<(u32, u64)> {
-        let lost = self.send_buffer.iter().map(|b| (b.flow, b.seq)).collect();
         self.cache = RouteCache::new(self.id, self.cfg.cache);
-        self.send_buffer.clear();
-        self.seen_rreq.clear();
         self.replies_sent.clear();
         self.recent_rerrs.clear();
-        self.discoveries.clear();
-        lost
+        self.od.reboot()
     }
 
     // ------------------------------------------------------------------
@@ -366,51 +328,31 @@ impl DsrNode {
     }
 
     /// Sends every buffered packet that now has a route; completes
-    /// discoveries whose target became reachable. Works in place: the
-    /// common no-op drain (empty buffer, or no new routes) never
-    /// rebuilds the buffer.
+    /// discoveries whose target became reachable.
     fn drain_send_buffer(&mut self, now: SimTime, out: &mut Vec<DsrAction>) {
-        let mut i = 0;
-        while i < self.send_buffer.len() {
-            let dst = self.send_buffer[i].dst;
-            match self.cache.find_route(dst, now) {
-                Some(route) => {
-                    let b = self.send_buffer.remove(i);
-                    let next_hop = route
-                        .next_hop_after(self.id)
-                        .expect("route starts at self with >= 1 hop");
-                    self.counters.data_sent += 1;
-                    out.push(DsrAction::Unicast {
-                        next_hop,
-                        packet: DsrPacket::Data(b.into_packet(route)),
-                    });
-                    self.discoveries.remove(&dst);
-                }
-                None => i += 1,
-            }
-        }
+        let (id, cache, counters) = (self.id, &mut self.cache, &mut self.counters);
+        self.od.drain(|p| {
+            let Some(route) = cache.find_route(p.dst, now) else {
+                return false;
+            };
+            let next_hop = route.next_hop_after(id).expect("non-trivial route");
+            counters.data_sent += 1;
+            out.push(DsrAction::Unicast {
+                next_hop,
+                packet: DsrPacket::Data(routed(p, route)),
+            });
+            true
+        });
     }
 
-    /// Drops every buffered packet matching `dead`, in buffer order,
-    /// reporting each as `reason`.
-    fn drop_buffered(
-        &mut self,
-        dead: impl Fn(&Buffered) -> bool,
-        reason: DropReason,
-        out: &mut Vec<DsrAction>,
-    ) {
-        let (id, counters) = (self.id, &mut self.counters);
-        self.send_buffer.retain(|b| {
-            if !dead(b) {
-                return true;
-            }
-            counters.data_dropped += 1;
-            out.push(DsrAction::Dropped {
-                packet: b.orphan(id),
-                reason,
-            });
-            false
-        });
+    /// Parks `p`, flooding a request if that starts a discovery; a full
+    /// buffer drops `full` instead.
+    fn park(&mut self, p: Parked, full: DataPacket, out: &mut Vec<DsrAction>) {
+        let (id, cap, counters) = (self.id, self.cfg.send_buffer_capacity, &mut self.counters);
+        let flood = |ev| out.push(on_demand(id, counters, ev));
+        if self.od.park(p, cap, &self.cfg, flood).is_err() {
+            out.push(dropped(counters, full, DropReason::SendBufferFull));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -427,7 +369,7 @@ impl DsrNode {
         now: SimTime,
         out: &mut Vec<DsrAction>,
     ) {
-        let b = Buffered {
+        let p = Parked {
             flow,
             seq,
             dst,
@@ -440,60 +382,12 @@ impl DsrNode {
             self.counters.data_sent += 1;
             out.push(DsrAction::Unicast {
                 next_hop,
-                packet: DsrPacket::Data(b.into_packet(route)),
+                packet: DsrPacket::Data(routed(&p, route)),
             });
             return;
         }
         // Buffer and (maybe) start a discovery.
-        if self.send_buffer.len() >= self.cfg.send_buffer_capacity {
-            self.counters.data_dropped += 1;
-            out.push(DsrAction::Dropped {
-                packet: b.orphan(self.id),
-                reason: DropReason::SendBufferFull,
-            });
-            return;
-        }
-        self.send_buffer.push(b);
-        if !self.discoveries.contains_key(&dst) {
-            self.start_discovery(dst, now, out);
-        }
-    }
-
-    fn start_discovery(&mut self, target: NodeId, now: SimTime, out: &mut Vec<DsrAction>) {
-        let ttl = if self.cfg.ring_search {
-            1
-        } else {
-            self.cfg.network_ttl
-        };
-        let timeout = if self.cfg.ring_search {
-            self.cfg.nonprop_timeout
-        } else {
-            self.cfg.discovery_timeout
-        };
-        self.discoveries.insert(
-            target,
-            Discovery {
-                round: 0,
-                deadline: now + timeout,
-            },
-        );
-        out.push(self.emit_rreq(target, ttl));
-    }
-
-    fn emit_rreq(&mut self, target: NodeId, ttl: u8) -> DsrAction {
-        let id = self.next_rreq_id;
-        self.next_rreq_id += 1;
-        self.seen_rreq.insert(self.id, id);
-        self.counters.rreq_originated += 1;
-        DsrAction::Broadcast {
-            packet: DsrPacket::Rreq(Rreq {
-                origin: self.id,
-                target,
-                id,
-                ttl,
-                record: NodePath::from_slice(&[self.id]),
-            }),
-        }
+        self.park(p, orphan(&p, self.id), out);
     }
 
     // ------------------------------------------------------------------
@@ -502,54 +396,11 @@ impl DsrNode {
 
     /// Advances protocol timers (call at least once per beacon interval).
     pub fn tick(&mut self, now: SimTime, out: &mut Vec<DsrAction>) {
-        // Expire buffered packets.
-        let timeout = self.cfg.send_buffer_timeout;
-        self.drop_buffered(
-            |b| now - b.buffered_at > timeout,
-            DropReason::SendBufferTimeout,
-            out,
-        );
-
-        // Cancel discoveries with nothing left to send.
-        let buffer = &self.send_buffer;
-        self.discoveries
-            .retain(|t, _| buffer.iter().any(|b| b.dst == *t));
-
-        // Retry or abandon due discoveries. The BTreeMap iterates in
-        // NodeId order, so event order never depends on hasher state.
-        let mut after = None;
-        while let Some(target) = self.next_due(after, now) {
-            after = Some(target);
-            let round = self.discoveries[&target].round;
-            if round >= self.cfg.max_discovery_retries {
-                self.discoveries.remove(&target);
-                self.drop_buffered(|b| b.dst == target, DropReason::DiscoveryFailed, out);
-                continue;
-            }
-            // Escalate: network-wide flood with exponential backoff.
-            let backoff = self
-                .cfg
-                .discovery_timeout
-                .mul_f64(f64::from(1u32 << round.min(4)));
-            if let Some(d) = self.discoveries.get_mut(&target) {
-                d.round = round + 1;
-                d.deadline = now + backoff;
-            }
-            let ttl = self.cfg.network_ttl;
-            out.push(self.emit_rreq(target, ttl));
-        }
-
+        // Buffer expiry, then the ring searches (OnDemand::tick).
+        let (id, timeout, counters) = (self.id, self.cfg.send_buffer_timeout, &mut self.counters);
+        let emit = |ev| out.push(on_demand(id, counters, ev));
+        self.od.tick(now, timeout, &self.cfg, emit);
         self.cache.purge_expired(now);
-    }
-
-    /// The first discovery target after `after`, in NodeId order, whose
-    /// deadline has passed.
-    fn next_due(&self, after: Option<NodeId>, now: SimTime) -> Option<NodeId> {
-        let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
-        self.discoveries
-            .range((lower, Bound::Unbounded))
-            .find(|(_, d)| d.deadline <= now)
-            .map(|(&t, _)| t)
     }
 
     // ------------------------------------------------------------------
@@ -637,7 +488,7 @@ impl DsrNode {
             return;
         }
 
-        if !self.seen_rreq.insert(r.origin, r.id) {
+        if !self.od.first_sighting(r.origin, r.id) {
             return; // duplicate: already forwarded or answered
         }
 
@@ -679,7 +530,7 @@ impl DsrNode {
         self.learn_route(&r.route, now, out);
         if r.origin() == self.id {
             // Discovery complete; drain already happened in learn_route.
-            self.discoveries.remove(&r.target());
+            self.od.complete(r.target());
             return;
         }
         // Relay toward the origin.
@@ -725,13 +576,7 @@ impl DsrNode {
                     packet: DsrPacket::Data(d),
                 });
             }
-            None => {
-                self.counters.data_dropped += 1;
-                out.push(DsrAction::Dropped {
-                    packet: d,
-                    reason: DropReason::NotOnRoute,
-                });
-            }
+            None => out.push(dropped(&mut self.counters, d, DropReason::NotOnRoute)),
         }
     }
 
@@ -853,32 +698,17 @@ impl DsrNode {
 
         if d.src() == self.id {
             // Re-enter the discovery path.
-            if self.send_buffer.len() < self.cfg.send_buffer_capacity {
-                let dst = d.dst();
-                self.send_buffer.push(Buffered {
-                    flow: d.flow,
-                    seq: d.seq,
-                    dst,
-                    payload_bytes: d.payload_bytes,
-                    generated_at: d.generated_at,
-                    buffered_at: now,
-                });
-                if !self.discoveries.contains_key(&dst) {
-                    self.start_discovery(dst, now, out);
-                }
-            } else {
-                self.counters.data_dropped += 1;
-                out.push(DsrAction::Dropped {
-                    packet: d,
-                    reason: DropReason::SendBufferFull,
-                });
-            }
+            let p = Parked {
+                flow: d.flow,
+                seq: d.seq,
+                dst: d.dst(),
+                payload_bytes: d.payload_bytes,
+                generated_at: d.generated_at,
+                buffered_at: now,
+            };
+            self.park(p, d, out);
         } else {
-            self.counters.data_dropped += 1;
-            out.push(DsrAction::Dropped {
-                packet: d,
-                reason: DropReason::SalvageFailed,
-            });
+            out.push(dropped(&mut self.counters, d, DropReason::SalvageFailed));
         }
     }
 }
@@ -1348,37 +1178,6 @@ mod tests {
         assert!(actions
             .iter()
             .any(|a| matches!(a, DsrAction::Dropped { reason: DropReason::SendBufferFull, .. })));
-    }
-
-    /// The flat run list answers exactly like the ordered set of pairs
-    /// it replaces, including id 0 and `u32::MAX` at the run edges.
-    #[test]
-    fn seen_rreq_matches_a_btreeset_model() {
-        use rcast_testkit::{prop_assert, prop_assert_eq, Check};
-        use std::collections::BTreeSet;
-        Check::new("seen_rreq_matches_a_btreeset_model").run(|g| {
-            let mut seen = SeenRreq::default();
-            let mut model = BTreeSet::new();
-            let base = if g.bool() { 0 } else { u32::MAX - 40 };
-            for _ in 0..g.usize_range(1, 300) {
-                let origin = NodeId::new(g.u32_range(0, 6));
-                let id = base + g.u32_range(0, 41);
-                prop_assert_eq!(seen.insert(origin, id), model.insert((origin, id)));
-            }
-            let runs: Vec<_> = seen
-                .runs
-                .iter()
-                .flat_map(|&(o, lo, hi)| (lo..=hi).map(move |id| (o, id)))
-                .collect();
-            prop_assert_eq!(runs, model.iter().copied().collect::<Vec<_>>());
-            // Runs are disjoint and never adjacent within an origin.
-            for w in seen.runs.windows(2) {
-                if w[0].0 == w[1].0 {
-                    prop_assert!(w[0].2.checked_add(1) < Some(w[1].1));
-                }
-            }
-            Ok(())
-        });
     }
 
     #[test]

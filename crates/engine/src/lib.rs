@@ -10,11 +10,19 @@
 //!   simulation component draws from an independent, reproducible stream,
 //! * [`pool`] — a deterministic scoped-thread pool that fans independent
 //!   work (e.g. one simulation per seed) across cores while returning
-//!   results in input order, byte-identical to a serial loop.
+//!   results in input order, byte-identical to a serial loop,
+//! * [`ondemand`] — the state both on-demand routing protocols share:
+//!   the send buffer, the expanding-ring discovery table and the
+//!   duplicate-RREQ filter.
 //!
-//! The engine is intentionally minimal: it owns no protocol knowledge.
-//! Upper layers (`rcast-mac`, `rcast-dsr`, `rcast-core`) define their own
-//! event payload types and drive an [`EventQueue`] in a loop.
+//! The engine is intentionally minimal. Upper layers (`rcast-mac`,
+//! `rcast-dsr`, `rcast-core`) define their own event payload types and
+//! drive an [`EventQueue`] in a loop. The one piece of protocol
+//! knowledge here is [`ondemand`]: it holds no packet format, only
+//! the machinery `rcast-dsr` and `rcast-aodv` would otherwise each
+//! keep a copy of. It lives in this crate because both already depend
+//! on it and on nothing else; a crate of its own would add a dependency
+//! edge, and with it a change to the end-to-end benchmark's lockfile.
 //!
 //! # Example
 //!
@@ -37,6 +45,7 @@
 #![deny(missing_docs)]
 
 mod ids;
+pub mod ondemand;
 pub mod pool;
 mod queue;
 pub mod rng;

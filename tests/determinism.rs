@@ -235,10 +235,28 @@ type GoldenCase = (&'static str, u64, bool, Option<f64>, RoutingKind);
 /// hellos and RERRs of the distance-vector engine.
 const GOLDEN_CASES: [GoldenCase; 5] = [
     ("trace_rcast_seed7", 7, false, None, RoutingKind::Dsr),
-    ("trace_rcast_seed19_faults", 19, true, None, RoutingKind::Dsr),
-    ("trace_rcast_seed7_battery", 7, false, Some(2.0), RoutingKind::Dsr),
+    (
+        "trace_rcast_seed19_faults",
+        19,
+        true,
+        None,
+        RoutingKind::Dsr,
+    ),
+    (
+        "trace_rcast_seed7_battery",
+        7,
+        false,
+        Some(2.0),
+        RoutingKind::Dsr,
+    ),
     ("trace_aodv_seed7", 7, false, None, RoutingKind::Aodv),
-    ("trace_aodv_seed19_faults", 19, true, None, RoutingKind::Aodv),
+    (
+        "trace_aodv_seed19_faults",
+        19,
+        true,
+        None,
+        RoutingKind::Aodv,
+    ),
 ];
 
 fn render_golden(cfg: &SimConfig, threads: usize) -> String {
@@ -335,7 +353,8 @@ fn storm_config(routing: RoutingKind, faulted: bool) -> SimConfig {
 fn run_digest(report: &SimReport) -> u64 {
     let obs = report.obs.as_ref().expect("obs was requested");
     let mut h = Fnv1a::new();
-    h.write(randomcast::render_jsonl(obs, report.scheme.label(), report.seed, None, None).as_bytes());
+    let trace = randomcast::render_jsonl(obs, report.scheme.label(), report.seed, None, None);
+    h.write(trace.as_bytes());
     let d = &report.delivery;
     let counters = format!(
         "{:?}{:?}{:?}{:?}{:?}",
@@ -358,9 +377,19 @@ fn run_digest(report: &SimReport) -> u64 {
 fn loaded_runs_match_their_recorded_digests() {
     let cases = [
         ("dsr", RoutingKind::Dsr, false, 0xac36_d392_1d95_a47e_u64),
-        ("dsr, crashes", RoutingKind::Dsr, true, 0x56b4_7834_6038_ef3d),
+        (
+            "dsr, crashes",
+            RoutingKind::Dsr,
+            true,
+            0x56b4_7834_6038_ef3d,
+        ),
         ("aodv", RoutingKind::Aodv, false, 0x72ca_5779_603b_875a),
-        ("aodv, crashes", RoutingKind::Aodv, true, 0x8bfb_4ed8_6426_1da9),
+        (
+            "aodv, crashes",
+            RoutingKind::Aodv,
+            true,
+            0x8bfb_4ed8_6426_1da9,
+        ),
     ];
     // One worker per case keeps the debug-build run short.
     let digests: Vec<(u64, bool)> = std::thread::scope(|s| {
@@ -374,16 +403,26 @@ fn loaded_runs_match_their_recorded_digests() {
                 })
             })
             .collect();
-        workers.into_iter().map(|w| w.join().expect("run")).collect()
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("run"))
+            .collect()
     });
     let mut failures = Vec::new();
     for ((name, _, faulted, want), (got, crashed)) in cases.into_iter().zip(digests) {
-        assert_eq!(faulted, crashed, "{name}: crashes fired only where configured");
+        assert_eq!(
+            faulted, crashed,
+            "{name}: crashes fired only where configured"
+        );
         if got != want {
             failures.push(format!("{name}: digest {got:#018x}, recorded {want:#018x}"));
         }
     }
-    assert!(failures.is_empty(), "loaded digests moved:\n{}", failures.join("\n"));
+    assert!(
+        failures.is_empty(),
+        "loaded digests moved:\n{}",
+        failures.join("\n")
+    );
 }
 
 /// Seed order in the output is the seed order of the input, not
