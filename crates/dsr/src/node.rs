@@ -165,11 +165,8 @@ impl RingSchedule for DsrConfig {
             Some(r) if r.round >= self.max_discovery_retries => return None,
             Some(r) => {
                 let backoff = f64::from(1u32 << r.round.min(4));
-                (
-                    r.round + 1,
-                    self.network_ttl,
-                    self.discovery_timeout.mul_f64(backoff),
-                )
+                let timeout = self.discovery_timeout.mul_f64(backoff);
+                (r.round + 1, self.network_ttl, timeout)
             }
         };
         Some(Ring {

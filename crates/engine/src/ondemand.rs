@@ -70,7 +70,7 @@ pub enum Event {
 /// handful of runs: a lookup is one binary search, and an insertion
 /// shifts the array in place.
 #[derive(Debug, Clone, Default)]
-pub struct SeenRreq {
+struct SeenRreq {
     runs: Vec<(NodeId, u32, u32)>,
 }
 
@@ -78,7 +78,7 @@ impl SeenRreq {
     /// Inserts `(origin, id)`; returns `true` when it was not already
     /// present (mirrors `BTreeSet::insert`).
     #[inline]
-    pub fn insert(&mut self, origin: NodeId, id: u32) -> bool {
+    fn insert(&mut self, origin: NodeId, id: u32) -> bool {
         // `pos` is the first run starting after `(origin, id)`; only the
         // run before it can contain `id` or end right below it.
         let pos = self
