@@ -2,10 +2,11 @@
 //!
 //! The `rcast-sweep/v1` artifacts for the pinned `fig7 --smoke` and
 //! `aodv-comparison --smoke` grids are checked in under `tests/golden/`
-//! and must be **byte-identical** at every thread width. Any intentional engine change that moves a
-//! number shows up here as a reviewable golden diff; an unintentional
-//! one fails CI. `ci.sh` additionally diffs the binary's `--out` files
-//! against the same goldens.
+//! and must be **byte-identical** at every thread width. Any
+//! intentional engine change that moves a number shows up here as a
+//! reviewable golden diff; an unintentional one fails CI. `ci.sh`
+//! additionally diffs the binary's `--out` files against the same
+//! goldens.
 
 use randomcast::sweep::{preset, run_spec, to_csv, to_json};
 
