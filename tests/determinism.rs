@@ -310,9 +310,10 @@ fn regenerate_goldens() {
 // ---------------------------------------------------------------------
 // Loaded digests: the 12-node goldens above never fill a send buffer,
 // overflow it or run many discoveries at once. The e2e storm-150 shape
-// does all three, so a run of it under each routing protocol, clean and
-// with crashes, is pinned by a 64-bit digest of its rcast-trace/v1
-// export and its report.
+// does all three, so a run of it under each scheme and routing
+// protocol, clean, with crashes or on a battery that runs out, is
+// pinned by a 64-bit digest of its rcast-trace/v1 export and its
+// report.
 // ---------------------------------------------------------------------
 
 /// FNV-1a, 64-bit: a fixed, dependency-free digest of the bytes fed in.
@@ -330,18 +331,32 @@ impl Fnv1a {
     }
 }
 
+/// One loaded run and the digest it produced when it was added.
+struct LoadedCase {
+    name: &'static str,
+    scheme: Scheme,
+    routing: RoutingKind,
+    /// `rcast run --faults` spec, if any.
+    faults: Option<&'static str>,
+    /// Battery capacity, J; `None` is unlimited.
+    battery_j: Option<f64>,
+    seconds: u64,
+    digest: u64,
+}
+
 /// The storm-150 shape (150 always-moving nodes on 1800 × 360 m,
-/// 40 flows at 2 pkt/s) cut to 30 s, with the ledger on.
-fn storm_config(routing: RoutingKind, faulted: bool) -> SimConfig {
-    let mut cfg = SimConfig::paper(Scheme::Rcast, 3, 2.0, 0.0);
+/// 40 flows at 2 pkt/s) cut to the case's duration, with the ledger on.
+fn storm_config(case: &LoadedCase) -> SimConfig {
+    let mut cfg = SimConfig::paper(case.scheme, 3, 2.0, 0.0);
     cfg.nodes = 150;
     cfg.area = randomcast::mobility::Area::new(1800.0, 360.0);
     cfg.traffic.flows = 40;
-    cfg.duration = SimDuration::from_secs(30);
-    cfg.routing = routing;
+    cfg.duration = SimDuration::from_secs(case.seconds);
+    cfg.routing = case.routing;
     cfg.obs = true;
-    if faulted {
-        cfg.faults = FaultsConfig::parse_spec("crash=0.3,downtime=10").expect("valid fault spec");
+    cfg.battery_capacity_j = case.battery_j;
+    if let Some(spec) = case.faults {
+        cfg.faults = FaultsConfig::parse_spec(spec).expect("valid fault spec");
     }
     cfg
 }
@@ -371,35 +386,43 @@ fn run_digest(report: &SimReport) -> u64 {
     h.0
 }
 
-/// Each protocol's storm-150 digest, clean and with crashes, against
-/// the values this code produced when the cases were added.
+/// Every scheme's storm-150 digest under DSR, both protocols' under
+/// Rcast, clean and with crashes, plus 802.11 on a battery that runs
+/// out, against the values this code produced when the cases were
+/// added. The non-Rcast cases run 10 s to keep the debug build quick.
 #[test]
 fn loaded_runs_match_their_recorded_digests() {
+    const CRASHES: Option<&str> = Some("crash=0.3,downtime=10");
+    let case = |name, scheme, routing, faults, battery_j, seconds, digest| LoadedCase {
+        name,
+        scheme,
+        routing,
+        faults,
+        battery_j,
+        seconds,
+        digest,
+    };
     let cases = [
-        ("dsr", RoutingKind::Dsr, false, 0xac36_d392_1d95_a47e_u64),
-        (
-            "dsr, crashes",
-            RoutingKind::Dsr,
-            true,
-            0x56b4_7834_6038_ef3d,
-        ),
-        ("aodv", RoutingKind::Aodv, false, 0x72ca_5779_603b_875a),
-        (
-            "aodv, crashes",
-            RoutingKind::Aodv,
-            true,
-            0x8bfb_4ed8_6426_1da9,
-        ),
+        case("rcast, dsr", Scheme::Rcast, RoutingKind::Dsr, None, None, 30, 0xac36_d392_1d95_a47e),
+        case("rcast, dsr, crashes", Scheme::Rcast, RoutingKind::Dsr, CRASHES, None, 30, 0x56b4_7834_6038_ef3d),
+        case("rcast, aodv", Scheme::Rcast, RoutingKind::Aodv, None, None, 30, 0x72ca_5779_603b_875a),
+        case("rcast, aodv, crashes", Scheme::Rcast, RoutingKind::Aodv, CRASHES, None, 30, 0x8bfb_4ed8_6426_1da9),
+        case("802.11, dsr", Scheme::Dot11, RoutingKind::Dsr, None, None, 10, 0x793e_8ac8_85ca_b43b),
+        case("802.11, dsr, 10 J battery", Scheme::Dot11, RoutingKind::Dsr, None, Some(10.0), 10, 0x6dbd_e971_27c1_6674),
+        case("psm, dsr", Scheme::Psm, RoutingKind::Dsr, None, None, 10, 0x69fd_3b68_9e0d_f48e),
+        case("psm-none, dsr", Scheme::PsmNoOverhear, RoutingKind::Dsr, None, None, 10, 0xec1a_e7f1_c829_26cc),
+        case("odpm, dsr", Scheme::Odpm, RoutingKind::Dsr, None, None, 10, 0x8923_1088_61b0_f854),
+        case("odpm, dsr, crashes", Scheme::Odpm, RoutingKind::Dsr, CRASHES, None, 10, 0x495a_870e_7796_b7c1),
     ];
     // One worker per case keeps the debug-build run short.
-    let digests: Vec<(u64, bool)> = std::thread::scope(|s| {
+    let runs: Vec<(u64, SimReport)> = std::thread::scope(|s| {
         let workers: Vec<_> = cases
             .iter()
-            .map(|&(_, routing, faulted, _)| {
+            .map(|c| {
                 s.spawn(move || {
-                    let cfg = storm_config(routing, faulted);
-                    let report = &run_seeds(&cfg, [cfg.seed]).expect("valid config")[0];
-                    (run_digest(report), report.faults.crashes > 0)
+                    let cfg = storm_config(c);
+                    let report = run_seeds(&cfg, [cfg.seed]).expect("valid config").remove(0);
+                    (run_digest(&report), report)
                 })
             })
             .collect();
@@ -409,13 +432,21 @@ fn loaded_runs_match_their_recorded_digests() {
             .collect()
     });
     let mut failures = Vec::new();
-    for ((name, _, faulted, want), (got, crashed)) in cases.into_iter().zip(digests) {
+    for (c, (got, report)) in cases.iter().zip(runs) {
         assert_eq!(
-            faulted, crashed,
-            "{name}: crashes fired only where configured"
+            c.faults.is_some(),
+            report.faults.crashes > 0,
+            "{}: crashes fired only where configured",
+            c.name
         );
-        if got != want {
-            failures.push(format!("{name}: digest {got:#018x}, recorded {want:#018x}"));
+        assert_eq!(
+            c.battery_j.is_some(),
+            report.faults.battery_deaths > 0,
+            "{}: batteries ran out only where configured",
+            c.name
+        );
+        if got != c.digest {
+            failures.push(format!("{}: digest {got:#018x}, recorded {:#018x}", c.name, c.digest));
         }
     }
     assert!(

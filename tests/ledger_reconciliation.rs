@@ -90,6 +90,35 @@ fn every_scheme_reconciles_joule_exact_under_faults() {
     }
 }
 
+/// Recording is read-only: for every scheme, clean and with faults,
+/// the run with the ledger on reports exactly what the same run with it
+/// off does, apart from the ledger itself. The `Debug` rendering covers
+/// every counter and prints each `f64` as its shortest round-tripping
+/// string, so equal renderings are equal bits; the per-node energy bits
+/// are compared on their own too, so a failure names its node.
+#[test]
+fn recording_leaves_every_scheme_s_report_unchanged() {
+    for scheme in Scheme::ALL {
+        for (label, cfg) in [("clean", smoke(scheme)), ("faults", faulted(scheme))] {
+            let mut plain_cfg = cfg.clone();
+            plain_cfg.obs = false;
+            let mut recorded = run_sim(cfg).expect("valid config");
+            let plain = run_sim(plain_cfg).expect("valid config");
+            assert!(recorded.obs.take().is_some(), "{scheme} {label}: ledger on");
+            assert!(plain.obs.is_none(), "{scheme} {label}: ledger off");
+            let energy = recorded.energy.per_node_joules();
+            for (i, (r, p)) in energy.iter().zip(plain.energy.per_node_joules()).enumerate() {
+                assert_eq!(r.to_bits(), p.to_bits(), "{scheme} {label}: node {i} energy");
+            }
+            assert_eq!(
+                format!("{recorded:?}"),
+                format!("{plain:?}"),
+                "{scheme} {label}: recording changed the report"
+            );
+        }
+    }
+}
+
 /// Crashed nodes spend their downtime in `Off` spans, so the audit
 /// stays exact through crash/rejoin cycles — and the ledger carries
 /// the matching fault markers.
