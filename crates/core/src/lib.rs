@@ -53,7 +53,7 @@ pub use odpm::{OdpmConfig, OdpmState};
 pub use overhearing::{OverhearFactors, RcastDecider};
 pub use report::{AggregateReport, RunMetric, SimReport, FIGURE_METRICS, RUN_METRICS};
 pub use routing::{
-    DataInfo, NetPacket, PacketArena, PacketHandle, PacketHeader, PacketKind, RouteAction,
+    DataInfo, NetPacket, PacketArena, PacketHandle, PacketHeader, RouteAction,
     RouteOut, RouterNode, RoutingKind,
 };
 pub use rcast_mobility::Area;

@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use rcast_engine::rng::{DrawLane, StreamRng};
+use rcast_engine::rng::StreamRng;
 use rcast_engine::{NodeId, SimDuration, SimTime};
 use rcast_mobility::NeighborTable;
 
@@ -106,11 +106,6 @@ impl OverhearFactors {
 pub struct RcastDecider {
     factors: OverhearFactors,
     rng: StreamRng,
-    /// Pre-filled raw draws for the interval's wake decisions. The
-    /// decider's stream has no other consumers, so consuming the lane
-    /// FIFO (with fall-through to `rng` when dry) is bit-identical to
-    /// lazy per-decision draws — see [`DrawLane`].
-    lane: DrawLane,
     /// Per observer: sender → when last heard (sender-ID factor).
     last_heard: Vec<HashMap<NodeId, SimTime>>,
     /// Per node: smoothed link changes per interval (mobility factor).
@@ -132,7 +127,6 @@ impl RcastDecider {
         RcastDecider {
             factors,
             rng,
-            lane: DrawLane::new(),
             last_heard: vec![HashMap::new(); n],
             link_churn: vec![0.0; n],
             battery_fraction: vec![1.0; n],
@@ -183,7 +177,7 @@ impl RcastDecider {
             }
         }
         let p = self.probability(observer, nt);
-        let yes = self.lane.chance(&mut self.rng, p);
+        let yes = self.rng.chance(p);
         if yes {
             self.note_heard(observer, sender, now);
         }
@@ -193,18 +187,7 @@ impl RcastDecider {
     /// The randomized *broadcast* receiving decision (the paper's
     /// broadcast extension — conservative by construction).
     pub fn decide_broadcast(&mut self, _observer: NodeId, _sender: NodeId) -> bool {
-        self.lane
-            .chance(&mut self.rng, self.factors.broadcast_probability)
-    }
-
-    /// Tops the draw lane up to `target` pending draws. The simulator
-    /// calls this once per beacon interval so the interval's wake
-    /// decisions stream out of one contiguous buffer; decisions beyond
-    /// the prefill fall through to the stream, and surplus draws carry
-    /// over, so the decision sequence is bit-identical to unbatched
-    /// draws at any `target` (including 0).
-    pub fn prefill_draws(&mut self, target: usize) {
-        self.lane.prefill(&mut self.rng, target);
+        self.rng.chance(self.factors.broadcast_probability)
     }
 
     /// Records that `observer` actually heard `sender` (reception or

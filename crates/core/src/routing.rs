@@ -10,6 +10,7 @@
 use rcast_aodv::{AodvAction, AodvConfig, AodvCounters, AodvNode, AodvPacket};
 use rcast_dsr::{DsrAction, DsrConfig, DsrCounters, DsrNode, DsrPacket, SourceRoute};
 use rcast_engine::{NodeId, SimTime};
+use rcast_obs::PacketClass;
 
 /// Which routing protocol a simulation runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -376,18 +377,8 @@ impl RouterNode {
         }
     }
 
-    /// Cached source routes (role-number sampling; DSR only — AODV's
-    /// tables hold next hops, not paths).
-    pub fn cached_paths(&self) -> Vec<SourceRoute> {
-        match self {
-            RouterNode::Dsr(n) => n.cache().paths(),
-            RouterNode::Aodv(_) => Vec::new(),
-        }
-    }
-
-    /// Visits every cached source route without materializing a `Vec`
-    /// — the allocation-free form of [`cached_paths`](Self::cached_paths)
-    /// used by the per-interval role-number sampler.
+    /// Visits every cached source route (role-number sampling; DSR
+    /// only — AODV's tables hold next hops, not paths).
     pub fn for_each_cached_path(&self, f: impl FnMut(&SourceRoute)) {
         match self {
             RouterNode::Dsr(n) => n.cache().for_each_path(f),
@@ -412,29 +403,13 @@ impl RouterNode {
     }
 }
 
-/// Packet category, mirrored from [`NetPacket::kind`] into the interned
-/// header so hot-path dispatch never touches strings or the arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PacketKind {
-    /// Route request (broadcast flood).
-    Rreq,
-    /// Route reply.
-    Rrep,
-    /// Route error.
-    Rerr,
-    /// Application data.
-    Data,
-    /// AODV hello beacon (a broadcast RREP in disguise).
-    Hello,
-}
-
 /// The frame metadata the simulation core consults on every hop,
 /// denormalized out of the packet so a [`PacketHandle`] answers all
 /// accounting questions without an arena lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketHeader {
-    /// The packet category.
-    pub kind: PacketKind,
+    /// The packet class, in the event ledger's vocabulary.
+    pub class: PacketClass,
     /// `true` for routing-control packets.
     pub control: bool,
     /// On-air size, octets.
@@ -459,9 +434,9 @@ pub struct PacketHandle {
 }
 
 impl PacketHandle {
-    /// The packet category.
-    pub fn kind(&self) -> PacketKind {
-        self.header.kind
+    /// The packet class, in the event ledger's vocabulary.
+    pub fn class(&self) -> PacketClass {
+        self.header.class
     }
 
     /// `true` for routing-control packets.
@@ -493,7 +468,6 @@ pub struct PacketArena {
     slots: Vec<Option<NetPacket>>,
     free: Vec<u32>,
     live: usize,
-    high_water: usize,
 }
 
 impl PacketArena {
@@ -503,23 +477,23 @@ impl PacketArena {
     }
 
     fn header_of(packet: &NetPacket) -> PacketHeader {
-        let kind = match packet {
+        let class = match packet {
             NetPacket::Dsr(DsrPacket::Rreq(_)) | NetPacket::Aodv(AodvPacket::Rreq(_)) => {
-                PacketKind::Rreq
+                PacketClass::Rreq
             }
-            NetPacket::Aodv(AodvPacket::Rrep(r)) if r.is_hello() => PacketKind::Hello,
+            NetPacket::Aodv(AodvPacket::Rrep(r)) if r.is_hello() => PacketClass::Hello,
             NetPacket::Dsr(DsrPacket::Rrep(_)) | NetPacket::Aodv(AodvPacket::Rrep(_)) => {
-                PacketKind::Rrep
+                PacketClass::Rrep
             }
             NetPacket::Dsr(DsrPacket::Rerr(_)) | NetPacket::Aodv(AodvPacket::Rerr(_)) => {
-                PacketKind::Rerr
+                PacketClass::Rerr
             }
             NetPacket::Dsr(DsrPacket::Data(_)) | NetPacket::Aodv(AodvPacket::Data(_)) => {
-                PacketKind::Data
+                PacketClass::Data
             }
         };
         PacketHeader {
-            kind,
+            class,
             control: packet.is_control(),
             wire_bytes: packet.wire_bytes(),
             data_id: packet.data_id(),
@@ -541,7 +515,6 @@ impl PacketArena {
             }
         };
         self.live += 1;
-        self.high_water = self.high_water.max(self.live);
         PacketHandle { id, header }
     }
 
@@ -583,11 +556,6 @@ impl PacketArena {
     /// Number of packets currently interned.
     pub fn live(&self) -> usize {
         self.live
-    }
-
-    /// The maximum number of simultaneously interned packets seen.
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 }
 
@@ -648,7 +616,9 @@ mod tests {
         }));
         // DSR learns silently: no action reports a cached route.
         let _ = acts(|o| dsr.overhear(&pkt, n(1), SimTime::ZERO, o));
-        assert!(!dsr.cached_paths().is_empty(), "DSR must learn from overhearing");
+        let mut learned = 0;
+        dsr.for_each_cached_path(|_| learned += 1);
+        assert!(learned > 0, "DSR must learn from overhearing");
 
         let mut aodv = RouterNode::new(
             RoutingKind::Aodv,
@@ -666,7 +636,9 @@ mod tests {
             hops: 1,
         }));
         assert!(acts(|o| aodv.overhear(&apkt, n(1), SimTime::ZERO, o)).is_empty());
-        assert!(aodv.cached_paths().is_empty());
+        let mut paths = 0;
+        aodv.for_each_cached_path(|_| paths += 1);
+        assert_eq!(paths, 0);
     }
 
     #[test]

@@ -1,20 +1,32 @@
 //! The full-network simulation: all layers wired together.
 //!
 //! One [`Simulation`] owns mobility, the PSM MAC, the active-mode
-//! channel, one DSR engine per node, the scheme-specific controllers
-//! (ODPM timeouts, the Rcast decider), energy meters, and the metric
-//! collectors. [`Simulation::step_interval`] advances one beacon
-//! interval ([`Simulation::run`] loops it to completion):
+//! channel, one routing engine per node, the scheme-specific controllers
+//! (ODPM timeouts, the Rcast decider), the per-node energy lanes, and
+//! the metric collectors. [`Simulation::step_interval`] advances one
+//! beacon interval ([`Simulation::run`] loops it to completion) with one
+//! method call per phase:
 //!
 //! 1. refresh positions and the incrementally maintained neighbor
-//!    index,
-//! 2. fire DSR timers,
-//! 3. resolve the PSM beacon interval (ATIM window + data window) and
+//!    index;
+//! 2. apply the fault plan: crashes, rejoins, battery deaths, link
+//!    blackouts and corruption bursts;
+//! 3. feed every node's link churn to the Rcast decider;
+//! 4. fire the routing timers;
+//! 5. resolve the PSM beacon interval (ATIM window + data window) and
 //!    feed every delivery, overhearing and link failure back into the
-//!    DSR engines,
-//! 4. inject the interval's CBR arrivals (immediate transmission for
-//!    802.11/ODPM-AM paths, MAC queueing otherwise),
-//! 5. integrate energy per node from awake/sleep durations.
+//!    routing engines;
+//! 6. inject the interval's CBR arrivals (immediate transmission for
+//!    802.11/ODPM-AM paths, MAC queueing otherwise);
+//! 7. sample role numbers from the route caches, once a second;
+//! 8. integrate energy per node from awake/sleep durations;
+//! 9. close the ledger's interval.
+//!
+//! The world (mobility, positions, the neighbor index, the traffic
+//! schedule, the interval counter) lives on [`Simulation`]. Everything
+//! a transmission touches lives in one `Stack` beside it, so a phase
+//! borrows the neighbor table and the stack at once, and a delivery
+//! method needs nothing but the stack and the table.
 //!
 //! The result is a [`SimReport`] carrying every metric of the paper's
 //! Section 4.
@@ -26,16 +38,16 @@
 //! refilters each node's list in place from skin-radius candidate lists
 //! that are rebuilt only after enough motion, packets are interned once
 //! in a [`PacketArena`] and travel through the MAC as copyable
-//! [`PacketHandle`]s, and all per-interval working storage lives in a
-//! [`Scratch`] that is cleared, never dropped. `crates/bench` carries a
-//! counting-allocator regression test pinning quiet intervals to zero
-//! heap allocations.
+//! [`PacketHandle`]s, and the per-interval working storage (the action
+//! queues and the MAC's interval outcome) lives on the stack, cleared,
+//! never dropped. `crates/bench` carries a counting-allocator
+//! regression test pinning quiet intervals to zero heap allocations.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use rcast_aodv::AodvCounters;
-use rcast_dsr::DsrCounters;
+use rcast_aodv::{AodvCounters, AodvPacket};
+use rcast_dsr::{DsrCounters, DsrPacket};
 use rcast_engine::pool::ScopedPool;
 use rcast_engine::rng::StreamRng;
 use rcast_engine::{NodeId, SimDuration, SimTime};
@@ -52,9 +64,7 @@ use rcast_traffic::{Arrival, FlowSchedule};
 use crate::config::SimConfig;
 use crate::faults::{FaultCounters, FaultPlan};
 use crate::odpm::OdpmState;
-use crate::routing::{
-    NetPacket, PacketArena, PacketHandle, PacketKind, RouteAction, RouteOut, RouterNode,
-};
+use crate::routing::{NetPacket, PacketArena, PacketHandle, RouteAction, RouteOut, RouterNode};
 use crate::overhearing::RcastDecider;
 use crate::report::SimReport;
 use crate::scheme::Scheme;
@@ -107,40 +117,77 @@ impl WakePolicy for IntervalPolicy<'_> {
 /// A routing action awaiting dispatch, stamped with its node and time.
 type Pending = (NodeId, SimTime, RouteAction);
 
-/// Adapts the event [`Ledger`] to the MAC's [`MacObserver`] tap
-/// (defined here because both traits' crates are upstream of this one).
-struct LedgerMacObserver<'a> {
-    ledger: &'a mut Ledger,
+/// Moves the actions a router handler just emitted onto `to`, stamped
+/// with the node that emitted them and the time.
+fn queue_actions(out: &mut RouteOut, node: NodeId, at: SimTime, to: &mut impl Extend<Pending>) {
+    to.extend(out.actions.drain(..).map(|a| (node, at, a)));
 }
 
-impl MacObserver for LedgerMacObserver<'_> {
+/// The run's event [`Ledger`] when `SimConfig::obs` is on, and nothing
+/// otherwise. Every hook is a no-op on an empty recorder, so the
+/// interval path records unconditionally; no hook feeds anything back
+/// into the run. It is also the MAC's observer (defined here because
+/// both traits' crates are upstream of this one).
+struct Recorder(Option<Ledger>);
+
+impl Recorder {
+    /// Records one event.
+    fn record(&mut self, at: SimTime, node: NodeId, kind: ObsKind) {
+        if let Some(l) = &mut self.0 {
+            l.record_event(at, node, kind);
+        }
+    }
+
+    /// Records a network-scoped marker on the ledger's pseudo-node,
+    /// one past the last real node.
+    fn record_network(&mut self, at: SimTime, kind: ObsKind) {
+        if let Some(l) = &mut self.0 {
+            l.record_event(at, l.network_node(), kind);
+        }
+    }
+
+    /// Records one energy span, mirroring one lane accumulation.
+    fn span(&mut self, at: SimTime, node: NodeId, state: PowerState, dur: SimDuration) {
+        if let Some(l) = &mut self.0 {
+            l.record_span(at, node, state, dur);
+        }
+    }
+
+    /// Closes the current interval's row.
+    fn end_interval(&mut self) {
+        if let Some(l) = &mut self.0 {
+            l.end_interval();
+        }
+    }
+}
+
+impl MacObserver for Recorder {
     fn atim_unicast(&mut self, at: SimTime, sender: NodeId, to: NodeId) {
-        self.ledger.record_event(at, sender, ObsKind::AtimUnicast { to });
+        self.record(at, sender, ObsKind::AtimUnicast { to });
     }
     fn atim_broadcast(&mut self, at: SimTime, sender: NodeId) {
-        self.ledger.record_event(at, sender, ObsKind::AtimBroadcast);
+        self.record(at, sender, ObsKind::AtimBroadcast);
     }
     fn atim_no_ack(&mut self, at: SimTime, sender: NodeId, to: NodeId) {
-        self.ledger.record_event(at, sender, ObsKind::AtimNoAck { to });
+        self.record(at, sender, ObsKind::AtimNoAck { to });
     }
     fn atim_deferred(&mut self, at: SimTime, sender: NodeId) {
-        self.ledger.record_event(at, sender, ObsKind::AtimDeferred);
+        self.record(at, sender, ObsKind::AtimDeferred);
     }
     fn link_broken(&mut self, at: SimTime, sender: NodeId, to: NodeId) {
-        self.ledger.record_event(at, sender, ObsKind::LinkBroken { to });
+        self.record(at, sender, ObsKind::LinkBroken { to });
     }
     fn overhear_commit(&mut self, at: SimTime, node: NodeId, sender: NodeId) {
-        self.ledger.record_event(at, node, ObsKind::OverhearCommit { sender });
+        self.record(at, node, ObsKind::OverhearCommit { sender });
     }
     fn airtime_reserved(&mut self, at: SimTime, sender: NodeId, dur: SimDuration) {
-        self.ledger
-            .record_event(at, sender, ObsKind::Airtime { nanos: dur.as_nanos() });
+        self.record(at, sender, ObsKind::Airtime { nanos: dur.as_nanos() });
     }
     fn data_lost(&mut self, at: SimTime, sender: NodeId, to: NodeId) {
-        self.ledger.record_event(at, sender, ObsKind::DataLost { to });
+        self.record(at, sender, ObsKind::DataLost { to });
     }
     fn data_deferred(&mut self, at: SimTime, sender: NodeId) {
-        self.ledger.record_event(at, sender, ObsKind::DataDeferred);
+        self.record(at, sender, ObsKind::DataDeferred);
     }
 }
 
@@ -161,39 +208,6 @@ impl MacObserver for LedgerMacObserver<'_> {
 /// `Ledger::dropped`, not grown.
 fn max_data_hops(cfg: &SimConfig) -> u64 {
     u64::from(cfg.nodes.saturating_sub(1))
-}
-
-/// Maps the routing layer's packet kind onto the ledger's mirror enum.
-fn class_of(kind: PacketKind) -> PacketClass {
-    match kind {
-        PacketKind::Rreq => PacketClass::Rreq,
-        PacketKind::Rrep => PacketClass::Rrep,
-        PacketKind::Rerr => PacketClass::Rerr,
-        PacketKind::Data => PacketClass::Data,
-        PacketKind::Hello => PacketClass::Hello,
-    }
-}
-
-/// Reusable per-interval working storage. Every collection here is
-/// cleared at the start of its use and refilled in place; after the
-/// first few intervals the capacities stabilize and the interval loop
-/// stops touching the allocator.
-#[derive(Default)]
-struct Scratch {
-    /// The pending-action queue drained by [`Simulation::dispatch`].
-    work: VecDeque<Pending>,
-    /// Broadcast fan-out staging for reply-storm suppression.
-    batch: Vec<Pending>,
-    /// The MAC interval outcome, refilled by `run_interval_into`.
-    outcome: IntervalOutcome<PacketHandle>,
-    /// Fan-out buffer for the immediate (active-mode) channel path —
-    /// holds one transmission's recipients/overhearers at a time.
-    imm_fanout: Vec<NodeId>,
-    /// `committed_awake` substitute for the non-PSM (802.11) path: every
-    /// node awake for the full beacon interval. Built once.
-    flat_committed: Vec<SimDuration>,
-    /// `ps_awake` substitute for the non-PSM path: all `false`.
-    flat_ps: Vec<bool>,
 }
 
 /// Struct-of-arrays per-node hot state: the crash/power lane, the
@@ -308,6 +322,25 @@ pub struct Simulation {
     /// cloned per run.
     seed: u64,
     mobility: MobilityField,
+    /// Position snapshot, refreshed in place each interval.
+    snap: Snapshot,
+    /// Incrementally maintained neighbor index (current + previous
+    /// table, double-buffered).
+    neighbors: NeighborIndex,
+    schedule: FlowSchedule,
+    next_arrival: Option<Arrival>,
+    roles: RoleNumbers,
+    /// The next beacon interval to execute.
+    k: u64,
+    stack: Stack,
+}
+
+/// Everything a transmission touches: the MAC and channel, the packet
+/// arena, the routing engines, the scheme controllers, the per-node
+/// lanes, the fault state, the metric and event recorders, and the
+/// reusable action queues.
+struct Stack {
+    cfg: Arc<SimConfig>,
     mac: MacLayer<PacketHandle>,
     channel: Channel,
     /// In-flight packet storage: the MAC and channel move
@@ -321,31 +354,26 @@ pub struct Simulation {
     /// energy seconds, battery) — see [`NodeLanes`].
     lanes: NodeLanes,
     tracker: DeliveryTracker,
-    roles: RoleNumbers,
-    schedule: FlowSchedule,
-    first_depletion: Option<SimTime>,
-    obs: Option<Ledger>,
     faults: FaultPlan,
     /// `false` for a clean run without a battery: every fault hook
     /// short-circuits and the run is bit-identical to one built before
     /// faults existed.
     faults_active: bool,
     fault_counters: FaultCounters,
-    /// Position snapshot, refreshed in place each interval.
-    snap: Snapshot,
-    /// Incrementally maintained neighbor index (current + previous
-    /// table, double-buffered).
-    neighbors: NeighborIndex,
-    scratch: Scratch,
+    first_depletion: Option<SimTime>,
+    ledger: Recorder,
     /// The routers' caller-owned action buffer: each handler call fills
-    /// it and the caller drains it into the work queue straight away.
-    /// Scratch storage like [`Scratch`], but kept on `self` because
-    /// every dispatch path (timers, arrivals, deliveries, link failures)
-    /// calls a router.
+    /// it and [`queue_actions`] empties it straight away.
     route_out: RouteOut,
-    /// The next beacon interval to execute.
-    k: u64,
-    next_arrival: Option<Arrival>,
+    /// The pending-action queue drained by [`Stack::dispatch`].
+    work: VecDeque<Pending>,
+    /// Broadcast fan-out staging for reply-storm suppression.
+    batch: Vec<Pending>,
+    /// The MAC interval outcome, refilled in place each interval. The
+    /// immediate (active-mode) path writes its one transmission's
+    /// recipients into the same `fanout` buffer: the interval's own
+    /// deliveries are all processed before anything is dispatched.
+    outcome: IntervalOutcome<PacketHandle>,
 }
 
 impl Simulation {
@@ -390,13 +418,7 @@ impl Simulation {
         let next_arrival = schedule.next();
         let snap = mobility.snapshot(SimTime::ZERO);
         let neighbors = NeighborIndex::new(&snap, cfg.range_m);
-        let scratch = Scratch {
-            flat_committed: vec![cfg.mac.beacon_interval; n],
-            flat_ps: vec![false; n],
-            ..Scratch::default()
-        };
-        Ok(Simulation {
-            mobility,
+        let stack = Stack {
             mac: MacLayer::new(n, cfg.mac, phy, root.child("mac")),
             channel: Channel::new(n, cfg.mac, phy, root.child("channel")),
             arena: PacketArena::new(),
@@ -407,10 +429,11 @@ impl Simulation {
             rcast: RcastDecider::new(n, cfg.factors, root.child("rcast")),
             lanes: NodeLanes::new(n, cfg.energy, cfg.battery_capacity_j),
             tracker: DeliveryTracker::new(),
-            roles: RoleNumbers::new(n),
-            schedule,
+            faults,
+            faults_active,
+            fault_counters: FaultCounters::default(),
             first_depletion: None,
-            obs: cfg.obs.then(|| {
+            ledger: Recorder(cfg.obs.then(|| {
                 Ledger::new(LedgerParams {
                     nodes: cfg.nodes,
                     intervals: cfg.beacon_intervals(),
@@ -420,16 +443,22 @@ impl Simulation {
                     packet_events: cfg.traffic.max_packets_before(horizon)
                         * (2 + max_data_hops(&cfg)),
                 })
-            }),
-            faults,
-            faults_active,
-            fault_counters: FaultCounters::default(),
+            })),
+            route_out: RouteOut::default(),
+            work: VecDeque::new(),
+            batch: Vec::new(),
+            outcome: IntervalOutcome::default(),
+            cfg: Arc::clone(&cfg),
+        };
+        Ok(Simulation {
+            mobility,
             snap,
             neighbors,
-            scratch,
-            route_out: RouteOut::default(),
-            k: 0,
+            schedule,
             next_arrival,
+            roles: RoleNumbers::new(n),
+            k: 0,
+            stack,
             seed,
             cfg,
         })
@@ -457,667 +486,72 @@ impl Simulation {
         if self.k >= self.cfg.beacon_intervals() {
             return false;
         }
-        let k = self.k;
         let bi = self.cfg.mac.beacon_interval;
-        let t = SimTime::ZERO + bi * k;
-        let n = self.cfg.nodes as usize;
-
-        // Detach the reusable state so `&mut self` methods can run while
-        // it is borrowed; restored before returning.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut neighbors = std::mem::take(&mut self.neighbors);
-        let mut obs = self.obs.take();
-        let work = &mut scratch.work;
-        let batch = &mut scratch.batch;
-        let imm_fanout = &mut scratch.imm_fanout;
-
-        if k > 0 {
-            self.mobility.snapshot_into(t, &mut self.snap);
-            neighbors.advance(&self.snap);
-        }
-        if self.faults_active {
-            self.apply_faults(t, &mut neighbors, &mut obs);
-        }
-        if k > 0 {
-            // Feed the decider every node's link churn in node order.
-            // Carried-forward lists (byte-equal to the previous
-            // interval's, no fault mutation since) have zero churn, so
-            // the symmetric-difference merge runs only for lists that
-            // actually changed — the decider still sees every node (its
-            // EWMA decays on 0).
-            let (cur, prev) = (neighbors.current(), neighbors.previous());
-            for i in 0..n {
-                let id = NodeId::new(i as u32);
-                let changes = if neighbors.carried_forward(id) {
-                    0
-                } else {
-                    cur.link_changes_since(prev, id)
-                };
-                self.rcast.note_link_changes(id, changes);
-            }
-        }
-        let nt = neighbors.current();
-
-        // 1. Routing timers (crashed nodes hold no timers).
-        for i in 0..n {
-            if self.lanes.down[i] {
-                continue;
-            }
-            let id = NodeId::new(i as u32);
-            self.routers[i].tick(t, &mut self.route_out);
-            work.extend(self.route_out.actions.drain(..).map(|a| (id, t, a)));
-        }
-        self.dispatch(work, batch, imm_fanout, nt, &mut obs);
-
-        // 2. The PSM beacon interval.
-        let used_psm = self.cfg.scheme.uses_psm_path();
-        if used_psm {
-            if self.cfg.scheme == Scheme::Rcast {
-                // Batch this interval's randomized wake draws into one
-                // contiguous lane (one raw draw per node is ample for
-                // typical ATIM loads; overflow falls through to the
-                // stream, so the decision sequence is bit-identical to
-                // lazy per-decision draws).
-                self.rcast.prefill_draws(n);
-            }
-            {
-                let mut policy = IntervalPolicy {
-                    scheme: self.cfg.scheme,
-                    interval_start: t,
-                    odpm: &self.odpm,
-                    rcast: &mut self.rcast,
-                };
-                match obs.as_mut() {
-                    Some(ledger) => {
-                        let mut tap = LedgerMacObserver { ledger };
-                        self.mac.run_interval_observed(
-                            t,
-                            nt,
-                            &mut policy,
-                            &mut scratch.outcome,
-                            &mut tap,
-                        );
-                    }
-                    None => self
-                        .mac
-                        .run_interval_into(t, nt, &mut policy, &mut scratch.outcome),
-                }
-            }
-            for d in scratch.outcome.deliveries.drain(..) {
-                self.process_delivery(d, &scratch.outcome.fanout, work, batch, &mut obs);
-            }
-            for f in scratch.outcome.failures.drain(..) {
-                self.link_failure(f, t, work);
-            }
-            self.dispatch(work, batch, imm_fanout, nt, &mut obs);
-        }
-
-        // 3. This interval's traffic arrivals.
-        let interval_end = t + bi;
-        while let Some(a) = self.next_arrival {
-            if a.at >= interval_end {
-                break;
-            }
-            self.tracker.record_originated();
-            if let Some(l) = obs.as_mut() {
-                l.record_event(
-                    a.at,
-                    a.src,
-                    ObsKind::Originated {
-                        flow: a.flow,
-                        seq: a.seq,
-                        dst: a.dst,
-                    },
-                );
-            }
-            if self.lanes.down[a.src.index()] {
-                // A crashed source generates nothing on the air; the
-                // packet is lost at birth.
-                self.tracker.record_fault_drop();
-                self.fault_counters.packets_lost_to_faults += 1;
-                if let Some(l) = obs.as_mut() {
-                    l.record_event(
-                        a.at,
-                        a.src,
-                        ObsKind::PacketDropped {
-                            flow: a.flow,
-                            seq: a.seq,
-                        },
-                    );
-                }
-                self.next_arrival = self.schedule.next();
-                continue;
-            }
-            if self.cfg.scheme == Scheme::Odpm {
-                // A generating source is an endpoint event.
-                self.odpm.on_data(a.src, a.at);
-            }
-            self.routers[a.src.index()].originate(
-                a.flow,
-                a.seq,
-                a.dst,
-                a.bytes,
-                a.at,
-                &mut self.route_out,
-            );
-            work.extend(
-                self.route_out
-                    .actions
-                    .drain(..)
-                    .map(|act| (a.src, a.at, act)),
-            );
-            self.dispatch(work, batch, imm_fanout, nt, &mut obs);
-            self.next_arrival = self.schedule.next();
-        }
-
-        // 4. Role-number accounting: the paper computes role numbers
-        // "by examining each node's route cache" — sample cache
-        // contents once a second and count intermediates.
-        if k.is_multiple_of(4) {
-            let roles = &mut self.roles;
-            for node in &self.routers {
-                node.for_each_cached_path(|path| roles.record_cached_route(path.nodes()));
-            }
-        }
-
-        // 5. Energy integration for [t, t + bi).
-        if used_psm {
-            self.account_energy(
-                t,
-                &scratch.outcome.ps_awake,
-                &scratch.outcome.committed_awake,
-                &mut obs,
-            );
-        } else {
-            self.account_energy(t, &scratch.flat_ps, &scratch.flat_committed, &mut obs);
-        }
-
-        if let Some(l) = obs.as_mut() {
-            l.end_interval();
-        }
-        self.obs = obs;
-        self.neighbors = neighbors;
-        self.scratch = scratch;
+        let t = SimTime::ZERO + bi * self.k;
+        self.advance_world(t);
+        self.stack.apply_faults(t, &mut self.neighbors);
+        self.scan_link_churn();
+        self.stack.fire_timers(t, self.neighbors.current());
+        self.stack.resolve_interval(t, self.neighbors.current());
+        self.originate_arrivals(t + bi);
+        self.sample_roles();
+        self.stack.account_energy(t);
+        self.stack.ledger.end_interval();
         self.k += 1;
         true
     }
 
-    /// Applies the fault plan at the interval boundary `t`: resolves
-    /// node up/down transitions (a crash, or a battery that drained in
-    /// the previous interval, purges the node's MAC queue and wipes its
-    /// volatile routing state), masks crashed nodes and
-    /// blacked-out links out of the neighbor index — neighbors then
-    /// discover the loss through missing ATIM-ACKs, which feeds DSR a
-    /// link error — and sets the interval's frame-corruption
-    /// probability.
-    fn apply_faults(&mut self, t: SimTime, index: &mut NeighborIndex, obs: &mut Option<Ledger>) {
-        let new_blackouts = self.faults.activate_blackouts(t);
-        let new_bursts = self.faults.activate_bursts(t);
-        self.fault_counters.link_blackouts += new_blackouts;
-        self.fault_counters.corruption_bursts += new_bursts;
-        if let Some(l) = obs.as_mut() {
-            // Network-scoped markers live on the pseudo-node one past
-            // the last real node.
-            let net = l.network_node();
-            if new_blackouts > 0 {
-                l.record_event(t, net, ObsKind::Blackouts { newly: new_blackouts as u32 });
-            }
-            if new_bursts > 0 {
-                l.record_event(t, net, ObsKind::Bursts { newly: new_bursts as u32 });
-            }
+    /// Moves every node to its position at `t` and advances the
+    /// neighbor index. Interval 0 runs on the construction snapshot.
+    fn advance_world(&mut self, t: SimTime) {
+        if self.k > 0 {
+            self.mobility.snapshot_into(t, &mut self.snap);
+            self.neighbors.advance(&self.snap);
         }
-        let n = self.cfg.nodes as usize;
-        for i in 0..n {
+    }
+
+    /// Feeds the decider every node's link churn in node order.
+    /// Carried-forward lists (byte-equal to the previous interval's, no
+    /// fault mutation since) have zero churn, so the symmetric-difference
+    /// merge runs only for lists that actually changed — the decider
+    /// still sees every node (its EWMA decays on 0).
+    fn scan_link_churn(&mut self) {
+        if self.k == 0 {
+            return;
+        }
+        let (cur, prev) = (self.neighbors.current(), self.neighbors.previous());
+        for i in 0..self.cfg.nodes as usize {
             let id = NodeId::new(i as u32);
-            let crashed = self.faults.is_down(id, t);
-            let is_down = crashed || self.lanes.battery.as_ref().is_some_and(|b| b.depleted[i]);
-            if is_down && !self.lanes.down[i] {
-                if crashed {
-                    self.fault_counters.crashes += 1;
-                }
-                if let Some(l) = obs.as_mut() {
-                    l.record_event(t, id, ObsKind::Crash);
-                }
-                // Volatile state dies with the node: queued frames and
-                // route-pending buffered packets are lost for good.
-                for q in self.mac.purge_node(id) {
-                    let h = q.frame.payload;
-                    self.arena.release(h);
-                    if h.is_control() {
-                        continue;
-                    }
-                    self.tracker.record_fault_drop();
-                    self.fault_counters.packets_lost_to_faults += 1;
-                    if let (Some(l), Some((flow, seq))) = (obs.as_mut(), h.data_id()) {
-                        l.record_event(t, id, ObsKind::PacketDropped { flow, seq });
-                    }
-                }
-                for pid in self.routers[i].reboot(t) {
-                    self.tracker.record_fault_drop();
-                    self.fault_counters.packets_lost_to_faults += 1;
-                    if let Some(l) = obs.as_mut() {
-                        let (flow, seq) = pid;
-                        l.record_event(t, id, ObsKind::PacketDropped { flow, seq });
-                    }
-                }
-            } else if !is_down && self.lanes.down[i] {
-                self.fault_counters.rejoins += 1;
-                if let Some(l) = obs.as_mut() {
-                    l.record_event(t, id, ObsKind::Rejoin);
-                }
-            }
-            self.lanes.down[i] = is_down;
-            if is_down {
-                index.isolate(id);
-            }
-        }
-        for (a, b) in self.faults.cut_links_at(t) {
-            index.cut_link(a, b);
-        }
-        let p = self
-            .faults
-            .corruption_prob(t)
-            .max(self.cfg.mac.frame_loss_prob);
-        self.mac.set_frame_loss_prob(p);
-        self.channel.set_frame_loss_prob(p);
-    }
-
-    /// Charges every node's meter for the interval starting at `t`.
-    ///
-    /// When the ledger is on, every `accumulate` call is mirrored by a
-    /// `Span` event with the same state and duration, in the same
-    /// per-node order — that is what makes
-    /// [`rcast_obs::ObsReport::replay_energy`] reproduce the meters
-    /// bit-for-bit.
-    // The loop drives five parallel lanes plus `committed_awake` off
-    // one index; an iterator over any single lane would obscure that.
-    #[allow(clippy::needless_range_loop)]
-    fn account_energy(
-        &mut self,
-        t: SimTime,
-        ps_awake: &[bool],
-        committed_awake: &[SimDuration],
-        obs: &mut Option<Ledger>,
-    ) {
-        let bi = self.cfg.mac.beacon_interval;
-        let aw = self.cfg.mac.atim_window;
-        let n = self.cfg.nodes as usize;
-        let model = self.lanes.model;
-        for i in 0..n {
-            let id = NodeId::new(i as u32);
-            if self.lanes.down[i] {
-                // A crashed node's radio is off for the whole interval:
-                // the wall clock still advances but nothing drains.
-                self.lanes.off_s[i] += bi.as_secs_f64();
-                if let Some(l) = obs.as_mut() {
-                    l.record_span(t, id, PowerState::Off, bi);
-                }
-                continue;
-            }
-            let awake_dur = match self.cfg.scheme {
-                Scheme::Dot11 => bi,
-                // PS schemes: the MAC already integrated commitment time
-                // (ATIM window when idle, through the last committed
-                // transfer otherwise, the whole interval for unbounded
-                // commitments).
-                Scheme::Psm | Scheme::PsmNoOverhear | Scheme::Rcast => committed_awake[i],
-                Scheme::Odpm => {
-                    // PSM commitments and the AM keep-alive overlap; the
-                    // node is awake for whichever reaches further.
-                    let _ = ps_awake;
-                    committed_awake[i].max(aw.max(self.odpm.am_overlap(id, t, bi)))
-                }
-            };
-            // Same adds in the same order as `EnergyMeter::accumulate`
-            // (the ledger replay reconstructs real meters from the
-            // mirrored spans and must land on the same bits).
-            self.lanes.awake_s[i] += awake_dur.as_secs_f64();
-            self.lanes.sleep_s[i] += (bi - awake_dur).as_secs_f64();
-            if let Some(l) = obs.as_mut() {
-                l.record_span(t, id, PowerState::Awake, awake_dur);
-                l.record_span(t, id, PowerState::Sleep, bi - awake_dur);
-            }
-            if let Some(bat) = &mut self.lanes.battery {
-                let joules = awake_dur.as_secs_f64() * model.idle_w
-                    + (bi - awake_dur).as_secs_f64() * model.sleep_w;
-                if bat.drain(i, joules) {
-                    // The node finishes this interval and is down from
-                    // the next boundary on (`apply_faults`).
-                    let died = t + bi;
-                    self.first_depletion.get_or_insert(died);
-                    self.fault_counters.battery_deaths += 1;
-                    if let Some(l) = obs.as_mut() {
-                        l.record_event(died, id, ObsKind::BatteryDead);
-                    }
-                }
-                self.rcast.note_battery(id, bat.remaining_fraction(i));
-            }
-        }
-    }
-
-    /// Drains the pending-action queue, routing transmissions through
-    /// the scheme-appropriate path.
-    fn dispatch(
-        &mut self,
-        work: &mut VecDeque<Pending>,
-        batch: &mut Vec<Pending>,
-        fanout: &mut Vec<NodeId>,
-        nt: &NeighborTable,
-        obs: &mut Option<Ledger>,
-    ) {
-        while let Some((node, at, action)) = work.pop_front() {
-            match action {
-                RouteAction::Unicast { next_hop, packet } => {
-                    self.send_unicast(node, next_hop, packet, at, nt, work, batch, fanout, obs);
-                }
-                RouteAction::Broadcast { packet } => {
-                    self.send_broadcast(node, packet, at, nt, work, batch, fanout, obs);
-                }
-                RouteAction::Delivered(info) => {
-                    self.tracker.record_delivered(info.generated_at, at);
-                    self.tracker.record_hops(info.hops);
-                    if let Some(l) = obs.as_mut() {
-                        l.record_event(
-                            at,
-                            node,
-                            ObsKind::PacketDelivered {
-                                flow: info.flow,
-                                seq: info.seq,
-                            },
-                        );
-                    }
-                }
-                RouteAction::Dropped(info) => {
-                    self.tracker.record_dropped();
-                    if let Some(l) = obs.as_mut() {
-                        l.record_event(
-                            at,
-                            node,
-                            ObsKind::PacketDropped {
-                                flow: info.flow,
-                                seq: info.seq,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// `true` when the immediate (active-mode) path applies to a unicast
-    /// from `from` to `to` at time `at`.
-    fn immediate_path(&self, from: NodeId, to: NodeId, at: SimTime) -> bool {
-        match self.cfg.scheme {
-            Scheme::Dot11 => true,
-            Scheme::Odpm => self.odpm.is_am(from, at) && self.odpm.is_am(to, at),
-            _ => false,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_unicast(
-        &mut self,
-        from: NodeId,
-        next_hop: NodeId,
-        packet: NetPacket,
-        at: SimTime,
-        nt: &NeighborTable,
-        work: &mut VecDeque<Pending>,
-        batch: &mut Vec<Pending>,
-        fanout: &mut Vec<NodeId>,
-        obs: &mut Option<Ledger>,
-    ) {
-        let level = self.cfg.scheme.level_for_net(&packet);
-        let bytes = packet.wire_bytes();
-        let handle = self.arena.intern(packet);
-        let frame = MacFrame::unicast(next_hop, level, bytes, handle);
-        if self.immediate_path(from, next_hop, at) {
-            let scheme = self.cfg.scheme;
-            let odpm = &self.odpm;
-            let result = self.channel.transmit(
-                at,
-                from,
-                frame,
-                nt,
-                |x| match scheme {
-                    Scheme::Dot11 => true,
-                    Scheme::Odpm => odpm.is_am(x, at),
-                    _ => unreachable!("immediate path is 802.11/ODPM only"),
-                },
-                fanout,
-            );
-            match result {
-                ImmediateResult::Delivered(d) => {
-                    self.process_delivery(d, fanout, work, batch, obs)
-                }
-                ImmediateResult::Failed(f) => {
-                    let at = f.at;
-                    self.link_failure(f, at, work);
-                }
-            }
-        } else if let Err(frame) = self.mac.enqueue(from, frame, at) {
-            let h = frame.payload;
-            if !h.is_control() {
-                self.tracker.record_dropped();
-                if let (Some(l), Some((flow, seq))) = (obs.as_mut(), h.data_id()) {
-                    l.record_event(at, from, ObsKind::PacketDropped { flow, seq });
-                }
-            }
-            self.arena.release(h);
-        }
-    }
-
-    /// Hands a failed unicast back to its sender's router, for both the
-    /// PSM path (failures collected over an interval) and the immediate
-    /// path. The failure counts as fault-caused when the receiver is
-    /// down or the link is cut at `fault_at` (the interval start on the
-    /// PSM path, the failure time on the immediate path). The packet
-    /// leaves the arena, and the router's recovery actions are queued.
-    fn link_failure(
-        &mut self,
-        f: LinkFailure<PacketHandle>,
-        fault_at: SimTime,
-        work: &mut VecDeque<Pending>,
-    ) {
-        if self.faults_active
-            && (self.lanes.down[f.receiver.index()]
-                || self.faults.link_cut(f.sender, f.receiver, fault_at))
-        {
-            self.fault_counters.rerrs_triggered += 1;
-        }
-        let packet = self.arena.take(f.frame.payload);
-        self.routers[f.sender.index()].link_failure(f.receiver, packet, f.at, &mut self.route_out);
-        work.extend(
-            self.route_out
-                .actions
-                .drain(..)
-                .map(|a| (f.sender, f.at, a)),
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_broadcast(
-        &mut self,
-        from: NodeId,
-        packet: NetPacket,
-        at: SimTime,
-        nt: &NeighborTable,
-        work: &mut VecDeque<Pending>,
-        batch: &mut Vec<Pending>,
-        fanout: &mut Vec<NodeId>,
-        obs: &mut Option<Ledger>,
-    ) {
-        let bytes = packet.wire_bytes();
-        let handle = self.arena.intern(packet);
-        if self.cfg.scheme == Scheme::Dot11 {
-            let frame = MacFrame::broadcast(bytes, handle);
-            match self.channel.transmit(at, from, frame, nt, |_| true, fanout) {
-                ImmediateResult::Delivered(d) => {
-                    self.process_delivery(d, fanout, work, batch, obs)
-                }
-                ImmediateResult::Failed(_) => unreachable!("broadcasts never fail"),
-            }
-        } else {
-            // The randomized-broadcast extension kicks in only when the
-            // Rcast factors ask for it (probability < 1).
-            let level = if self.cfg.scheme == Scheme::Rcast
-                && self.cfg.factors.broadcast_probability < 1.0
-            {
-                OverhearingLevel::Randomized
+            let changes = if self.neighbors.carried_forward(id) {
+                0
             } else {
-                OverhearingLevel::Unconditional
+                cur.link_changes_since(prev, id)
             };
-            let frame = MacFrame::broadcast_with_level(level, bytes, handle);
-            if let Err(frame) = self.mac.enqueue(from, frame, at) {
-                self.arena.release(frame.payload);
-            }
+            self.stack.rcast.note_link_changes(id, changes);
         }
     }
 
-    /// Feeds one completed transmission back into the protocol stack.
-    ///
-    /// Arena lifetime: the interned packet is *borrowed* by overhearers
-    /// and broadcast recipients, then consumed exactly once — taken by
-    /// the unicast receiver, or released after the broadcast fan-out.
-    fn process_delivery(
-        &mut self,
-        d: Delivery<PacketHandle>,
-        fanout: &[NodeId],
-        work: &mut VecDeque<Pending>,
-        batch: &mut Vec<Pending>,
-        obs: &mut Option<Ledger>,
-    ) {
-        let recipients = d.fanout.recipients(fanout);
-        let overhearers = d.fanout.overhearers(fanout);
-        let h = d.frame.payload;
-        // Overhead accounting: one on-air transmission. The handle's
-        // cached header answers everything without touching the arena.
-        if h.is_control() {
-            self.tracker.record_control_transmission();
-            if let Some(l) = obs.as_mut() {
-                l.record_event(
-                    d.at,
-                    d.sender,
-                    ObsKind::ControlTx {
-                        class: class_of(h.kind()),
-                    },
-                );
-            }
-        } else {
-            self.tracker.record_data_transmission();
-            if let (Some(l), Some((flow, seq)), Some(to)) =
-                (obs.as_mut(), h.data_id(), d.receiver)
-            {
-                l.record_event(d.at, d.sender, ObsKind::Forwarded { flow, seq, to });
-            }
-        }
-        if let Some(l) = obs.as_mut() {
-            for &o in overhearers {
-                l.record_event(d.at, o, ObsKind::Overheard { sender: d.sender });
-            }
-        }
-        // ODPM keep-alive events. DSR runs the radio promiscuously, so
-        // an AM node's *overheard* traffic is indistinguishable from
-        // received traffic at the power-management layer — overhearers
-        // refresh their timers too. This stickiness is what keeps ODPM's
-        // active corridors lit at high rates (the paper's Fig. 5(d)
-        // explanation). AODV hellos are broadcast RREPs but carry their
-        // own `Hello` kind, so they do not refresh RREP timers.
-        if self.cfg.scheme == Scheme::Odpm {
-            match h.kind() {
-                PacketKind::Rrep => {
-                    if let Some(r) = d.receiver {
-                        self.odpm.on_rrep(r, d.at);
-                    }
-                }
-                PacketKind::Data => {
-                    self.odpm.on_data(d.sender, d.at);
-                    if let Some(r) = d.receiver {
-                        self.odpm.on_data(r, d.at);
-                    }
-                }
-                PacketKind::Rreq => {
-                    // Route-discovery keep-alive: request recipients stay
-                    // active briefly so the reply can race back along the
-                    // reverse path — the source of ODPM's low delay.
-                    for &r in recipients {
-                        self.odpm.on_rreq(r, d.at);
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Sender-ID factor bookkeeping.
-        for &x in recipients
-            .iter()
-            .chain(overhearers.iter())
-            .chain(d.receiver.iter())
-        {
-            self.rcast.note_heard(x, d.sender, d.at);
-        }
-        // Overhearers first (they only borrow the interned packet).
-        let (routers, arena, out) = (&mut self.routers, &self.arena, &mut self.route_out);
-        for &o in overhearers {
-            routers[o.index()].overhear(arena.get(h), d.sender, d.at, out);
-            work.extend(out.actions.drain(..).map(|a| (o, d.at, a)));
-        }
-        // Then the addressed receiver(s).
-        match d.receiver {
-            Some(r) => {
-                let packet = self.arena.take(h);
-                self.routers[r.index()].receive(packet, d.sender, d.at, &mut self.route_out);
-                work.extend(self.route_out.actions.drain(..).map(|a| (r, d.at, a)));
-            }
-            None => {
-                let is_rreq = h.kind() == PacketKind::Rreq;
-                batch.clear();
-                for &r in recipients {
-                    routers[r.index()].receive_ref(arena.get(h), d.sender, d.at, out);
-                    batch.extend(out.actions.drain(..).map(|a| (r, d.at, a)));
-                }
-                self.arena.release(h);
-                if is_rreq {
-                    Self::suppress_reply_storm(batch);
-                }
-                work.extend(batch.drain(..));
-            }
+    /// Hands every CBR arrival before `end` to its source, in arrival
+    /// order, dispatching each before the next.
+    fn originate_arrivals(&mut self, end: SimTime) {
+        let nt = self.neighbors.current();
+        while let Some(a) = self.next_arrival.filter(|a| a.at < end) {
+            self.stack.originate(a, nt);
+            self.next_arrival = self.schedule.next();
         }
     }
 
-    /// DSR's *route reply storm prevention* (Johnson & Maltz §: cached
-    /// replies are jittered proportionally to route length and canceled
-    /// when a shorter reply is overheard). The recipients of one RREQ
-    /// transmission all hear each other, so among their cached replies
-    /// only the shortest-route one survives.
-    fn suppress_reply_storm(batch: &mut Vec<Pending>) {
-        fn rrep_hops(a: &RouteAction) -> Option<usize> {
-            match a {
-                RouteAction::Unicast { packet, .. } if packet.kind() == "RREP" => {
-                    Some(match packet {
-                        NetPacket::Dsr(rcast_dsr::DsrPacket::Rrep(r)) => r.route.hop_count(),
-                        NetPacket::Aodv(rcast_aodv::AodvPacket::Rrep(r)) => {
-                            r.hop_count as usize
-                        }
-                        _ => usize::MAX,
-                    })
-                }
-                _ => None,
-            }
+    /// Role-number accounting: the paper computes role numbers "by
+    /// examining each node's route cache" — sample cache contents once
+    /// a second and count intermediates.
+    fn sample_roles(&mut self) {
+        if !self.k.is_multiple_of(4) {
+            return;
         }
-        let best: Option<usize> = batch
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (_, _, a))| rrep_hops(a).map(|h| (i, h)))
-            .min_by_key(|&(_, hops)| hops)
-            .map(|(i, _)| i);
-        let Some(best) = best else { return };
-        let mut idx = 0usize;
-        batch.retain(|(_, _, a)| {
-            let keep = rrep_hops(a).is_none() || idx == best;
-            // `retain` visits in order; track the original index.
-            idx += 1;
-            keep
-        });
+        let roles = &mut self.roles;
+        for node in &self.stack.routers {
+            node.for_each_cached_path(|path| roles.record_cached_route(path.nodes()));
+        }
     }
 
     /// Closes the run and reports. Pairs with
@@ -1125,9 +559,10 @@ impl Simulation {
     /// final interval reports the simulation as of the intervals
     /// executed so far.
     pub fn finish(self) -> SimReport {
+        let stack = self.stack;
         let mut dsr_total = DsrCounters::default();
         let mut aodv_total = AodvCounters::default();
-        for node in &self.routers {
+        for node in &stack.routers {
             if let Some(c) = node.dsr_counters() {
                 dsr_total.rreq_originated += c.rreq_originated;
                 dsr_total.rreq_forwarded += c.rreq_forwarded;
@@ -1161,19 +596,460 @@ impl Simulation {
             seed: self.seed,
             duration: self.cfg.duration,
             energy: EnergyReport::new(
-                (0..self.lanes.len())
-                    .map(|i| self.lanes.total_joules(i))
+                (0..stack.lanes.len())
+                    .map(|i| stack.lanes.total_joules(i))
                     .collect(),
             ),
-            delivery: self.tracker,
+            delivery: stack.tracker,
             roles: self.roles,
-            mac: self.mac.counters(),
+            mac: stack.mac.counters(),
             dsr: dsr_total,
             aodv: aodv_total,
-            faults: self.fault_counters,
-            first_depletion: self.first_depletion,
-            obs: self.obs.map(Ledger::into_report),
+            faults: stack.fault_counters,
+            first_depletion: stack.first_depletion,
+            obs: stack.ledger.0.map(Ledger::into_report),
         }
+    }
+}
+
+impl Stack {
+    /// Applies the fault plan at the interval boundary `t`: resolves
+    /// node up/down transitions (a crash, or a battery that drained in
+    /// the previous interval, purges the node's MAC queue and wipes its
+    /// volatile routing state), masks crashed nodes and
+    /// blacked-out links out of the neighbor index — neighbors then
+    /// discover the loss through missing ATIM-ACKs, which feeds DSR a
+    /// link error — and sets the interval's frame-corruption
+    /// probability.
+    fn apply_faults(&mut self, t: SimTime, index: &mut NeighborIndex) {
+        if !self.faults_active {
+            return;
+        }
+        let new_blackouts = self.faults.activate_blackouts(t);
+        let new_bursts = self.faults.activate_bursts(t);
+        self.fault_counters.link_blackouts += new_blackouts;
+        self.fault_counters.corruption_bursts += new_bursts;
+        if new_blackouts > 0 {
+            self.ledger.record_network(t, ObsKind::Blackouts { newly: new_blackouts as u32 });
+        }
+        if new_bursts > 0 {
+            self.ledger.record_network(t, ObsKind::Bursts { newly: new_bursts as u32 });
+        }
+        for i in 0..self.cfg.nodes as usize {
+            let id = NodeId::new(i as u32);
+            let crashed = self.faults.is_down(id, t);
+            let is_down = crashed || self.lanes.battery.as_ref().is_some_and(|b| b.depleted[i]);
+            if is_down && !self.lanes.down[i] {
+                if crashed {
+                    self.fault_counters.crashes += 1;
+                }
+                self.ledger.record(t, id, ObsKind::Crash);
+                // Volatile state dies with the node: queued frames and
+                // route-pending buffered packets are lost for good.
+                for q in self.mac.purge_node(id) {
+                    let h = q.frame.payload;
+                    self.arena.release(h);
+                    if h.is_control() {
+                        continue;
+                    }
+                    self.tracker.record_fault_drop();
+                    self.fault_counters.packets_lost_to_faults += 1;
+                    if let Some((flow, seq)) = h.data_id() {
+                        self.ledger.record(t, id, ObsKind::PacketDropped { flow, seq });
+                    }
+                }
+                for (flow, seq) in self.routers[i].reboot(t) {
+                    self.tracker.record_fault_drop();
+                    self.fault_counters.packets_lost_to_faults += 1;
+                    self.ledger.record(t, id, ObsKind::PacketDropped { flow, seq });
+                }
+            } else if !is_down && self.lanes.down[i] {
+                self.fault_counters.rejoins += 1;
+                self.ledger.record(t, id, ObsKind::Rejoin);
+            }
+            self.lanes.down[i] = is_down;
+            if is_down {
+                index.isolate(id);
+            }
+        }
+        for (a, b) in self.faults.cut_links_at(t) {
+            index.cut_link(a, b);
+        }
+        let p = self
+            .faults
+            .corruption_prob(t)
+            .max(self.cfg.mac.frame_loss_prob);
+        self.mac.set_frame_loss_prob(p);
+        self.channel.set_frame_loss_prob(p);
+    }
+
+    /// Fires every live node's routing timers (crashed nodes hold
+    /// none) and dispatches what they emit.
+    fn fire_timers(&mut self, t: SimTime, nt: &NeighborTable) {
+        for i in 0..self.routers.len() {
+            if self.lanes.down[i] {
+                continue;
+            }
+            self.routers[i].tick(t, &mut self.route_out);
+            queue_actions(&mut self.route_out, NodeId::new(i as u32), t, &mut self.work);
+        }
+        self.dispatch(nt);
+    }
+
+    /// Resolves the PSM beacon interval starting at `t` and feeds its
+    /// deliveries, then its link failures, back into the routers. 802.11
+    /// has no PSM path and skips this phase.
+    fn resolve_interval(&mut self, t: SimTime, nt: &NeighborTable) {
+        if !self.cfg.scheme.uses_psm_path() {
+            return;
+        }
+        let mut policy = IntervalPolicy {
+            scheme: self.cfg.scheme,
+            interval_start: t,
+            odpm: &self.odpm,
+            rcast: &mut self.rcast,
+        };
+        self.mac
+            .run_interval(t, nt, &mut policy, &mut self.outcome, &mut self.ledger);
+        for i in 0..self.outcome.deliveries.len() {
+            self.process_delivery(self.outcome.deliveries[i]);
+        }
+        for i in 0..self.outcome.failures.len() {
+            self.link_failure(self.outcome.failures[i], t);
+        }
+        self.dispatch(nt);
+    }
+
+    /// Hands one CBR arrival to its source's router and dispatches the
+    /// result.
+    fn originate(&mut self, a: Arrival, nt: &NeighborTable) {
+        self.tracker.record_originated();
+        let (flow, seq) = (a.flow, a.seq);
+        self.ledger.record(a.at, a.src, ObsKind::Originated { flow, seq, dst: a.dst });
+        if self.lanes.down[a.src.index()] {
+            // A crashed source generates nothing on the air; the
+            // packet is lost at birth.
+            self.tracker.record_fault_drop();
+            self.fault_counters.packets_lost_to_faults += 1;
+            self.ledger.record(a.at, a.src, ObsKind::PacketDropped { flow, seq });
+            return;
+        }
+        if self.cfg.scheme == Scheme::Odpm {
+            // A generating source is an endpoint event.
+            self.odpm.on_data(a.src, a.at);
+        }
+        self.routers[a.src.index()].originate(flow, seq, a.dst, a.bytes, a.at, &mut self.route_out);
+        queue_actions(&mut self.route_out, a.src, a.at, &mut self.work);
+        self.dispatch(nt);
+    }
+
+    /// Charges every node's meter for the interval starting at `t`.
+    ///
+    /// When the ledger is on, every `accumulate` call is mirrored by a
+    /// `Span` event with the same state and duration, in the same
+    /// per-node order — that is what makes
+    /// [`rcast_obs::ObsReport::replay_energy`] reproduce the meters
+    /// bit-for-bit.
+    // The loop drives five parallel lanes plus `committed_awake` off
+    // one index; an iterator over any single lane would obscure that.
+    #[allow(clippy::needless_range_loop)]
+    fn account_energy(&mut self, t: SimTime) {
+        let bi = self.cfg.mac.beacon_interval;
+        let aw = self.cfg.mac.atim_window;
+        let model = self.lanes.model;
+        for i in 0..self.cfg.nodes as usize {
+            let id = NodeId::new(i as u32);
+            if self.lanes.down[i] {
+                // A crashed node's radio is off for the whole interval:
+                // the wall clock still advances but nothing drains.
+                self.lanes.off_s[i] += bi.as_secs_f64();
+                self.ledger.span(t, id, PowerState::Off, bi);
+                continue;
+            }
+            let committed = &self.outcome.committed_awake;
+            let awake_dur = match self.cfg.scheme {
+                Scheme::Dot11 => bi,
+                // PS schemes: the MAC already integrated commitment time
+                // (ATIM window when idle, through the last committed
+                // transfer otherwise, the whole interval for unbounded
+                // commitments).
+                Scheme::Psm | Scheme::PsmNoOverhear | Scheme::Rcast => committed[i],
+                // PSM commitments and the AM keep-alive overlap; the
+                // node is awake for whichever reaches further.
+                Scheme::Odpm => committed[i].max(aw.max(self.odpm.am_overlap(id, t, bi))),
+            };
+            // Same adds in the same order as `EnergyMeter::accumulate`
+            // (the ledger replay reconstructs real meters from the
+            // mirrored spans and must land on the same bits).
+            self.lanes.awake_s[i] += awake_dur.as_secs_f64();
+            self.lanes.sleep_s[i] += (bi - awake_dur).as_secs_f64();
+            self.ledger.span(t, id, PowerState::Awake, awake_dur);
+            self.ledger.span(t, id, PowerState::Sleep, bi - awake_dur);
+            if let Some(bat) = &mut self.lanes.battery {
+                let joules = awake_dur.as_secs_f64() * model.idle_w
+                    + (bi - awake_dur).as_secs_f64() * model.sleep_w;
+                if bat.drain(i, joules) {
+                    // The node finishes this interval and is down from
+                    // the next boundary on (`apply_faults`).
+                    let died = t + bi;
+                    self.first_depletion.get_or_insert(died);
+                    self.fault_counters.battery_deaths += 1;
+                    self.ledger.record(died, id, ObsKind::BatteryDead);
+                }
+                self.rcast.note_battery(id, bat.remaining_fraction(i));
+            }
+        }
+    }
+
+    /// Drains the pending-action queue, routing transmissions through
+    /// the scheme-appropriate path.
+    fn dispatch(&mut self, nt: &NeighborTable) {
+        while let Some((node, at, action)) = self.work.pop_front() {
+            match action {
+                RouteAction::Unicast { next_hop, packet } => {
+                    self.send_unicast(node, next_hop, packet, at, nt);
+                }
+                RouteAction::Broadcast { packet } => self.send_broadcast(node, packet, at, nt),
+                RouteAction::Delivered(info) => {
+                    self.tracker.record_delivered(info.generated_at, at);
+                    self.tracker.record_hops(info.hops);
+                    let (flow, seq) = (info.flow, info.seq);
+                    self.ledger.record(at, node, ObsKind::PacketDelivered { flow, seq });
+                }
+                RouteAction::Dropped(info) => {
+                    self.tracker.record_dropped();
+                    let (flow, seq) = (info.flow, info.seq);
+                    self.ledger.record(at, node, ObsKind::PacketDropped { flow, seq });
+                }
+            }
+        }
+    }
+
+    /// `true` when the immediate (active-mode) path applies to a unicast
+    /// from `from` to `to` at time `at`.
+    fn immediate_path(&self, from: NodeId, to: NodeId, at: SimTime) -> bool {
+        match self.cfg.scheme {
+            Scheme::Dot11 => true,
+            Scheme::Odpm => self.odpm.is_am(from, at) && self.odpm.is_am(to, at),
+            _ => false,
+        }
+    }
+
+    fn send_unicast(
+        &mut self,
+        from: NodeId,
+        next_hop: NodeId,
+        packet: NetPacket,
+        at: SimTime,
+        nt: &NeighborTable,
+    ) {
+        let level = self.cfg.scheme.level_for_net(&packet);
+        let bytes = packet.wire_bytes();
+        let handle = self.arena.intern(packet);
+        let frame = MacFrame::unicast(next_hop, level, bytes, handle);
+        if self.immediate_path(from, next_hop, at) {
+            let scheme = self.cfg.scheme;
+            let odpm = &self.odpm;
+            let result = self.channel.transmit(
+                at,
+                from,
+                frame,
+                nt,
+                |x| match scheme {
+                    Scheme::Dot11 => true,
+                    Scheme::Odpm => odpm.is_am(x, at),
+                    _ => unreachable!("immediate path is 802.11/ODPM only"),
+                },
+                &mut self.outcome.fanout,
+            );
+            match result {
+                ImmediateResult::Delivered(d) => self.process_delivery(d),
+                ImmediateResult::Failed(f) => self.link_failure(f, f.at),
+            }
+        } else if let Err(frame) = self.mac.enqueue(from, frame, at) {
+            let h = frame.payload;
+            if !h.is_control() {
+                self.tracker.record_dropped();
+                if let Some((flow, seq)) = h.data_id() {
+                    self.ledger.record(at, from, ObsKind::PacketDropped { flow, seq });
+                }
+            }
+            self.arena.release(h);
+        }
+    }
+
+    /// Hands a failed unicast back to its sender's router, for both the
+    /// PSM path (failures collected over an interval) and the immediate
+    /// path. The failure counts as fault-caused when the receiver is
+    /// down or the link is cut at `fault_at` (the interval start on the
+    /// PSM path, the failure time on the immediate path). The packet
+    /// leaves the arena, and the router's recovery actions are queued.
+    fn link_failure(&mut self, f: LinkFailure<PacketHandle>, fault_at: SimTime) {
+        if self.faults_active
+            && (self.lanes.down[f.receiver.index()]
+                || self.faults.link_cut(f.sender, f.receiver, fault_at))
+        {
+            self.fault_counters.rerrs_triggered += 1;
+        }
+        let packet = self.arena.take(f.frame.payload);
+        self.routers[f.sender.index()].link_failure(f.receiver, packet, f.at, &mut self.route_out);
+        queue_actions(&mut self.route_out, f.sender, f.at, &mut self.work);
+    }
+
+    fn send_broadcast(&mut self, from: NodeId, packet: NetPacket, at: SimTime, nt: &NeighborTable) {
+        let bytes = packet.wire_bytes();
+        let handle = self.arena.intern(packet);
+        if self.cfg.scheme == Scheme::Dot11 {
+            let frame = MacFrame::broadcast(bytes, handle);
+            match self
+                .channel
+                .transmit(at, from, frame, nt, |_| true, &mut self.outcome.fanout)
+            {
+                ImmediateResult::Delivered(d) => self.process_delivery(d),
+                ImmediateResult::Failed(_) => unreachable!("broadcasts never fail"),
+            }
+        } else {
+            // The randomized-broadcast extension kicks in only when the
+            // Rcast factors ask for it (probability < 1).
+            let level = if self.cfg.scheme == Scheme::Rcast
+                && self.cfg.factors.broadcast_probability < 1.0
+            {
+                OverhearingLevel::Randomized
+            } else {
+                OverhearingLevel::Unconditional
+            };
+            let frame = MacFrame::broadcast_with_level(level, bytes, handle);
+            if let Err(frame) = self.mac.enqueue(from, frame, at) {
+                self.arena.release(frame.payload);
+            }
+        }
+    }
+
+    /// Feeds one completed transmission back into the protocol stack.
+    /// Its recipients and overhearers are the ranges `d.fanout` names
+    /// in the outcome's fanout buffer.
+    ///
+    /// Arena lifetime: the interned packet is *borrowed* by overhearers
+    /// and broadcast recipients, then consumed exactly once — taken by
+    /// the unicast receiver, or released after the broadcast fan-out.
+    fn process_delivery(&mut self, d: Delivery<PacketHandle>) {
+        let recipients = d.fanout.recipients(&self.outcome.fanout);
+        let overhearers = d.fanout.overhearers(&self.outcome.fanout);
+        let h = d.frame.payload;
+        // Overhead accounting: one on-air transmission. The handle's
+        // cached header answers everything without touching the arena.
+        if h.is_control() {
+            self.tracker.record_control_transmission();
+            self.ledger.record(d.at, d.sender, ObsKind::ControlTx { class: h.class() });
+        } else {
+            self.tracker.record_data_transmission();
+            if let (Some((flow, seq)), Some(to)) = (h.data_id(), d.receiver) {
+                self.ledger.record(d.at, d.sender, ObsKind::Forwarded { flow, seq, to });
+            }
+        }
+        for &o in overhearers {
+            self.ledger.record(d.at, o, ObsKind::Overheard { sender: d.sender });
+        }
+        // ODPM keep-alive events. DSR runs the radio promiscuously, so
+        // an AM node's *overheard* traffic is indistinguishable from
+        // received traffic at the power-management layer — overhearers
+        // refresh their timers too. This stickiness is what keeps ODPM's
+        // active corridors lit at high rates (the paper's Fig. 5(d)
+        // explanation). AODV hellos are broadcast RREPs but carry their
+        // own `Hello` class, so they do not refresh RREP timers.
+        if self.cfg.scheme == Scheme::Odpm {
+            match h.class() {
+                PacketClass::Rrep => {
+                    if let Some(r) = d.receiver {
+                        self.odpm.on_rrep(r, d.at);
+                    }
+                }
+                PacketClass::Data => {
+                    self.odpm.on_data(d.sender, d.at);
+                    if let Some(r) = d.receiver {
+                        self.odpm.on_data(r, d.at);
+                    }
+                }
+                PacketClass::Rreq => {
+                    // Route-discovery keep-alive: request recipients stay
+                    // active briefly so the reply can race back along the
+                    // reverse path — the source of ODPM's low delay.
+                    for &r in recipients {
+                        self.odpm.on_rreq(r, d.at);
+                    }
+                }
+                _ => {}
+            }
+        }
+        // Sender-ID factor bookkeeping.
+        for &x in recipients
+            .iter()
+            .chain(overhearers.iter())
+            .chain(d.receiver.iter())
+        {
+            self.rcast.note_heard(x, d.sender, d.at);
+        }
+        // Overhearers first (they only borrow the interned packet).
+        for &o in overhearers {
+            self.routers[o.index()].overhear(self.arena.get(h), d.sender, d.at, &mut self.route_out);
+            queue_actions(&mut self.route_out, o, d.at, &mut self.work);
+        }
+        // Then the addressed receiver(s).
+        match d.receiver {
+            Some(r) => {
+                let packet = self.arena.take(h);
+                self.routers[r.index()].receive(packet, d.sender, d.at, &mut self.route_out);
+                queue_actions(&mut self.route_out, r, d.at, &mut self.work);
+            }
+            None => {
+                self.batch.clear();
+                for &r in recipients {
+                    let packet = self.arena.get(h);
+                    self.routers[r.index()].receive_ref(packet, d.sender, d.at, &mut self.route_out);
+                    queue_actions(&mut self.route_out, r, d.at, &mut self.batch);
+                }
+                self.arena.release(h);
+                if h.class() == PacketClass::Rreq {
+                    Self::suppress_reply_storm(&mut self.batch);
+                }
+                self.work.extend(self.batch.drain(..));
+            }
+        }
+    }
+
+    /// DSR's *route reply storm prevention* (Johnson & Maltz §: cached
+    /// replies are jittered proportionally to route length and canceled
+    /// when a shorter reply is overheard). The recipients of one RREQ
+    /// transmission all hear each other, so among their cached replies
+    /// only the shortest-route one survives.
+    fn suppress_reply_storm(batch: &mut Vec<Pending>) {
+        fn rrep_hops(a: &RouteAction) -> Option<usize> {
+            match a {
+                RouteAction::Unicast { packet: NetPacket::Dsr(DsrPacket::Rrep(r)), .. } => {
+                    Some(r.route.hop_count())
+                }
+                RouteAction::Unicast { packet: NetPacket::Aodv(AodvPacket::Rrep(r)), .. }
+                    if !r.is_hello() =>
+                {
+                    Some(r.hop_count as usize)
+                }
+                _ => None,
+            }
+        }
+        let best: Option<usize> = batch
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (_, _, a))| rrep_hops(a).map(|h| (i, h)))
+            .min_by_key(|&(_, hops)| hops)
+            .map(|(i, _)| i);
+        let Some(best) = best else { return };
+        let mut idx = 0usize;
+        batch.retain(|(_, _, a)| {
+            let keep = rrep_hops(a).is_none() || idx == best;
+            // `retain` visits in order; track the original index.
+            idx += 1;
+            keep
+        });
     }
 }
 

@@ -221,86 +221,6 @@ impl StreamRng {
     }
 }
 
-/// A pre-filled FIFO lane of raw 64-bit draws from one [`StreamRng`].
-///
-/// Hot loops that make many small Bernoulli decisions per interval
-/// (e.g. Rcast's randomized wake draws) can [`prefill`](Self::prefill)
-/// the lane once per interval and then consume draws from a contiguous
-/// buffer, instead of bouncing through the stream state for every
-/// decision. The lane is **bit-identical** to drawing lazily from the
-/// feeding stream as long as that stream has no other consumers:
-///
-/// * `prefill` pushes raw `next_u64` outputs in stream order;
-/// * [`uniform`](Self::uniform) / [`chance`](Self::chance) consume them
-///   FIFO and apply the exact same mantissa mapping as
-///   [`StreamRng::uniform`] / [`StreamRng::chance`];
-/// * when the buffer runs dry mid-interval the lane falls through to
-///   the stream directly, preserving the draw sequence;
-/// * unconsumed draws carry over to the next interval (they were taken
-///   from the stream, so they are served before any new draw).
-///
-/// `prefill` compacts the consumed prefix in place, so after warm-up
-/// the lane allocates nothing (§10 hot-path contract).
-#[derive(Debug, Clone, Default)]
-pub struct DrawLane {
-    buf: Vec<u64>,
-    cursor: usize,
-}
-
-impl DrawLane {
-    /// An empty lane; every draw falls through to the stream until the
-    /// first [`prefill`](Self::prefill).
-    pub fn new() -> Self {
-        DrawLane::default()
-    }
-
-    /// Tops the lane up to `target` pending draws from `rng`,
-    /// compacting the consumed prefix first. Draws already pending are
-    /// kept (FIFO), so calling this every interval with a constant
-    /// `target` does no allocation after the first call.
-    pub fn prefill(&mut self, rng: &mut StreamRng, target: usize) {
-        if self.cursor > 0 {
-            self.buf.copy_within(self.cursor.., 0);
-            self.buf.truncate(self.buf.len() - self.cursor);
-            self.cursor = 0;
-        }
-        while self.buf.len() < target {
-            // det: hot-ok — capacity reaches `target` on the first
-            // interval and is reused verbatim afterwards.
-            self.buf.push(rng.next_u64());
-        }
-    }
-
-    /// Number of pending (unconsumed) draws.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.cursor
-    }
-
-    /// The next raw draw: buffered if available, straight from `rng`
-    /// otherwise.
-    fn take(&mut self, rng: &mut StreamRng) -> u64 {
-        if self.cursor < self.buf.len() {
-            let v = self.buf[self.cursor];
-            self.cursor += 1;
-            v
-        } else {
-            rng.next_u64()
-        }
-    }
-
-    /// Uniform draw in `[0, 1)` — bit-identical to
-    /// [`StreamRng::uniform`] on the feeding stream.
-    pub fn uniform(&mut self, rng: &mut StreamRng) -> f64 {
-        (self.take(rng) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`) —
-    /// bit-identical to [`StreamRng::chance`] on the feeding stream.
-    pub fn chance(&mut self, rng: &mut StreamRng, p: f64) -> bool {
-        self.uniform(rng) < p.clamp(0.0, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,41 +338,5 @@ mod tests {
     fn label_hash_stable() {
         assert_eq!(label_hash("mobility"), label_hash("mobility"));
         assert_ne!(label_hash("mobility"), label_hash("traffic"));
-    }
-
-    #[test]
-    fn draw_lane_matches_lazy_draws_bit_for_bit() {
-        // Lazy oracle: chance() straight off the stream.
-        let mut lazy = StreamRng::from_seed_and_label(42, "rcast");
-        let oracle: Vec<bool> = (0..500).map(|i| lazy.chance(0.3 + (i % 5) as f64 * 0.1)).collect();
-
-        // Lane under varying prefill pressure: sometimes over-filled
-        // (carry-over), sometimes under-filled (dry fallthrough).
-        let mut rng = StreamRng::from_seed_and_label(42, "rcast");
-        let mut lane = DrawLane::new();
-        let mut got = Vec::new();
-        let mut i = 0usize;
-        for round in 0..50 {
-            lane.prefill(&mut rng, [0, 3, 25, 7][round % 4]);
-            for _ in 0..10 {
-                got.push(lane.chance(&mut rng, 0.3 + (i % 5) as f64 * 0.1));
-                i += 1;
-            }
-        }
-        assert_eq!(got, oracle);
-    }
-
-    #[test]
-    fn draw_lane_prefill_is_idempotent_at_capacity() {
-        let mut rng = StreamRng::from_seed(9);
-        let mut lane = DrawLane::new();
-        lane.prefill(&mut rng, 16);
-        assert_eq!(lane.pending(), 16);
-        let probe = rng.clone();
-        lane.prefill(&mut rng, 16); // already full: no stream advance
-        assert_eq!(lane.pending(), 16);
-        let mut a = rng;
-        let mut b = probe;
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 }

@@ -36,8 +36,7 @@ use crate::project::{classify, FileKind};
 /// Keep in sync with DESIGN.md §13.
 pub const HOT_ENTRY_POINTS: &[&str] = &[
     "run_cell_seed",
-    "run_interval_into",
-    "run_interval_observed",
+    "run_interval",
     "step_interval",
 ];
 
@@ -348,13 +347,13 @@ mod tests {
     fn witness_chain_names_the_entry_point_first() {
         let g = graph(&[(
             "crates/mac/src/lib.rs",
-            "pub fn run_interval_into() { middle(); }\n\
+            "pub fn run_interval() { middle(); }\n\
              fn middle() { leaf(); }\n\
              fn leaf() {}\n",
         )]);
         let reach = g.reachable_from(HOT_ENTRY_POINTS);
         let leaf = g.nodes.iter().position(|n| n.item.name == "leaf").unwrap();
-        assert_eq!(g.witness_chain(&reach, leaf), "run_interval_into → middle → leaf");
+        assert_eq!(g.witness_chain(&reach, leaf), "run_interval → middle → leaf");
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl Destination {
 /// `P` is the opaque upper-layer payload (the simulator passes DSR
 /// packets). `bytes` is the on-air payload size used for airtime
 /// computation — the MAC adds its own header overhead.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MacFrame<P> {
     /// Receiver (or broadcast).
     pub to: Destination,

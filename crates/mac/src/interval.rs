@@ -35,7 +35,7 @@ use rcast_radio::Phy;
 use crate::budget::AirtimeBudget;
 use crate::config::MacConfig;
 use crate::frame::{Destination, MacFrame, OverhearingLevel};
-use crate::observe::{MacObserver, NullMacObserver};
+use crate::observe::MacObserver;
 use crate::queue::TxQueue;
 use crate::wake::{PowerMode, WakePolicy};
 
@@ -73,7 +73,7 @@ impl Fanout {
 }
 
 /// A frame the MAC delivered during an interval (or immediately).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Delivery<P> {
     /// Transmitting node.
     pub sender: NodeId,
@@ -92,7 +92,7 @@ pub struct Delivery<P> {
 /// A frame the MAC gave up on: the ATIM advertisement went
 /// unacknowledged for the configured number of intervals, i.e. the link
 /// to the next hop broke.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct LinkFailure<P> {
     /// The node that was trying to transmit.
     pub sender: NodeId,
@@ -106,9 +106,9 @@ pub struct LinkFailure<P> {
 
 /// Everything that happened during one resolved beacon interval.
 ///
-/// [`MacLayer::run_interval_into`] refills a caller-owned outcome in
-/// place, so the per-node vectors and the delivery/failure lists keep
-/// their allocations across intervals.
+/// [`MacLayer::run_interval`] refills a caller-owned outcome in place,
+/// so the per-node vectors and the delivery/failure lists keep their
+/// allocations across intervals.
 #[derive(Debug, Clone)]
 pub struct IntervalOutcome<P> {
     /// Start of the interval.
@@ -123,11 +123,6 @@ pub struct IntervalOutcome<P> {
     /// Per node: was the radio on past the ATIM window for any reason?
     /// (AM nodes are always `true`.)
     pub awake: Vec<bool>,
-    /// Per node: did a PSM commitment (sending, receiving, a broadcast,
-    /// or an overhearing decision) keep it awake past the ATIM window?
-    /// Unlike [`awake`](Self::awake), this excludes baseline AM-ness —
-    /// the ODPM energy integrator needs the distinction.
-    pub ps_awake: Vec<bool>,
     /// Per node: radio-on time attributable to PSM commitments, in
     /// `[atim_window, beacon_interval]`, *ignoring* AM mode. With
     /// [`MacConfig::doze_after_transfer`] enabled, a node committed to
@@ -146,7 +141,6 @@ impl<P> Default for IntervalOutcome<P> {
             fanout: Vec::new(),
             failures: Vec::new(),
             awake: Vec::new(),
-            ps_awake: Vec::new(),
             committed_awake: Vec::new(),
         }
     }
@@ -187,7 +181,10 @@ pub struct MacCounters {
 ///
 /// ```
 /// use rcast_engine::{NodeId, SimTime, rng::StreamRng};
-/// use rcast_mac::{AllPowerSave, MacConfig, MacFrame, MacLayer, OverhearingLevel};
+/// use rcast_mac::{
+///     AllPowerSave, IntervalOutcome, MacConfig, MacFrame, MacLayer, NullMacObserver,
+///     OverhearingLevel,
+/// };
 /// use rcast_mobility::{Area, NeighborTable, Snapshot, Vec2};
 /// use rcast_radio::Phy;
 ///
@@ -200,8 +197,9 @@ pub struct MacCounters {
 /// mac.enqueue(NodeId::new(0),
 ///     MacFrame::unicast(NodeId::new(1), OverhearingLevel::None, 512, "hello"),
 ///     SimTime::ZERO);
-/// let out = mac.run_interval(SimTime::ZERO, &nt,
-///     &mut AllPowerSave { overhear_randomized: false });
+/// let mut out = IntervalOutcome::default();
+/// mac.run_interval(SimTime::ZERO, &nt,
+///     &mut AllPowerSave { overhear_randomized: false }, &mut out, &mut NullMacObserver);
 /// assert_eq!(out.deliveries.len(), 1);
 /// assert_eq!(out.deliveries[0].frame.payload, "hello");
 /// ```
@@ -424,49 +422,24 @@ impl<P> MacLayer<P> {
         out.extend_from_slice(nt.neighbors(s));
     }
 
-    /// Resolves one beacon interval starting at `start` on the caller's
-    /// thread, returning a freshly allocated outcome. Convenience wrapper
-    /// over [`run_interval_into`](Self::run_interval_into) — the
-    /// simulator's hot loop uses the latter with a reused outcome.
-    pub fn run_interval(
-        &mut self,
-        start: SimTime,
-        nt: &NeighborTable,
-        policy: &mut dyn WakePolicy,
-    ) -> IntervalOutcome<P> {
-        let mut out = IntervalOutcome::default();
-        self.run_interval_into(start, nt, policy, &mut out);
-        out
-    }
-
     /// Resolves one beacon interval starting at `start` into a
     /// caller-owned outcome, clearing and refilling every field so the
     /// outcome's allocations survive across intervals.
     ///
     /// `nt` must describe node positions at `start`; `policy` supplies
-    /// per-node power modes and randomized-overhearing decisions.
-    /// Allocation-free once the working buffers have grown.
-    pub fn run_interval_into(
+    /// per-node power modes and randomized-overhearing decisions, and
+    /// `obs` sees each per-node decision as it is made (pass
+    /// [`NullMacObserver`](crate::NullMacObserver) when nobody listens).
+    /// The resolution itself is byte-identical with any observer — the
+    /// tap is strictly read-only. Allocation-free once the working
+    /// buffers have grown.
+    pub fn run_interval<O: MacObserver>(
         &mut self,
         start: SimTime,
         nt: &NeighborTable,
         policy: &mut dyn WakePolicy,
         out: &mut IntervalOutcome<P>,
-    ) {
-        self.run_interval_observed(start, nt, policy, out, &mut NullMacObserver);
-    }
-
-    /// Like [`run_interval_into`](Self::run_interval_into), but reports
-    /// each per-node decision to `obs` as it is made. The resolution
-    /// itself is byte-identical with or without an observer — the tap
-    /// is strictly read-only.
-    pub fn run_interval_observed(
-        &mut self,
-        start: SimTime,
-        nt: &NeighborTable,
-        policy: &mut dyn WakePolicy,
-        out: &mut IntervalOutcome<P>,
-        obs: &mut dyn MacObserver,
+        obs: &mut O,
     ) {
         let n = self.queues.len();
         debug_assert_eq!(nt.len(), n, "neighbor table size mismatch");
@@ -791,8 +764,6 @@ impl<P> MacLayer<P> {
 
         out.awake.clear();
         out.awake.extend_from_slice(awake);
-        out.ps_awake.clear();
-        out.ps_awake.extend_from_slice(committed);
 
         self.scratch = scr;
     }
@@ -824,6 +795,18 @@ mod tests {
         )
     }
 
+    /// Resolves one interval into a fresh outcome, unobserved.
+    fn run(
+        m: &mut Mac,
+        start: SimTime,
+        nt: &NeighborTable,
+        policy: &mut dyn WakePolicy,
+    ) -> IntervalOutcome<&'static str> {
+        let mut out = IntervalOutcome::default();
+        m.run_interval(start, nt, policy, &mut out, &mut crate::NullMacObserver);
+        out
+    }
+
     fn ps(overhear: bool) -> AllPowerSave {
         AllPowerSave {
             overhear_randomized: overhear,
@@ -842,7 +825,7 @@ mod tests {
             SimTime::ZERO,
         )
         .unwrap();
-        let out = m.run_interval(SimTime::ZERO, &nt, &mut ps(false));
+        let out = run(&mut m, SimTime::ZERO, &nt, &mut ps(false));
         assert_eq!(out.deliveries.len(), 1);
         let d = &out.deliveries[0];
         assert_eq!(d.sender, NodeId::new(1));
@@ -863,7 +846,7 @@ mod tests {
             SimTime::ZERO,
         )
         .unwrap();
-        let out = m.run_interval(SimTime::ZERO, &nt, &mut ps(false));
+        let out = run(&mut m, SimTime::ZERO, &nt, &mut ps(false));
         assert_eq!(out.awake, vec![true, true, true]);
         assert_eq!(
             out.deliveries[0].fanout.overhearers(&out.fanout),
@@ -882,7 +865,7 @@ mod tests {
                 SimTime::ZERO,
             )
             .unwrap();
-            let out = m.run_interval(SimTime::ZERO, &nt, &mut ps(ans));
+            let out = run(&mut m, SimTime::ZERO, &nt, &mut ps(ans));
             assert_eq!(out.awake[2], expect_awake, "policy answer {ans}");
         }
     }
@@ -893,7 +876,7 @@ mod tests {
         let mut m = mac(3);
         m.enqueue(NodeId::new(1), MacFrame::broadcast(64, "rreq"), SimTime::ZERO)
             .unwrap();
-        let out = m.run_interval(SimTime::ZERO, &nt, &mut ps(false));
+        let out = run(&mut m, SimTime::ZERO, &nt, &mut ps(false));
         assert_eq!(out.deliveries.len(), 1);
         let d = &out.deliveries[0];
         assert_eq!(d.receiver, None);
@@ -939,7 +922,7 @@ mod tests {
             SimTime::ZERO,
         )
         .unwrap();
-        let out = m.run_interval(SimTime::ZERO, &nt, &mut NeverReceive);
+        let out = run(&mut m, SimTime::ZERO, &nt, &mut NeverReceive);
         assert_eq!(out.deliveries.len(), 1);
         assert!(
             out.deliveries[0].fanout.recipients(&out.fanout).is_empty(),
@@ -961,11 +944,7 @@ mod tests {
         let limit = MacConfig::default().atim_retry_limit;
         let mut failures = Vec::new();
         for k in 0..limit {
-            let out = m.run_interval(
-                SimTime::from_millis(250 * k as u64),
-                &nt,
-                &mut ps(false),
-            );
+            let out = run(&mut m, SimTime::from_millis(250 * k as u64), &nt, &mut ps(false));
             assert!(out.deliveries.is_empty());
             failures.extend(out.failures);
         }
@@ -989,10 +968,10 @@ mod tests {
         .unwrap();
         // Two silent intervals (limit is 3), then the receiver returns.
         for k in 0..2 {
-            let out = m.run_interval(SimTime::from_millis(250 * k), &far, &mut ps(false));
+            let out = run(&mut m, SimTime::from_millis(250 * k), &far, &mut ps(false));
             assert!(out.failures.is_empty());
         }
-        let out = m.run_interval(SimTime::from_millis(500), &near, &mut ps(false));
+        let out = run(&mut m, SimTime::from_millis(500), &near, &mut ps(false));
         assert_eq!(out.deliveries.len(), 1);
         assert!(out.failures.is_empty());
     }
@@ -1013,7 +992,7 @@ mod tests {
             )
             .unwrap();
         }
-        let out = m.run_interval(SimTime::ZERO, &nt, &mut ps(false));
+        let out = run(&mut m, SimTime::ZERO, &nt, &mut ps(false));
         assert!(out.deliveries.len() < 10, "{}", out.deliveries.len());
         assert!(!out.deliveries.is_empty());
         assert_eq!(
@@ -1043,7 +1022,7 @@ mod tests {
             )
             .unwrap();
         }
-        let out = m.run_interval(SimTime::ZERO, &nt, &mut ps(false));
+        let out = run(&mut m, SimTime::ZERO, &nt, &mut ps(false));
         assert_eq!(out.deliveries.len(), 8);
     }
 
@@ -1058,7 +1037,7 @@ mod tests {
         )
         .unwrap();
         let mut policy = crate::wake::AllActive;
-        let out = m.run_interval(SimTime::ZERO, &nt, &mut policy);
+        let out = run(&mut m, SimTime::ZERO, &nt, &mut policy);
         assert_eq!(out.awake, vec![true, true, true]);
         // Node 2 is awake (AM), so it physically overhears even though
         // the sender requested no overhearing.
@@ -1082,7 +1061,7 @@ mod tests {
             SimTime::ZERO,
         )
         .unwrap();
-        let out = m.run_interval(SimTime::ZERO, &nt, &mut ps(false));
+        let out = run(&mut m, SimTime::ZERO, &nt, &mut ps(false));
         assert!(out.deliveries.is_empty());
         assert_eq!(m.queue_len(NodeId::new(0)), 1);
         assert_eq!(m.counters().data_lost, 1);
@@ -1100,7 +1079,7 @@ mod tests {
         .unwrap();
         // A full-loss burst keeps the frame queued…
         m.set_frame_loss_prob(1.0);
-        let out = m.run_interval(SimTime::ZERO, &nt, &mut ps(false));
+        let out = run(&mut m, SimTime::ZERO, &nt, &mut ps(false));
         assert!(out.deliveries.is_empty());
         assert_eq!(m.queue_len(NodeId::new(0)), 1);
         // …then a crash purges it without touching drop counters.
@@ -1117,7 +1096,7 @@ mod tests {
             SimTime::from_millis(250),
         )
         .unwrap();
-        let out = m.run_interval(SimTime::from_millis(250), &nt, &mut ps(false));
+        let out = run(&mut m, SimTime::from_millis(250), &nt, &mut ps(false));
         assert_eq!(out.deliveries.len(), 1);
     }
 
@@ -1139,7 +1118,7 @@ mod tests {
             )
             .unwrap();
         }
-        let out = m.run_interval(SimTime::ZERO, &nt, &mut ps(false));
+        let out = run(&mut m, SimTime::ZERO, &nt, &mut ps(false));
         assert!(out.deliveries.windows(2).all(|w| w[0].at <= w[1].at));
     }
 

@@ -13,7 +13,10 @@
 //! * [`MacLayer::run_interval`] — the PSM path: queued frames advertised
 //!   and delivered at beacon-interval granularity, with per-neighborhood
 //!   airtime budgeting, link-break detection via missing ATIM-ACKs, and
-//!   explicit overhearing resolution.
+//!   explicit overhearing resolution. It is the one interval entry
+//!   point: it refills a caller-owned [`IntervalOutcome`] in place and
+//!   reports each decision to a [`MacObserver`] (pass
+//!   [`NullMacObserver`] when nobody listens).
 //! * [`Channel::transmit`] — the active-mode path used by 802.11 without
 //!   PSM and by ODPM's AM fast path: immediate CSMA transmission with
 //!   carrier-sense deferral, backoff, and retries.

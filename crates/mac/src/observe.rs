@@ -3,11 +3,11 @@
 //!
 //! The resolver already *counts* everything in
 //! [`MacCounters`](crate::MacCounters); an observer additionally sees
-//! *which* node did what, *when*. Every hook has a no-op default so the
-//! hot path pays one virtual call per recorded decision and nothing
-//! else — [`NullMacObserver`] is what
-//! [`MacLayer::run_interval_into`](crate::MacLayer::run_interval_into)
-//! passes when nobody is listening.
+//! *which* node did what, *when*.
+//! [`MacLayer::run_interval`](crate::MacLayer::run_interval) is generic
+//! over its observer, so every hook call is static and can inline.
+//! Every hook has a no-op default: callers with nobody listening pass
+//! [`NullMacObserver`], whose calls compile away.
 //!
 //! Implementations must not allocate per call if they are driven from
 //! the simulation hot loop (DESIGN.md §10); the event ledger records

@@ -5,7 +5,8 @@
 use rcast_engine::rng::StreamRng;
 use rcast_engine::{NodeId, SimDuration, SimTime};
 use rcast_mac::{
-    AirtimeBudget, AllPowerSave, MacConfig, MacFrame, MacLayer, OverhearingLevel, TxQueue,
+    AirtimeBudget, AllPowerSave, IntervalOutcome, MacConfig, MacFrame, MacLayer,
+    NullMacObserver, OverhearingLevel, TxQueue,
 };
 use rcast_mobility::{Area, NeighborTable, Snapshot, Vec2};
 use rcast_radio::Phy;
@@ -123,7 +124,9 @@ fn interval_resolver_conserves_frames() {
             overhear_randomized: false,
         };
         for k in 0..20u64 {
-            let out = mac.run_interval(SimTime::from_millis(250 * k), &nt, &mut policy);
+            let mut out = IntervalOutcome::default();
+            let start = SimTime::from_millis(250 * k);
+            mac.run_interval(start, &nt, &mut policy, &mut out, &mut NullMacObserver);
             prop_assert!(out.failures.is_empty(), "clique cannot break links");
             delivered += out.deliveries.len();
         }
@@ -159,11 +162,12 @@ fn committed_awake_bounds() {
         let mut policy = AllPowerSave {
             overhear_randomized: true,
         };
-        let out = mac.run_interval(SimTime::ZERO, &nt, &mut policy);
+        let mut out = IntervalOutcome::default();
+        mac.run_interval(SimTime::ZERO, &nt, &mut policy, &mut out, &mut NullMacObserver);
         for (i, &dur) in out.committed_awake.iter().enumerate() {
             prop_assert!(dur >= cfg.atim_window, "node {i}: {dur}");
             prop_assert!(dur <= cfg.beacon_interval, "node {i}: {dur}");
-            if !out.ps_awake[i] {
+            if !out.awake[i] {
                 prop_assert_eq!(dur, cfg.atim_window);
             }
         }

@@ -4,8 +4,9 @@
 use rcast_engine::{NodeId, SimTime};
 use rcast_radio::PowerState;
 
-/// Routing-packet class, mirrored from the network layer so the ledger
-/// does not depend on the routing crates.
+/// Routing-packet class. It lives here, below the routing crates, so
+/// the ledger does not depend on them; the simulation core's packet
+/// handles carry it in their cached header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketClass {
     /// Route request.

@@ -13,7 +13,9 @@
 
 use randomcast::engine::rng::StreamRng;
 use randomcast::engine::{NodeId, SimTime};
-use randomcast::mac::{AllPowerSave, MacConfig, MacFrame, MacLayer, OverhearingLevel};
+use randomcast::mac::{
+    AllPowerSave, IntervalOutcome, MacConfig, MacFrame, MacLayer, NullMacObserver, OverhearingLevel,
+};
 use randomcast::mobility::{Area, NeighborTable, Snapshot, Vec2};
 use randomcast::radio::Phy;
 use randomcast::{OverhearFactors, RcastDecider};
@@ -59,7 +61,8 @@ fn main() {
         let mut policy = AllPowerSave {
             overhear_randomized: true,
         };
-        let out = mac.run_interval(SimTime::ZERO, &nt, &mut policy);
+        let mut out = IntervalOutcome::default();
+        mac.run_interval(SimTime::ZERO, &nt, &mut policy, &mut out, &mut NullMacObserver);
         let awake: Vec<&str> = (0..7)
             .filter(|&i| out.awake[i])
             .map(|i| names[i])

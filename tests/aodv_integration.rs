@@ -5,7 +5,9 @@
 use randomcast::aodv::{AodvAction, AodvConfig, AodvNode, AodvPacket};
 use randomcast::engine::rng::StreamRng;
 use randomcast::engine::{NodeId, SimDuration, SimTime};
-use randomcast::mac::{AllPowerSave, MacConfig, MacFrame, MacLayer, OverhearingLevel};
+use randomcast::mac::{
+    AllPowerSave, IntervalOutcome, MacConfig, MacFrame, MacLayer, NullMacObserver, OverhearingLevel,
+};
 use randomcast::mobility::{Area, NeighborTable, Snapshot, Vec2};
 use randomcast::radio::Phy;
 
@@ -96,7 +98,9 @@ impl Net {
             let actions = acts(|buf| self.nodes[i].tick(t, buf));
             self.apply(n(i as u32), actions);
         }
-        let out = self.mac.run_interval(t, &self.nt, &mut policy);
+        let mut out = IntervalOutcome::default();
+        self.mac
+            .run_interval(t, &self.nt, &mut policy, &mut out, &mut NullMacObserver);
         for d in &out.deliveries {
             let sender = d.sender;
             let payload = &d.frame.payload;

@@ -6,7 +6,9 @@
 use rcast_dsr::{DsrAction, DsrConfig, DsrNode, DsrPacket};
 use rcast_engine::rng::StreamRng;
 use rcast_engine::{NodeId, SimDuration, SimTime};
-use rcast_mac::{AllPowerSave, MacConfig, MacFrame, MacLayer, OverhearingLevel};
+use rcast_mac::{
+    AllPowerSave, IntervalOutcome, MacConfig, MacFrame, MacLayer, NullMacObserver, OverhearingLevel,
+};
 use rcast_mobility::{Area, NeighborTable, Snapshot, Vec2};
 use rcast_radio::Phy;
 
@@ -95,7 +97,9 @@ impl Net {
             let actions = acts(|buf| self.dsr[i].tick(t, buf));
             self.apply(n(i as u32), actions);
         }
-        let out = self.mac.run_interval(t, &self.nt, &mut policy);
+        let mut out = IntervalOutcome::default();
+        self.mac
+            .run_interval(t, &self.nt, &mut policy, &mut out, &mut NullMacObserver);
         for d in &out.deliveries {
             let sender = d.sender;
             let payload = &d.frame.payload;
