@@ -86,14 +86,6 @@ impl NetPacket {
         }
     }
 
-    /// Short kind tag ("RREQ", "DATA", "HELLO", ...).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            NetPacket::Dsr(p) => p.kind(),
-            NetPacket::Aodv(p) => p.kind(),
-        }
-    }
-
     /// The `(flow, seq)` identity when this is a data packet.
     pub fn data_id(&self) -> Option<(u32, u64)> {
         match self {
@@ -587,12 +579,16 @@ mod tests {
         for kind in [RoutingKind::Dsr, RoutingKind::Aodv] {
             let mut r = RouterNode::new(kind, n(0), DsrConfig::default(), AodvConfig::default());
             let actions = acts(|o| r.originate(0, 0, n(9), 512, SimTime::ZERO, o));
-            assert!(
-                actions
-                    .iter()
-                    .any(|a| matches!(a, RouteAction::Broadcast { packet } if packet.kind() == "RREQ")),
-                "{kind}: {actions:?}"
-            );
+            let rreq = |a: &RouteAction| {
+                matches!(
+                    a,
+                    RouteAction::Broadcast {
+                        packet: NetPacket::Dsr(DsrPacket::Rreq(_))
+                            | NetPacket::Aodv(AodvPacket::Rreq(_))
+                    }
+                )
+            };
+            assert!(actions.iter().any(rreq), "{kind}: {actions:?}");
         }
     }
 

@@ -126,8 +126,8 @@ fn queue_actions(out: &mut RouteOut, node: NodeId, at: SimTime, to: &mut impl Ex
 /// The run's event [`Ledger`] when `SimConfig::obs` is on, and nothing
 /// otherwise. Every hook is a no-op on an empty recorder, so the
 /// interval path records unconditionally; no hook feeds anything back
-/// into the run. It is also the MAC's observer (defined here because
-/// both traits' crates are upstream of this one).
+/// into the run. It is also the MAC's observer, implemented here
+/// because `rcast-mac` and `rcast-obs` both sit upstream of this crate.
 struct Recorder(Option<Ledger>);
 
 impl Recorder {
@@ -181,7 +181,13 @@ impl MacObserver for Recorder {
         self.record(at, node, ObsKind::OverhearCommit { sender });
     }
     fn airtime_reserved(&mut self, at: SimTime, sender: NodeId, dur: SimDuration) {
-        self.record(at, sender, ObsKind::Airtime { nanos: dur.as_nanos() });
+        self.record(
+            at,
+            sender,
+            ObsKind::Airtime {
+                nanos: dur.as_nanos(),
+            },
+        );
     }
     fn data_lost(&mut self, at: SimTime, sender: NodeId, to: NodeId) {
         self.record(at, sender, ObsKind::DataLost { to });
@@ -630,10 +636,20 @@ impl Stack {
         self.fault_counters.link_blackouts += new_blackouts;
         self.fault_counters.corruption_bursts += new_bursts;
         if new_blackouts > 0 {
-            self.ledger.record_network(t, ObsKind::Blackouts { newly: new_blackouts as u32 });
+            self.ledger.record_network(
+                t,
+                ObsKind::Blackouts {
+                    newly: new_blackouts as u32,
+                },
+            );
         }
         if new_bursts > 0 {
-            self.ledger.record_network(t, ObsKind::Bursts { newly: new_bursts as u32 });
+            self.ledger.record_network(
+                t,
+                ObsKind::Bursts {
+                    newly: new_bursts as u32,
+                },
+            );
         }
         for i in 0..self.cfg.nodes as usize {
             let id = NodeId::new(i as u32);
@@ -655,13 +671,15 @@ impl Stack {
                     self.tracker.record_fault_drop();
                     self.fault_counters.packets_lost_to_faults += 1;
                     if let Some((flow, seq)) = h.data_id() {
-                        self.ledger.record(t, id, ObsKind::PacketDropped { flow, seq });
+                        self.ledger
+                            .record(t, id, ObsKind::PacketDropped { flow, seq });
                     }
                 }
                 for (flow, seq) in self.routers[i].reboot(t) {
                     self.tracker.record_fault_drop();
                     self.fault_counters.packets_lost_to_faults += 1;
-                    self.ledger.record(t, id, ObsKind::PacketDropped { flow, seq });
+                    self.ledger
+                        .record(t, id, ObsKind::PacketDropped { flow, seq });
                 }
             } else if !is_down && self.lanes.down[i] {
                 self.fault_counters.rejoins += 1;
@@ -691,7 +709,12 @@ impl Stack {
                 continue;
             }
             self.routers[i].tick(t, &mut self.route_out);
-            queue_actions(&mut self.route_out, NodeId::new(i as u32), t, &mut self.work);
+            queue_actions(
+                &mut self.route_out,
+                NodeId::new(i as u32),
+                t,
+                &mut self.work,
+            );
         }
         self.dispatch(nt);
     }
@@ -725,13 +748,22 @@ impl Stack {
     fn originate(&mut self, a: Arrival, nt: &NeighborTable) {
         self.tracker.record_originated();
         let (flow, seq) = (a.flow, a.seq);
-        self.ledger.record(a.at, a.src, ObsKind::Originated { flow, seq, dst: a.dst });
+        self.ledger.record(
+            a.at,
+            a.src,
+            ObsKind::Originated {
+                flow,
+                seq,
+                dst: a.dst,
+            },
+        );
         if self.lanes.down[a.src.index()] {
             // A crashed source generates nothing on the air; the
             // packet is lost at birth.
             self.tracker.record_fault_drop();
             self.fault_counters.packets_lost_to_faults += 1;
-            self.ledger.record(a.at, a.src, ObsKind::PacketDropped { flow, seq });
+            self.ledger
+                .record(a.at, a.src, ObsKind::PacketDropped { flow, seq });
             return;
         }
         if self.cfg.scheme == Scheme::Odpm {
@@ -814,12 +846,14 @@ impl Stack {
                     self.tracker.record_delivered(info.generated_at, at);
                     self.tracker.record_hops(info.hops);
                     let (flow, seq) = (info.flow, info.seq);
-                    self.ledger.record(at, node, ObsKind::PacketDelivered { flow, seq });
+                    self.ledger
+                        .record(at, node, ObsKind::PacketDelivered { flow, seq });
                 }
                 RouteAction::Dropped(info) => {
                     self.tracker.record_dropped();
                     let (flow, seq) = (info.flow, info.seq);
-                    self.ledger.record(at, node, ObsKind::PacketDropped { flow, seq });
+                    self.ledger
+                        .record(at, node, ObsKind::PacketDropped { flow, seq });
                 }
             }
         }
@@ -871,7 +905,8 @@ impl Stack {
             if !h.is_control() {
                 self.tracker.record_dropped();
                 if let Some((flow, seq)) = h.data_id() {
-                    self.ledger.record(at, from, ObsKind::PacketDropped { flow, seq });
+                    self.ledger
+                        .record(at, from, ObsKind::PacketDropped { flow, seq });
                 }
             }
             self.arena.release(h);
@@ -940,15 +975,18 @@ impl Stack {
         // cached header answers everything without touching the arena.
         if h.is_control() {
             self.tracker.record_control_transmission();
-            self.ledger.record(d.at, d.sender, ObsKind::ControlTx { class: h.class() });
+            self.ledger
+                .record(d.at, d.sender, ObsKind::ControlTx { class: h.class() });
         } else {
             self.tracker.record_data_transmission();
             if let (Some((flow, seq)), Some(to)) = (h.data_id(), d.receiver) {
-                self.ledger.record(d.at, d.sender, ObsKind::Forwarded { flow, seq, to });
+                self.ledger
+                    .record(d.at, d.sender, ObsKind::Forwarded { flow, seq, to });
             }
         }
         for &o in overhearers {
-            self.ledger.record(d.at, o, ObsKind::Overheard { sender: d.sender });
+            self.ledger
+                .record(d.at, o, ObsKind::Overheard { sender: d.sender });
         }
         // ODPM keep-alive events. DSR runs the radio promiscuously, so
         // an AM node's *overheard* traffic is indistinguishable from
@@ -991,7 +1029,12 @@ impl Stack {
         }
         // Overhearers first (they only borrow the interned packet).
         for &o in overhearers {
-            self.routers[o.index()].overhear(self.arena.get(h), d.sender, d.at, &mut self.route_out);
+            self.routers[o.index()].overhear(
+                self.arena.get(h),
+                d.sender,
+                d.at,
+                &mut self.route_out,
+            );
             queue_actions(&mut self.route_out, o, d.at, &mut self.work);
         }
         // Then the addressed receiver(s).
@@ -1005,7 +1048,12 @@ impl Stack {
                 self.batch.clear();
                 for &r in recipients {
                     let packet = self.arena.get(h);
-                    self.routers[r.index()].receive_ref(packet, d.sender, d.at, &mut self.route_out);
+                    self.routers[r.index()].receive_ref(
+                        packet,
+                        d.sender,
+                        d.at,
+                        &mut self.route_out,
+                    );
                     queue_actions(&mut self.route_out, r, d.at, &mut self.batch);
                 }
                 self.arena.release(h);
@@ -1025,14 +1073,14 @@ impl Stack {
     fn suppress_reply_storm(batch: &mut Vec<Pending>) {
         fn rrep_hops(a: &RouteAction) -> Option<usize> {
             match a {
-                RouteAction::Unicast { packet: NetPacket::Dsr(DsrPacket::Rrep(r)), .. } => {
-                    Some(r.route.hop_count())
-                }
-                RouteAction::Unicast { packet: NetPacket::Aodv(AodvPacket::Rrep(r)), .. }
-                    if !r.is_hello() =>
-                {
-                    Some(r.hop_count as usize)
-                }
+                RouteAction::Unicast {
+                    packet: NetPacket::Dsr(DsrPacket::Rrep(r)),
+                    ..
+                } => Some(r.route.hop_count()),
+                RouteAction::Unicast {
+                    packet: NetPacket::Aodv(AodvPacket::Rrep(r)),
+                    ..
+                } if !r.is_hello() => Some(r.hop_count as usize),
                 _ => None,
             }
         }

@@ -34,11 +34,7 @@ use crate::project::{classify, FileKind};
 /// simulation, observability and sweep layers expose. Everything they
 /// transitively call is hot; nothing else needs registering by hand.
 /// Keep in sync with DESIGN.md §13.
-pub const HOT_ENTRY_POINTS: &[&str] = &[
-    "run_cell_seed",
-    "run_interval",
-    "step_interval",
-];
+pub const HOT_ENTRY_POINTS: &[&str] = &["run_cell_seed", "run_interval", "step_interval"];
 
 /// One function node in the workspace call graph.
 #[derive(Debug, Clone)]

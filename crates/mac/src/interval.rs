@@ -944,7 +944,8 @@ mod tests {
         let limit = MacConfig::default().atim_retry_limit;
         let mut failures = Vec::new();
         for k in 0..limit {
-            let out = run(&mut m, SimTime::from_millis(250 * k as u64), &nt, &mut ps(false));
+            let start = SimTime::from_millis(250 * k as u64);
+            let out = run(&mut m, start, &nt, &mut ps(false));
             assert!(out.deliveries.is_empty());
             failures.extend(out.failures);
         }

@@ -5,8 +5,8 @@
 use rcast_engine::rng::StreamRng;
 use rcast_engine::{NodeId, SimDuration, SimTime};
 use rcast_mac::{
-    AirtimeBudget, AllPowerSave, IntervalOutcome, MacConfig, MacFrame, MacLayer,
-    NullMacObserver, OverhearingLevel, TxQueue,
+    AirtimeBudget, AllPowerSave, IntervalOutcome, MacConfig, MacFrame, MacLayer, NullMacObserver,
+    OverhearingLevel, TxQueue,
 };
 use rcast_mobility::{Area, NeighborTable, Snapshot, Vec2};
 use rcast_radio::Phy;
@@ -163,7 +163,13 @@ fn committed_awake_bounds() {
             overhear_randomized: true,
         };
         let mut out = IntervalOutcome::default();
-        mac.run_interval(SimTime::ZERO, &nt, &mut policy, &mut out, &mut NullMacObserver);
+        mac.run_interval(
+            SimTime::ZERO,
+            &nt,
+            &mut policy,
+            &mut out,
+            &mut NullMacObserver,
+        );
         for (i, &dur) in out.committed_awake.iter().enumerate() {
             prop_assert!(dur >= cfg.atim_window, "node {i}: {dur}");
             prop_assert!(dur <= cfg.beacon_interval, "node {i}: {dur}");

@@ -402,6 +402,7 @@ fn loaded_runs_match_their_recorded_digests() {
         seconds,
         digest,
     };
+    #[rustfmt::skip]
     let cases = [
         case("rcast, dsr", Scheme::Rcast, RoutingKind::Dsr, None, None, 30, 0xac36_d392_1d95_a47e),
         case("rcast, dsr, crashes", Scheme::Rcast, RoutingKind::Dsr, CRASHES, None, 30, 0x56b4_7834_6038_ef3d),
@@ -446,7 +447,10 @@ fn loaded_runs_match_their_recorded_digests() {
             c.name
         );
         if got != c.digest {
-            failures.push(format!("{}: digest {got:#018x}, recorded {:#018x}", c.name, c.digest));
+            failures.push(format!(
+                "{}: digest {got:#018x}, recorded {:#018x}",
+                c.name, c.digest
+            ));
         }
     }
     assert!(

@@ -107,8 +107,16 @@ fn recording_leaves_every_scheme_s_report_unchanged() {
             assert!(recorded.obs.take().is_some(), "{scheme} {label}: ledger on");
             assert!(plain.obs.is_none(), "{scheme} {label}: ledger off");
             let energy = recorded.energy.per_node_joules();
-            for (i, (r, p)) in energy.iter().zip(plain.energy.per_node_joules()).enumerate() {
-                assert_eq!(r.to_bits(), p.to_bits(), "{scheme} {label}: node {i} energy");
+            for (i, (r, p)) in energy
+                .iter()
+                .zip(plain.energy.per_node_joules())
+                .enumerate()
+            {
+                assert_eq!(
+                    r.to_bits(),
+                    p.to_bits(),
+                    "{scheme} {label}: node {i} energy"
+                );
             }
             assert_eq!(
                 format!("{recorded:?}"),
